@@ -22,7 +22,6 @@ from .engine import (
     SimulatorContract,
     TruncationRegion,
     WeightedPosterior,
-    abc_distance,
     compute_scales,
     lognormal,
     normal,

@@ -289,23 +289,6 @@ def save_observed(directory, fixture, config_hash: str, seed: int) -> None:
     )
 
 
-def save_model(directory, name: str, model_dict: dict, config_hash: str) -> None:
-    """Persist a fitted affine-estimator model (JSON model format)."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    dump_json(
-        directory / f"{name}.json",
-        {"kind": "bayes_linear_model", "config_hash": config_hash, "model": model_dict},
-    )
-
-
-def load_model(directory, name: str, config_hash: str | None = None) -> dict:
-    path = Path(directory) / f"{name}.json"
-    data = load_json(path, "bayes_linear_model")
-    check_provenance(data, path, config_hash)
-    return data["model"]
-
-
 def persist_pipeline_result(directory, config, result, fixture) -> None:
     """Write every stage artifact of a pipeline run, with the same names
     and stage labels the stage-by-stage CLI commands use."""

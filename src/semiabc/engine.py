@@ -376,19 +376,6 @@ def simulate_batch(
     )
 
 
-def abc_distance(s, s_obs, scales) -> float:
-    """Scaled Euclidean distance sqrt(sum_j ((s_j - s_obs_j)/scale_j)^2)."""
-    sv = as_vector(s, "s")
-    ov = as_vector(s_obs, "s_obs")
-    cv = as_vector(scales, "scales")
-    if not (sv.shape == ov.shape == cv.shape):
-        raise ValueError("s, s_obs, and scales must have equal length")
-    if np.any(cv <= 0):
-        raise ValueError("scales must be strictly positive")
-    z = (sv - ov) / cv
-    return float(np.sqrt(z @ z))
-
-
 def _distance_matrix(stats: np.ndarray, s_obs: np.ndarray, scales: np.ndarray) -> np.ndarray:
     z = (stats - s_obs) / scales
     return np.sqrt(np.einsum("ij,ij->i", z, z))
@@ -531,7 +518,9 @@ def regression_adjust(
     Fits theta on s by weighted least squares under the posterior weights.
     The fit's condition number and VIFs are attached to provenance so
     over-adjustment risk under collinear or uninformative statistics stays
-    visible to downstream reports.
+    visible to downstream reports. They describe the design fitted: the
+    accepted statistics, centered and scaled by the square-root posterior
+    weights. VIFs above 1e12 report the sentinel 1e18.
     """
     stats = as_matrix(stats_of_accepted, "stats_of_accepted")
     s_obs = as_vector(s_obs, "s_obs")
@@ -546,9 +535,9 @@ def regression_adjust(
     if np.max(np.abs(stats - s_obs)) == 0.0:
         # every accepted statistic equals the observation: zero innovation,
         # nothing to fit and nothing to correct
-        return posterior_with_provenance(
-            posterior, adjustment={"kind": "linear_regression", "trivial": True}
-        )
+        info = dict(posterior.provenance)
+        info["adjustment"] = {"kind": "linear_regression", "trivial": True}
+        return replace(posterior, provenance=info)
     fit = fit_linear(stats, posterior.thetas, ridge_lambda, weights=posterior.weights)
     adjusted = posterior.thetas - (stats - s_obs) @ fit.coef.T
     info = dict(posterior.provenance)
@@ -586,9 +575,3 @@ def systematic_resample(posterior: WeightedPosterior, seed: int) -> WeightedPost
         accepted_indices=posterior.accepted_indices[idx],
         provenance=info,
     )
-
-
-def posterior_with_provenance(posterior: WeightedPosterior, **extra) -> WeightedPosterior:
-    info = dict(posterior.provenance)
-    info.update(extra)
-    return replace(posterior, provenance=info)

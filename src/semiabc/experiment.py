@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .engine import derive_seed
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .models import ModelFixture
 from .runconfig import ExperimentConfig, RunConfig
 from .semiauto import TAG_EXPERIMENT, build_fixture, run_semiauto, targets_from_specs
@@ -208,8 +208,10 @@ def run_experiment(
 ) -> ExperimentReport:
     """Execute every (strategy, replicate, group) cell of the plan.
 
-    Replicates are independent deterministic units keyed by their seed;
-    failures are recorded in the report instead of aborting the study.
+    Replicates are independent deterministic units keyed by their seed.
+    Numerical and validation failures (NumericalError, ValueError) are
+    recorded in the report instead of aborting the study; any other
+    exception is a bug and propagates.
     """
     fixture = fixture if fixture is not None else build_fixture(config)
     all_indices = tuple(range(len(config.targets)))
@@ -225,7 +227,7 @@ def run_experiment(
         label = "+".join(config.targets[i].label() for i in group)
         try:
             return _run_one(config, fixture, strategy, replicate, seed, group, 1), None
-        except Exception as exc:  # recorded, not fatal
+        except (NumericalError, ValueError) as exc:  # recorded, not fatal
             return [], ExperimentFailure(
                 strategy=strategy,
                 replicate=replicate,

@@ -15,7 +15,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, NumericalError, RankDeficientError
-from .linalg import JITTER_LADDER, as_matrix, solve_spd
+# solve_spd is unused here but stays importable: the benchmark tracer patches it by name.
+from .linalg import as_matrix, solve_spd  # noqa: F401
 
 # Computed VIFs above this are reported as the numerical-infinity sentinel.
 VIF_CUTOFF = 1e12
@@ -129,8 +130,8 @@ class LinearFit:
     intercept: np.ndarray  # (p,)
     coef: np.ndarray  # (p, q)
     residual_mss: np.ndarray  # (p,) mean squared residual per response
-    condition_number: float  # extreme singular value ratio, centered design
-    vifs: np.ndarray  # (q,)
+    condition_number: float  # extreme singular value ratio of the design fitted
+    vifs: np.ndarray  # (q,) of the design fitted
     ridge_lambda: float = 0.0
     weighted: bool = field(default=False, compare=False)
 
@@ -158,6 +159,11 @@ def fit_linear(design, responses, ridge_lambda: float = 0.0, *, weights=None,
     the SVD of the centered (and sqrt-weight scaled) design. With
     ridge_lambda = 0 a rank-deficient design is an error rather than a
     silent pseudo-inverse.
+
+    The condition number and the VIFs come from that same SVD, so they
+    describe the design fitted: sqrt-weight scaled, and centered only with
+    an intercept. VIFs above 1e12, of zero-norm columns and of columns in
+    an exact null direction report the sentinel 1e18.
     """
     x = as_matrix(design, "design")
     y = as_matrix(responses, "responses")
@@ -192,7 +198,8 @@ def fit_linear(design, responses, ridge_lambda: float = 0.0, *, weights=None,
     xw = xc * sqrt_w
     yw = yc * sqrt_w
 
-    u, sv, vt = np.linalg.svd(xw, full_matrices=False)
+    # A wide design's null space, which the VIFs need, is only in the full V.
+    u, sv, vt = np.linalg.svd(xw, full_matrices=m < q)
     s_max = float(sv.max()) if sv.size else 0.0
     s_min = float(sv.min()) if sv.size else 0.0
     cond = np.inf if s_min == 0.0 else max(s_max / s_min, 1.0)
@@ -203,32 +210,57 @@ def fit_linear(design, responses, ridge_lambda: float = 0.0, *, weights=None,
         shrink = 1.0 / sv
     else:
         shrink = sv / (sv**2 + ridge_lambda)
-    coef = (vt.T @ (shrink[:, None] * (u.T @ yw))).T  # (p, q)
+    coef = (vt[: sv.size].T @ (shrink[:, None] * (u.T @ yw))).T  # (p, q)
     alpha = y_mean - coef @ x_mean if intercept else np.zeros(y.shape[1])
 
     resid = y - alpha - x @ coef.T
     residual_mss = (w[:, None] * resid**2).sum(axis=0) / w.sum()
-    _, vifs = condition_diagnostics(x)
     return LinearFit(
         intercept=alpha,
         coef=coef,
         residual_mss=np.maximum(residual_mss, 0.0),
         condition_number=cond,
-        vifs=vifs,
+        vifs=_vifs(xw, sv, vt),
         ridge_lambda=float(ridge_lambda),
         weighted=weights is not None,
     )
 
 
+def _vifs(x: np.ndarray, sv: np.ndarray, vt: np.ndarray) -> np.ndarray:
+    """Variance inflation factors of a design x = U diag(sv) vt, from its SVD.
+
+    VIF_j = ||x_j||^2 * sum_k vt_kj^2 / sv_k^2, the diagonal of the inverse
+    Gram matrix of the column-normalized design. For a centered x this is
+    1/(1 - R^2_j) of column j regressed on the others with intercept.
+    Directions with a singular value at or below the rank tolerance (and
+    the rows a wide design lacks) are exact null directions: they are left
+    out of the sum, and a column whose weight in them would pass VIF_CUTOFF
+    at the tolerance lies in the span of the others. Such columns,
+    zero-norm columns and values above the cutoff report VIF_SENTINEL.
+    """
+    m, q = x.shape
+    s = np.zeros(vt.shape[0])
+    s[: sv.size] = sv
+    tol = np.finfo(np.float64).eps * max(m, q) * s.max(initial=0.0)
+    null = s <= tol
+    inv_sq = np.zeros_like(s)
+    inv_sq[~null] = 1.0 / s[~null] ** 2
+    sq_norms = np.einsum("ij,ij->j", x, x)
+    vifs = sq_norms * ((vt**2).T @ inv_sq)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        null_vifs = sq_norms * (vt[null] ** 2).sum(axis=0) / tol**2
+    ok = (sq_norms > 0.0) & (vifs <= VIF_CUTOFF) & (null_vifs <= VIF_CUTOFF)
+    return np.where(ok, np.maximum(vifs, 1.0), VIF_SENTINEL)
+
+
 def condition_diagnostics(design) -> tuple[float, np.ndarray]:
     """Condition number and variance inflation factors of a design.
 
-    The condition number is the extreme singular value ratio of the
-    centered, column-scaled design. VIF_j = 1/(1 - R^2_j) from regressing
-    column j on the others (with intercept), computed as the diagonal of
-    the inverted correlation matrix via the jittered SPD solver. Values
-    above 1e12 - including degenerate zero-variance columns - are reported
-    as the sentinel 1e18.
+    One SVD of the centered, column-scaled design gives both. The condition
+    number is its extreme singular value ratio (infinite with a
+    zero-variance column). VIF_j = 1/(1 - R^2_j) from regressing column j
+    on the others with intercept; zero-variance columns, columns in an exact
+    null direction and values above 1e12 report the sentinel 1e18.
     """
     x = as_matrix(design, "design")
     m, q = x.shape
@@ -237,42 +269,10 @@ def condition_diagnostics(design) -> tuple[float, np.ndarray]:
     xc = x - x.mean(axis=0)
     norms = np.sqrt((xc**2).sum(axis=0))
     degenerate = norms == 0.0
-    safe = np.where(degenerate, 1.0, norms)
-    z = xc / safe
+    z = xc / np.where(degenerate, 1.0, norms)
 
-    sv = np.linalg.svd(z, compute_uv=False)
+    _, sv, vt = np.linalg.svd(z, full_matrices=m < q)
     s_max = float(sv.max()) if sv.size else 0.0
     s_min = float(sv.min()) if sv.size else 0.0
     cond = np.inf if s_min == 0.0 or np.any(degenerate) else max(s_max / s_min, 1.0)
-
-    corr = z.T @ z
-    vifs = np.full(q, VIF_SENTINEL)
-    for j in range(q):
-        if degenerate[j]:
-            continue  # zero-variance column, leave the sentinel
-        # Zero-variance columns explain nothing beyond the intercept, so
-        # they are excluded from the regressor set.
-        others = [k for k in range(q) if k != j and not degenerate[k]]
-        if not others:
-            vifs[j] = 1.0
-            continue
-        sub = corr[np.ix_(others, others)]
-        rhs = corr[others, j]
-        # The jitter ladder inside solve_spd keeps this well posed when the
-        # *other* columns are collinear among themselves; if column j itself
-        # is in their span, r2 -> 1 and the sentinel takes over.
-        try:
-            beta = solve_spd(sub, rhs)
-        except NumericalError:
-            continue  # leave the sentinel
-        r2 = float(rhs @ beta)
-        if r2 >= 1.0 - 1.0 / VIF_CUTOFF:
-            continue
-        vif = 1.0 / (1.0 - r2)
-        vifs[j] = VIF_SENTINEL if vif > VIF_CUTOFF else max(vif, 1.0)
-    return cond, vifs
-
-
-def max_jitter() -> float:
-    """Largest relative jitter the SPD ladder will apply."""
-    return JITTER_LADDER[-1]
+    return cond, _vifs(z, sv, vt)

@@ -100,9 +100,6 @@ class RunConfig:
     def effective_construct_m(self) -> int:
         return self.pilot_m if self.construct_m is None else self.construct_m
 
-    def with_targets(self, targets: tuple[TargetSpec, ...]) -> "RunConfig":
-        return replace(self, targets=targets)
-
     def with_seed(self, seed: int) -> "RunConfig":
         return replace(self, seed=int(seed))
 

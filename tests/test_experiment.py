@@ -104,6 +104,20 @@ class TestRun:
         assert not report.rows
         assert "draws" in report.failures[0].message
 
+    def test_programming_errors_propagate(self, monkeypatch):
+        from semiabc import experiment
+
+        def broken(*args):
+            raise TypeError("a bug, not a data point")
+
+        monkeypatch.setattr(experiment, "_run_one", broken)
+        config = lg_config()
+        plan = plan_from_config(
+            ExperimentConfig(strategies=("joint",), replications=1), 2, config.seed
+        )
+        with pytest.raises(TypeError, match="a bug"):
+            run_experiment(plan, config)
+
     def test_cross_strategy_discrepancy_table(self):
         config = lg_config()
         plan = plan_from_config(

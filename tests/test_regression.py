@@ -127,6 +127,8 @@ class TestFitLinear:
         replicated = fit_linear(rep_x, rep_y)
         np.testing.assert_allclose(weighted.coef, replicated.coef, atol=1e-10)
         np.testing.assert_allclose(weighted.intercept, replicated.intercept, atol=1e-10)
+        # the VIFs describe the weighted design that was fitted
+        np.testing.assert_allclose(weighted.vifs, replicated.vifs, rtol=1e-10)
 
     def test_no_intercept_mode(self):
         x = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -140,6 +142,16 @@ class TestFitLinear:
     def test_too_few_rows_for_ols(self):
         with pytest.raises(ValueError, match="rows"):
             fit_linear(np.eye(3), np.eye(3))
+
+
+def brute_force_vif(x, j):
+    """1/(1 - R^2) = SST/SSR of column j regressed on the others with
+    intercept, written without the cancellation in 1 - R^2."""
+    m = x.shape[0]
+    design = np.column_stack([np.ones(m), np.delete(x, j, axis=1)])
+    beta, *_ = np.linalg.lstsq(design, x[:, j], rcond=None)
+    resid = x[:, j] - design @ beta
+    return np.sum((x[:, j] - x[:, j].mean()) ** 2) / np.sum(resid**2)
 
 
 class TestConditionDiagnostics:
@@ -156,25 +168,19 @@ class TestConditionDiagnostics:
         _, vifs = condition_diagnostics(np.hstack([base, base]))
         np.testing.assert_array_equal(vifs, [VIF_SENTINEL, VIF_SENTINEL])
 
-    def test_near_collinear_vif_matches_brute_force(self):
+    @pytest.mark.parametrize("noise", [1e-3, 1e-5])
+    def test_near_collinear_vif_matches_brute_force(self, noise):
         rng = np.random.default_rng(6)
         m = 1000
         c1 = rng.standard_normal(m)
-        c2 = c1 + 1e-3 * rng.standard_normal(m)
+        c2 = c1 + noise * rng.standard_normal(m)
         c3 = rng.standard_normal(m)
         x = np.column_stack([c1, c2, c3])
-        _, vifs = condition_diagnostics(x)
-        assert vifs[0] > 1e4 and vifs[1] > 1e4
-
-        # brute force: R^2 of column j regressed on the others, with intercept
+        vifs = fit_linear(x, rng.standard_normal((m, 1))).vifs
+        assert vifs[0] > 0.1 / noise**2 and vifs[1] > 0.1 / noise**2
         for j in range(3):
-            others = np.delete(x, j, axis=1)
-            design = np.column_stack([np.ones(m), others])
-            beta, *_ = np.linalg.lstsq(design, x[:, j], rcond=None)
-            resid = x[:, j] - design @ beta
-            sst = np.sum((x[:, j] - x[:, j].mean()) ** 2)
-            r2 = 1.0 - np.sum(resid**2) / sst
-            np.testing.assert_allclose(vifs[j], 1.0 / (1.0 - r2), rtol=1e-4)
+            np.testing.assert_allclose(vifs[j], brute_force_vif(x, j), rtol=1e-9)
+        np.testing.assert_allclose(condition_diagnostics(x)[1], vifs, rtol=1e-9)
 
     def test_zero_variance_column_gets_sentinel(self):
         x = np.column_stack([np.ones(20), np.arange(20.0)])
@@ -182,6 +188,28 @@ class TestConditionDiagnostics:
         assert np.isinf(cond)
         assert vifs[0] == VIF_SENTINEL
         assert vifs[1] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("case", ["zero_variance", "duplicate"])
+    def test_ridge_fit_vifs_match_diagnostics(self, case):
+        rng = np.random.default_rng(9)
+        if case == "zero_variance":
+            x = np.column_stack([np.ones(20), np.arange(20.0), rng.standard_normal(20)])
+        else:
+            base = rng.standard_normal((40, 1))
+            x = np.hstack([base, base, rng.standard_normal((40, 1))])
+        fit = fit_linear(x, rng.standard_normal((x.shape[0], 1)), ridge_lambda=1e-8)
+        _, vifs = condition_diagnostics(x)
+        assert fit.vifs[0] == vifs[0] == VIF_SENTINEL
+        np.testing.assert_allclose(fit.vifs, vifs, rtol=1e-9)
+        # the last column is independent noise: its VIF stays exact
+        np.testing.assert_allclose(fit.vifs[-1], brute_force_vif(x, x.shape[1] - 1), rtol=1e-9)
+
+    def test_wide_design_reports_sentinels(self):
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((5, 8))
+        fit = fit_linear(x, rng.standard_normal((5, 1)), ridge_lambda=1e-3)
+        np.testing.assert_array_equal(fit.vifs, np.full(8, VIF_SENTINEL))
+        np.testing.assert_array_equal(condition_diagnostics(x)[1], fit.vifs)
 
     def test_fit_populates_diagnostics(self):
         rng = np.random.default_rng(7)
