@@ -7,6 +7,12 @@ target group (singletons by default). Per-replicate errors against the
 fixture oracle, summary dimensions, acceptance counts, and regression
 condition numbers are recorded; directional findings are reported, not
 asserted.
+
+The study runs replicate by replicate. Each replicate's stage batches that
+do not depend on the targets (pilot, construct and main with raw pilot
+statistics; the pilot alone with projected ones) are simulated once and
+shared by all of its cells, and only one replicate's batches are held at a
+time.
 """
 
 from __future__ import annotations
@@ -19,7 +25,13 @@ from .engine import derive_seed
 from .errors import ConfigError, NumericalError
 from .models import ModelFixture
 from .runconfig import ExperimentConfig, RunConfig
-from .semiauto import TAG_EXPERIMENT, build_fixture, run_semiauto, targets_from_specs
+from .semiauto import (
+    TAG_EXPERIMENT,
+    build_fixture,
+    run_semiauto,
+    shared_stage_batches,
+    targets_from_specs,
+)
 
 STRATEGIES = ("joint", "separate")
 
@@ -160,7 +172,7 @@ def _run_one(
     replicate: int,
     seed: int,
     group: tuple[int, ...],
-    threads: int,
+    batches: dict,
 ) -> list[ExperimentRow]:
     group_targets = tuple(config.targets[i] for i in group)
     # The run seed depends only on (replicate seed); a separate-strategy
@@ -168,7 +180,7 @@ def _run_one(
     # target bit for bit. Replicates stay in memory: the report is the
     # artifact, so output_dir is cleared.
     sub = replace(config, targets=group_targets, seed=seed, experiment=None, output_dir=None)
-    result = run_semiauto(sub, fixture, threads=threads)
+    result = run_semiauto(sub, fixture, batches=batches)
     targets = targets_from_specs(group_targets, fixture.simulator.param_dim)
     adjustment = result.posterior.provenance.get("adjustment")
     label = "+".join(t.label() for t in group_targets)
@@ -208,7 +220,10 @@ def run_experiment(
 ) -> ExperimentReport:
     """Execute every (strategy, replicate, group) cell of the plan.
 
-    Replicates are independent deterministic units keyed by their seed.
+    Replicates are independent deterministic units keyed by their seed,
+    run one after another: a replicate's target-free stage batches are
+    simulated once (spread over `threads`) and shared by its cells, which
+    then run on `threads` workers. Rows keep the strategy-major cell order.
     Numerical and validation failures (NumericalError, ValueError) are
     recorded in the report instead of aborting the study; any other
     exception is a bug and propagates.
@@ -222,11 +237,11 @@ def run_experiment(
             for group in groups:
                 cells.append((strategy, replicate, seed, group))
 
-    def run_cell(cell):
+    def run_cell(cell, batches):
         strategy, replicate, seed, group = cell
         label = "+".join(config.targets[i].label() for i in group)
         try:
-            return _run_one(config, fixture, strategy, replicate, seed, group, 1), None
+            return _run_one(config, fixture, strategy, replicate, seed, group, batches), None
         except (NumericalError, ValueError) as exc:  # recorded, not fatal
             return [], ExperimentFailure(
                 strategy=strategy,
@@ -236,12 +251,26 @@ def run_experiment(
                 message=f"{type(exc).__name__}: {exc}",
             )
 
+    def run_replicate(replicate, seed):
+        # The batches are local to this call: one replicate's are freed
+        # before the next replicate simulates its own. Cells only read them.
+        batches = shared_stage_batches(replace(config, seed=seed), fixture, threads=threads)
+        mine = [i for i, cell in enumerate(cells) if cell[1] == replicate]
+        run = lambda i: run_cell(cells[i], batches)  # noqa: E731
+        if threads > 1:
+            # A pool per replicate: its threads end before the next
+            # replicate's simulation threads start, which then reuse their
+            # malloc arenas rather than hold arenas of their own.
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                return zip(mine, list(pool.map(run, mine)))
+        return zip(mine, [run(i) for i in mine])
+
+    outcomes = [None] * len(cells)
+    for replicate, seed in enumerate(plan.seeds):
+        for i, outcome in run_replicate(replicate, seed):
+            outcomes[i] = outcome
+
     report = ExperimentReport()
-    if threads > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_cell, cells))
-    else:
-        outcomes = [run_cell(c) for c in cells]
     for rows, failure in outcomes:
         report.rows.extend(rows)
         if failure is not None:

@@ -346,8 +346,25 @@ def linear_gaussian_moments(fixture: ModelFixture) -> dict:
 
 
 def _gpd_stat_matrix(samples: np.ndarray) -> np.ndarray:
-    """Quantile ladder plus mean and sd, rowwise over an (n, k) sample block."""
-    quantiles = np.quantile(samples, GPD_QUANTILE_LADDER, axis=1, method="linear").T
+    """Quantile ladder plus mean and sd, rowwise over an (n, k) sample block.
+
+    The ladder is `np.quantile(samples, GPD_QUANTILE_LADDER, axis=1,
+    method="linear")` bit for bit, from one sort per row: numpy's virtual
+    index (k - 1) q, its upper neighbour clamped to the last order
+    statistic, and its two-sided `_lerp`, which interpolates down from the
+    upper neighbour when gamma >= 0.5.
+    """
+    ordered = np.sort(samples, axis=1)
+    k = ordered.shape[1]
+    virtual = (k - 1) * np.asarray(GPD_QUANTILE_LADDER)
+    lower = np.floor(virtual)
+    gamma = virtual - lower
+    lower = lower.astype(np.intp)
+    upper = np.minimum(lower + 1, k - 1)
+    a = ordered[:, lower]
+    b = ordered[:, upper]
+    diff = b - a
+    quantiles = np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
     mean = samples.mean(axis=1)
     sd = samples.std(axis=1, ddof=1)
     return np.column_stack([quantiles, mean, sd])

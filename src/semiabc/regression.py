@@ -162,8 +162,8 @@ def fit_linear(design, responses, ridge_lambda: float = 0.0, *, weights=None,
 
     The condition number and the VIFs come from that same SVD, so they
     describe the design fitted: sqrt-weight scaled, and centered only with
-    an intercept. VIFs above 1e12, of zero-norm columns and of columns in
-    an exact null direction report the sentinel 1e18.
+    an intercept. VIFs above 1e12, of zero-variance columns and of columns
+    in an exact null direction report the sentinel 1e18.
     """
     x = as_matrix(design, "design")
     y = as_matrix(responses, "responses")
@@ -220,13 +220,27 @@ def fit_linear(design, responses, ridge_lambda: float = 0.0, *, weights=None,
         coef=coef,
         residual_mss=np.maximum(residual_mss, 0.0),
         condition_number=cond,
-        vifs=_vifs(xw, sv, vt),
+        vifs=_vifs(xw, sv, vt, _zero_variance(xw, np.einsum("i,ij,ij->j", w, x, x))),
         ridge_lambda=float(ridge_lambda),
         weighted=weights is not None,
     )
 
 
-def _vifs(x: np.ndarray, sv: np.ndarray, vt: np.ndarray) -> np.ndarray:
+def _zero_variance(centered: np.ndarray, raw_sq_norms: np.ndarray) -> np.ndarray:
+    """Columns of a centered design that are zero up to the rounding of centering.
+
+    A constant column whose mean does not round exactly (all 0.1) centers
+    to about +-1e-17 rather than 0. A centered column norm at most m*eps
+    times the norm before centering (sqrt of `raw_sq_norms`) is that
+    rounding, not variance.
+    """
+    bound = centered.shape[0] * np.finfo(np.float64).eps
+    return np.einsum("ij,ij->j", centered, centered) <= bound**2 * raw_sq_norms
+
+
+def _vifs(
+    x: np.ndarray, sv: np.ndarray, vt: np.ndarray, zero_variance: np.ndarray
+) -> np.ndarray:
     """Variance inflation factors of a design x = U diag(sv) vt, from its SVD.
 
     VIF_j = ||x_j||^2 * sum_k vt_kj^2 / sv_k^2, the diagonal of the inverse
@@ -235,8 +249,8 @@ def _vifs(x: np.ndarray, sv: np.ndarray, vt: np.ndarray) -> np.ndarray:
     Directions with a singular value at or below the rank tolerance (and
     the rows a wide design lacks) are exact null directions: they are left
     out of the sum, and a column whose weight in them would pass VIF_CUTOFF
-    at the tolerance lies in the span of the others. Such columns,
-    zero-norm columns and values above the cutoff report VIF_SENTINEL.
+    at the tolerance lies in the span of the others. Such columns, the
+    `zero_variance` columns and values above the cutoff report VIF_SENTINEL.
     """
     m, q = x.shape
     s = np.zeros(vt.shape[0])
@@ -249,7 +263,7 @@ def _vifs(x: np.ndarray, sv: np.ndarray, vt: np.ndarray) -> np.ndarray:
     vifs = sq_norms * ((vt**2).T @ inv_sq)
     with np.errstate(divide="ignore", invalid="ignore"):
         null_vifs = sq_norms * (vt[null] ** 2).sum(axis=0) / tol**2
-    ok = (sq_norms > 0.0) & (vifs <= VIF_CUTOFF) & (null_vifs <= VIF_CUTOFF)
+    ok = ~zero_variance & (vifs <= VIF_CUTOFF) & (null_vifs <= VIF_CUTOFF)
     return np.where(ok, np.maximum(vifs, 1.0), VIF_SENTINEL)
 
 
@@ -268,11 +282,11 @@ def condition_diagnostics(design) -> tuple[float, np.ndarray]:
         raise ValueError("need at least 2 rows for diagnostics")
     xc = x - x.mean(axis=0)
     norms = np.sqrt((xc**2).sum(axis=0))
-    degenerate = norms == 0.0
-    z = xc / np.where(degenerate, 1.0, norms)
+    degenerate = _zero_variance(xc, np.einsum("ij,ij->j", x, x))
+    z = np.where(degenerate, 0.0, xc / np.where(degenerate, 1.0, norms))
 
     _, sv, vt = np.linalg.svd(z, full_matrices=m < q)
     s_max = float(sv.max()) if sv.size else 0.0
     s_min = float(sv.min()) if sv.size else 0.0
     cond = np.inf if s_min == 0.0 or np.any(degenerate) else max(s_max / s_min, 1.0)
-    return cond, _vifs(z, sv, vt)
+    return cond, _vifs(z, sv, vt, degenerate)

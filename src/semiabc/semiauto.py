@@ -288,14 +288,62 @@ def build_fixture(config: RunConfig) -> ModelFixture:
     return fixture
 
 
-def stage_pilot_batch(config: RunConfig, fixture: ModelFixture, *, threads: int = 1) -> SimulationBatch:
-    return simulate_batch(
-        fixture.prior,
-        fixture.simulator,
-        config.pilot_m,
-        derive_seed(config.seed, TAG_PILOT),
-        threads=threads,
-    )
+def _stage_batch(
+    config: RunConfig,
+    fixture: ModelFixture,
+    tag: int,
+    region: TruncationRegion | None,
+    threads: int,
+    batches: dict | None,
+) -> SimulationBatch:
+    """The batch of one stage, taken from `batches` when it already holds it.
+
+    Within one fixture `simulate_batch` is a pure function of (prior spec
+    hash, m, seed), and the spec hash covers the truncation box, so that
+    triple, which the batch records as (prior_hash, m, seed), keys `batches`.
+    """
+    prior = fixture.prior if region is None else fixture.prior.truncated(region)
+    m = {TAG_PILOT: config.pilot_m, TAG_CONSTRUCT: config.effective_construct_m,
+         TAG_MAIN: config.main_m}[tag]
+    seed = derive_seed(config.seed, tag)
+    if batches is not None:
+        batch = batches.get((prior.spec_hash(), m, seed))
+        if batch is not None:
+            return batch
+    return simulate_batch(prior, fixture.simulator, m, seed, threads=threads)
+
+
+def shared_stage_batches(config: RunConfig, fixture: ModelFixture, *, threads: int = 1) -> dict:
+    """The stage batches of `config` that do not depend on its targets.
+
+    The pilot batch never does; with raw pilot statistics neither does the
+    truncation region, so the construct and main batches are included too.
+    The dict is keyed for `run_semiauto(..., batches=...)`, which lets runs
+    that differ only in their targets simulate each batch once. A numerical
+    or validation failure stops the filling: a run given the partial dict
+    simulates the rest and meets the same failure itself.
+    """
+    batches: dict = {}
+
+    def keep(batch: SimulationBatch) -> SimulationBatch:
+        batches[(batch.prior_hash, batch.m, batch.seed)] = batch
+        return batch
+
+    try:
+        pilot = keep(_stage_batch(config, fixture, TAG_PILOT, None, threads, None))
+        if config.pilot_statistics == "raw":
+            _, region = stage_pilot(config, fixture, pilot)
+            keep(_stage_batch(config, fixture, TAG_CONSTRUCT, region, threads, None))
+            keep(_stage_batch(config, fixture, TAG_MAIN, region, threads, None))
+    except (NumericalError, ValueError):
+        pass
+    return batches
+
+
+def stage_pilot_batch(
+    config: RunConfig, fixture: ModelFixture, *, threads: int = 1, batches: dict | None = None
+) -> SimulationBatch:
+    return _stage_batch(config, fixture, TAG_PILOT, None, threads, batches)
 
 
 def stage_pilot(
@@ -328,16 +376,11 @@ def stage_construct(
     region: TruncationRegion,
     *,
     threads: int = 1,
+    batches: dict | None = None,
 ) -> tuple[SimulationBatch, SummaryProjector]:
     """Fresh truncated batch (never reusing pilot draws) and the projector."""
     targets = targets_from_specs(config.targets, fixture.simulator.param_dim)
-    batch = simulate_batch(
-        fixture.prior.truncated(region),
-        fixture.simulator,
-        config.effective_construct_m,
-        derive_seed(config.seed, TAG_CONSTRUCT),
-        threads=threads,
-    )
+    batch = _stage_batch(config, fixture, TAG_CONSTRUCT, region, threads, batches)
     projector = construct_projector(batch, targets, config.basis, config.ridge_lambda)
     return batch, projector
 
@@ -349,16 +392,11 @@ def stage_infer(
     projector: SummaryProjector,
     *,
     threads: int = 1,
+    batches: dict | None = None,
 ) -> tuple[SimulationBatch, WeightedPosterior]:
     """Main run: simulate under the truncated prior, compare in projected
     space with scales recomputed there, optionally regression-adjust."""
-    main_batch = simulate_batch(
-        fixture.prior.truncated(region),
-        fixture.simulator,
-        config.main_m,
-        derive_seed(config.seed, TAG_MAIN),
-        threads=threads,
-    )
+    main_batch = _stage_batch(config, fixture, TAG_MAIN, region, threads, batches)
     projected = project_matrix(projector, main_batch.stats)
     proj_batch = replace(main_batch, stats=projected)
     s_obs_proj = project(projector, fixture.s_obs)
@@ -398,19 +436,29 @@ def posterior_target_estimates(posterior: WeightedPosterior, targets) -> dict:
 
 
 def run_semiauto(
-    config: RunConfig, fixture: ModelFixture | None = None, *, threads: int = 1
+    config: RunConfig,
+    fixture: ModelFixture | None = None,
+    *,
+    threads: int = 1,
+    batches: dict | None = None,
 ) -> PipelineResult:
     """Full pipeline: pilot -> truncation -> construction -> main ABC run.
 
     Deterministic: (config, seed) fully determines every stage; `threads`
-    never changes values.
+    never changes values. `batches` (see `shared_stage_batches`) is only
+    read: a stage batch it holds is used instead of simulated, which gives
+    the same values.
     """
     fixture = fixture if fixture is not None else build_fixture(config)
     targets = targets_from_specs(config.targets, fixture.simulator.param_dim)
-    pilot_batch = stage_pilot_batch(config, fixture, threads=threads)
+    pilot_batch = stage_pilot_batch(config, fixture, threads=threads, batches=batches)
     pilot_posterior, region = stage_pilot(config, fixture, pilot_batch)
-    construct_batch, projector = stage_construct(config, fixture, region, threads=threads)
-    main_batch, posterior = stage_infer(config, fixture, region, projector, threads=threads)
+    construct_batch, projector = stage_construct(
+        config, fixture, region, threads=threads, batches=batches
+    )
+    main_batch, posterior = stage_infer(
+        config, fixture, region, projector, threads=threads, batches=batches
+    )
     estimates = posterior_target_estimates(posterior, targets)
     result = PipelineResult(
         pilot_batch=pilot_batch,

@@ -1,7 +1,9 @@
 import pytest
 
+from semiabc import semiauto
 from semiabc.errors import ConfigError
-from semiabc.experiment import ExperimentPlan, plan_from_config, run_experiment
+from semiabc.experiment import ExperimentPlan, _run_one, plan_from_config, run_experiment
+from semiabc.semiauto import build_fixture
 from semiabc.runconfig import ExperimentConfig, RunConfig, TargetSpec
 
 
@@ -131,13 +133,51 @@ class TestRun:
     def test_threads_do_not_change_results(self):
         config = lg_config()
         plan = plan_from_config(
-            ExperimentConfig(strategies=("joint",), replications=2), 2, config.seed
+            ExperimentConfig(strategies=("joint", "separate"), replications=2), 2, config.seed
         )
         serial = run_experiment(plan, config, threads=1)
-        threaded = run_experiment(plan, config, threads=4)
-        est_a = [(r.strategy, r.replicate, r.target, r.estimate) for r in serial.rows]
-        est_b = [(r.strategy, r.replicate, r.target, r.estimate) for r in threaded.rows]
-        assert sorted(est_a) == sorted(est_b)
+        for threads in (2, 4):
+            threaded = run_experiment(plan, config, threads=threads)
+            assert threaded.rows == serial.rows  # same rows, same order
+
+    def test_each_replicate_simulates_its_batches_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2:4])  # (m, seed)
+            return simulate(*args, **kwargs)
+
+        simulate = semiauto.simulate_batch
+        monkeypatch.setattr(semiauto, "simulate_batch", counting)
+        config = lg_config()  # raw pilot statistics: no batch depends on the targets
+        plan = plan_from_config(
+            ExperimentConfig(strategies=("joint", "separate"), replications=2), 2, config.seed
+        )
+        report = run_experiment(plan, config, threads=2)
+        assert len(report.rows) == 8 and not report.failures
+        # pilot, construct and main per replicate, shared by its 1 + 2 cells
+        assert len(calls) == 3 * plan.replications
+        assert len(set(calls)) == len(calls)
+
+    @pytest.mark.parametrize("statistics", ["raw", "projected"])
+    def test_rows_equal_cells_run_alone(self, statistics):
+        # projected pilot statistics make the region, and so the construct
+        # and main batches, depend on the targets: those cells miss the
+        # shared batches and simulate their own
+        config = lg_config(pilot_statistics=statistics)
+        fixture = build_fixture(config)
+        plan = plan_from_config(
+            ExperimentConfig(strategies=("joint", "separate"), replications=2), 2, config.seed
+        )
+        report = run_experiment(plan, config, fixture, threads=2)
+        alone = [
+            row
+            for strategy in plan.strategies
+            for replicate, seed in enumerate(plan.seeds)
+            for group in (((0, 1),) if strategy == "joint" else plan.groups)
+            for row in _run_one(config, fixture, strategy, replicate, seed, group, None)
+        ]
+        assert report.rows == alone
 
     def test_report_serialization(self):
         import json

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from semiabc.errors import ConfigError
 from semiabc.models import (
+    GPD_QUANTILE_LADDER,
     GPD_SMALL_XI,
     GpdGridOracle,
     gaussian_location_fixture,
@@ -14,6 +18,7 @@ from semiabc.models import (
     linear_gaussian_moments,
     make_fixture,
     apply_prior_overrides,
+    _gpd_stat_matrix,
 )
 from semiabc.semiauto import coordinate_target, gpd_quantile_target
 
@@ -165,6 +170,28 @@ class TestGpdFixture:
         fixture = gpd_fixture(sigma_true=1.0, xi_true=0.2, n_exceedances=100)
         q50 = fixture.oracle.target_mean(gpd_quantile_target(0.5))
         assert abs(q50 - np.median(fixture.observed_data)) < 0.3
+
+
+@st.composite
+def sample_blocks(draw):
+    """(rows, n) sample blocks, n in [3, 300]; half of them draw from four
+    values only, so most order statistics tie."""
+    n = draw(st.integers(3, 300))
+    rows = draw(st.integers(1, 4))
+    elements = draw(st.sampled_from([
+        st.floats(-1e6, 1e6, allow_nan=False),
+        st.sampled_from([0.0, 0.1, 1.0, 7.25]),
+    ]))
+    return draw(arrays(np.float64, (rows, n), elements=elements))
+
+
+class TestGpdStatistics:
+    @settings(max_examples=80, deadline=None)
+    @given(sample_blocks())
+    def test_ladder_equals_np_quantile_bitwise(self, block):
+        expected = np.quantile(block, GPD_QUANTILE_LADDER, axis=1, method="linear").T
+        ladder = _gpd_stat_matrix(block)[:, : len(GPD_QUANTILE_LADDER)]
+        assert np.array_equal(ladder, expected)
 
 
 class TestRegistry:

@@ -189,17 +189,21 @@ class TestConditionDiagnostics:
         assert vifs[0] == VIF_SENTINEL
         assert vifs[1] == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("case", ["zero_variance", "duplicate"])
+    @pytest.mark.parametrize("case", ["zero_variance", "inexact_constant", "duplicate"])
     def test_ridge_fit_vifs_match_diagnostics(self, case):
         rng = np.random.default_rng(9)
-        if case == "zero_variance":
-            x = np.column_stack([np.ones(20), np.arange(20.0), rng.standard_normal(20)])
+        if case in ("zero_variance", "inexact_constant"):
+            # a constant 0.1 column centers to rounding noise (~1e-17), not 0
+            constant = 1.0 if case == "zero_variance" else 0.1
+            x = np.column_stack([np.full(20, constant), np.arange(20.0), rng.standard_normal(20)])
         else:
             base = rng.standard_normal((40, 1))
             x = np.hstack([base, base, rng.standard_normal((40, 1))])
         fit = fit_linear(x, rng.standard_normal((x.shape[0], 1)), ridge_lambda=1e-8)
-        _, vifs = condition_diagnostics(x)
+        cond, vifs = condition_diagnostics(x)
         assert fit.vifs[0] == vifs[0] == VIF_SENTINEL
+        if case != "duplicate":
+            assert np.isinf(cond)
         np.testing.assert_allclose(fit.vifs, vifs, rtol=1e-9)
         # the last column is independent noise: its VIF stays exact
         np.testing.assert_allclose(fit.vifs[-1], brute_force_vif(x, x.shape[1] - 1), rtol=1e-9)
