@@ -3,8 +3,10 @@
 Numbers are written in their shortest round-trip decimal form, so loading
 an artifact and re-saving it is byte-identical, and a pipeline stage that
 reloads a persisted batch computes exactly what an in-memory run would.
-Every artifact embeds the config hash and seed; loaders refuse artifacts
-whose provenance does not match the requesting run.
+Numeric tables are streamed out in blocks of rows and parsed back by
+numpy's C reader, which rounds exactly as `float()` does. Every artifact
+embeds the config hash and seed; loaders refuse artifacts whose
+provenance does not match the requesting run, or a malformed table.
 """
 
 from __future__ import annotations
@@ -39,58 +41,82 @@ def _sanitize(obj):
 
 
 def dump_json(path: Path, payload: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(_sanitize(payload), sort_keys=True, indent=2) + "\n")
 
 
-def load_json(path: Path, kind: str) -> dict:
+def load_json(path: Path, kind: str, config_hash: str | None) -> dict:
     if not path.exists():
         raise ArtifactError(f"expected artifact {path} is missing; run the earlier stage first")
     data = json.loads(path.read_text())
     if data.get("kind") != kind:
         raise ArtifactError(f"{path} holds kind {data.get('kind')!r}, expected {kind!r}")
-    return data
-
-
-def check_provenance(data: dict, path: Path, config_hash: str | None) -> None:
     if config_hash is not None and data.get("config_hash") != config_hash:
         raise ArtifactError(
             f"{path} was produced under config hash {data.get('config_hash')}, "
             f"this run has {config_hash}; refusing to mix runs"
         )
+    return data
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 
-def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+_BLOCK_ROWS = 4096
+
+
+def _write_table(path: Path, header: list[str], index, *columns) -> None:
+    """Write an integer index column, then the float columns of the 2-d
+    arrays `columns`, one block of rows at a time (repr is exactly `fmt`)."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        for start in range(0, len(index), _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            rows = np.hstack([c[block] for c in columns], dtype=np.float64).tolist()
+            f.writelines(
+                f"{i},{','.join(map(repr, row))}\n" for i, row in zip(index[block].tolist(), rows)
+            )
+
+
+def _read_table(path: Path, header: list[str], n: int) -> np.ndarray:
+    """Parse a `_write_table` file into an (n, len(header)) float64 array."""
     if not path.exists():
         raise ArtifactError(f"expected artifact {path} is missing; run the earlier stage first")
-    lines = path.read_text().splitlines()
-    if not lines:
-        raise ArtifactError(f"{path} is empty")
-    header = lines[0].split(",")
-    return header, [line.split(",") for line in lines[1:]]
+    try:
+        with open(path) as f:
+            found = f.readline().rstrip("\n").split(",")
+            data = np.loadtxt(f, delimiter=",", dtype=np.float64, ndmin=2, comments=None)
+    except ValueError as exc:
+        raise ArtifactError(f"{path} is malformed: {exc}") from None
+    if found != header:
+        raise ArtifactError(f"{path} header is not {','.join(header)}")
+    if data.shape != (n, len(header)):
+        raise ArtifactError(
+            f"{path} has {data.shape[0]} rows of {data.shape[1]} columns, "
+            f"expected {n} rows (sidecar) of {len(header)}"
+        )
+    if not np.isfinite(data).all():
+        raise ArtifactError(f"{path} holds a non-finite value")
+    return data
+
+
+def _batch_header(p: int, d: int) -> list[str]:
+    return ["draw_index", *(f"theta_{i + 1}" for i in range(p)), *(f"stat_{j + 1}" for j in range(d))]
 
 
 def save_batch(
     directory, name: str, batch: SimulationBatch, config_hash: str, stage: str
 ) -> None:
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     p, d = batch.param_dim, batch.stat_dim
-    header = (
-        ["draw_index"]
-        + [f"theta_{i + 1}" for i in range(p)]
-        + [f"stat_{j + 1}" for j in range(d)]
+    _write_table(
+        directory / f"{name}.csv", _batch_header(p, d), np.arange(batch.m), batch.thetas, batch.stats
     )
-    rows = (
-        [str(m)] + [fmt(v) for v in batch.thetas[m]] + [fmt(v) for v in batch.stats[m]]
-        for m in range(batch.m)
-    )
-    _write_csv(directory / f"{name}.csv", header, rows)
     sidecar = {
         "kind": "simulation_batch",
         "stage": stage,
@@ -108,25 +134,13 @@ def save_batch(
 
 def load_batch(directory, name: str, config_hash: str | None = None) -> SimulationBatch:
     directory = Path(directory)
-    sidecar = load_json(directory / f"{name}.json", "simulation_batch")
-    check_provenance(sidecar, directory / f"{name}.json", config_hash)
-    header, rows = _read_csv(directory / f"{name}.csv")
+    sidecar = load_json(directory / f"{name}.json", "simulation_batch", config_hash)
     p, d = sidecar["param_dim"], sidecar["stat_dim"]
-    if len(rows) != sidecar["m"]:
-        raise ArtifactError(
-            f"{name}.csv has {len(rows)} rows, sidecar says {sidecar['m']}"
-        )
-    if header != (
-        ["draw_index"]
-        + [f"theta_{i + 1}" for i in range(p)]
-        + [f"stat_{j + 1}" for j in range(d)]
-    ):
-        raise ArtifactError(f"{name}.csv header does not match the batch schema")
-    data = np.array([[float(v) for v in row[1:]] for row in rows])
+    data = _read_table(directory / f"{name}.csv", _batch_header(p, d), sidecar["m"])
     region = sidecar.get("region")
     return SimulationBatch(
-        thetas=data[:, :p],
-        stats=data[:, p:],
+        thetas=data[:, 1 : p + 1],
+        stats=data[:, p + 1 :],
         seed=sidecar["seed"],
         model_name=sidecar["model"],
         prior_hash=sidecar["prior_hash"],
@@ -138,16 +152,12 @@ def save_posterior(
     directory, name: str, posterior: WeightedPosterior, config_hash: str, stage: str
 ) -> None:
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     p = posterior.thetas.shape[1]
     header = ["draw_index"] + [f"theta_{i + 1}" for i in range(p)] + ["weight"]
-    rows = (
-        [str(int(posterior.accepted_indices[i]))]
-        + [fmt(v) for v in posterior.thetas[i]]
-        + [fmt(posterior.weights[i])]
-        for i in range(posterior.n)
+    _write_table(
+        directory / f"{name}.csv", header, np.asarray(posterior.accepted_indices),
+        posterior.thetas, posterior.weights[:, None],
     )
-    _write_csv(directory / f"{name}.csv", header, rows)
     sidecar = {
         "kind": "posterior",
         "stage": stage,
@@ -163,34 +173,29 @@ def save_posterior(
 
 def load_posterior(directory, name: str, config_hash: str | None = None) -> WeightedPosterior:
     directory = Path(directory)
-    sidecar = load_json(directory / f"{name}.json", "posterior")
-    check_provenance(sidecar, directory / f"{name}.json", config_hash)
-    header, rows = _read_csv(directory / f"{name}.csv")
+    sidecar = load_json(directory / f"{name}.json", "posterior", config_hash)
     p = sidecar["param_dim"]
-    if len(rows) != sidecar["n"]:
-        raise ArtifactError(f"{name}.csv has {len(rows)} rows, sidecar says {sidecar['n']}")
-    if header != ["draw_index"] + [f"theta_{i + 1}" for i in range(p)] + ["weight"]:
-        raise ArtifactError(f"{name}.csv header does not match the posterior schema")
-    idx = np.array([int(row[0]) for row in rows], dtype=np.intp)
-    data = np.array([[float(v) for v in row[1:]] for row in rows])
+    header = ["draw_index"] + [f"theta_{i + 1}" for i in range(p)] + ["weight"]
+    data = _read_table(directory / f"{name}.csv", header, sidecar["n"])
+    idx = data[:, 0]
+    if not (np.isfinite(idx).all() and (np.floor(idx) == idx).all()):
+        raise ArtifactError(f"{name}.csv has a draw_index that is not an integer")
     weights = data[:, -1]
     if abs(float(weights.sum()) - 1.0) > 1e-12:
         raise ArtifactError(f"{name}.csv weights sum to {weights.sum()!r}, expected 1")
     return WeightedPosterior(
-        thetas=data[:, :p],
+        thetas=data[:, 1 : p + 1],
         weights=weights,
         epsilon=float(sidecar["epsilon"]),
         distances=np.asarray(sidecar["distances"], dtype=np.float64),
-        accepted_indices=idx,
+        accepted_indices=idx.astype(np.intp),
         provenance=sidecar.get("provenance", {}),
     )
 
 
 def save_region(directory, region: TruncationRegion, config_hash: str, seed: int = 0) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     dump_json(
-        directory / "region.json",
+        Path(directory) / "region.json",
         {
             "kind": "truncation_region",
             "config_hash": config_hash,
@@ -202,16 +207,13 @@ def save_region(directory, region: TruncationRegion, config_hash: str, seed: int
 
 def load_region(directory, config_hash: str | None = None) -> TruncationRegion:
     path = Path(directory) / "region.json"
-    data = load_json(path, "truncation_region")
-    check_provenance(data, path, config_hash)
+    data = load_json(path, "truncation_region", config_hash)
     return TruncationRegion.from_dict(data)
 
 
 def save_projector(
     directory, projector: SummaryProjector, config_hash: str, seed: int = 0
 ) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     payload = {
         "kind": "summary_projector",
         "config_hash": config_hash,
@@ -219,21 +221,21 @@ def save_projector(
         "projector_id": projector.projector_id(),
         **projector.to_dict(),
     }
-    dump_json(directory / "projector.json", payload)
+    dump_json(Path(directory) / "projector.json", payload)
 
 
 def load_projector(directory, config_hash: str | None = None) -> SummaryProjector:
     path = Path(directory) / "projector.json"
-    data = load_json(path, "summary_projector")
-    check_provenance(data, path, config_hash)
+    data = load_json(path, "summary_projector", config_hash)
     return SummaryProjector.from_dict(data)
 
 
 def save_marginal(directory, name: str, marginal, config_hash: str) -> None:
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    rows = ([str(i), fmt(v)] for i, v in enumerate(marginal.samples))
-    _write_csv(directory / f"{name}.csv", ["draw_index", "value"], rows)
+    _write_table(
+        directory / f"{name}.csv", ["draw_index", "value"], np.arange(marginal.n),
+        marginal.samples[:, None],
+    )
     dump_json(
         directory / f"{name}.json",
         {
@@ -248,7 +250,6 @@ def save_marginal(directory, name: str, marginal, config_hash: str) -> None:
 
 def save_experiment_report(directory, report, config_hash: str) -> None:
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     dump_json(
         directory / "experiment_report.json",
         {"kind": "experiment_report", "config_hash": config_hash, **report.to_dict()},
@@ -274,9 +275,8 @@ def save_experiment_report(directory, report, config_hash: str) -> None:
 def save_observed(directory, fixture, config_hash: str, seed: int) -> None:
     """Persist the observed dataset and statistics for reuse."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    rows = ([str(i), fmt(v)] for i, v in enumerate(np.asarray(fixture.observed_data).ravel()))
-    _write_csv(directory / "observed.csv", ["index", "value"], rows)
+    values = np.asarray(fixture.observed_data).reshape(-1, 1)
+    _write_table(directory / "observed.csv", ["index", "value"], np.arange(len(values)), values)
     dump_json(
         directory / "observed.json",
         {
@@ -306,8 +306,6 @@ def persist_pipeline_result(directory, config, result, fixture) -> None:
 
 def save_report_table(directory, rows: list[dict]) -> None:
     """Machine-readable companion of the human-readable report table."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     header = ["target", "estimate", "oracle", "abs_error", "mc_sd"]
     csv_rows = (
         [
@@ -318,4 +316,4 @@ def save_report_table(directory, rows: list[dict]) -> None:
         ]
         for r in rows
     )
-    _write_csv(directory / "report_table.csv", header, csv_rows)
+    _write_csv(Path(directory) / "report_table.csv", header, csv_rows)

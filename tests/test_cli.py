@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from semiabc.cli import main
 
 
@@ -114,6 +116,53 @@ class TestExitCodes:
     def test_missing_output_dir_is_one(self, tmp_path):
         config = write_config(tmp_path)
         assert main(["simulate", "--config", str(config)]) == 1
+
+
+def rewrite_rows(path: Path, edit) -> None:
+    """Apply `edit` to the cells of every data row of a CSV artifact."""
+    header, *rows = path.read_text().splitlines()
+    rows = [",".join(edit(i, row.split(","))) for i, row in enumerate(rows)]
+    path.write_text("\n".join([header] + rows) + "\n")
+
+
+class TestMalformedArtifacts:
+    """A corrupted table is a validation error: exit 1 and one `error:`
+    line naming the file, never a traceback."""
+
+    def assert_rejected(self, code, capsys, name):
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:")
+        assert name in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda i, cells: cells[:2] + ["0.5x"] + cells[3:] if i == 3 else cells,
+            lambda i, cells: cells[:2] + ["nan"] + cells[3:] if i == 3 else cells,
+            lambda i, cells: cells[:-1] if i == 3 else cells,
+            lambda i, cells: cells[:-1],
+        ],
+        ids=["bad_cell", "nan_cell", "ragged_row", "missing_column"],
+    )
+    def test_corrupted_batch(self, tmp_path, capsys, edit):
+        config = write_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        rewrite_rows(out / "batch_pilot.csv", edit)
+        capsys.readouterr()
+        code = main(["pilot", "--config", str(config), "--out", str(out)])
+        self.assert_rejected(code, capsys, "batch_pilot.csv")
+
+    def test_non_integral_draw_index(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["infer", "--full", "--config", str(config), "--out", str(out)]) == 0
+        rewrite_rows(out / "posterior_main.csv", lambda i, c: ["3.5"] + c[1:] if i == 1 else c)
+        capsys.readouterr()
+        code = main(["report", "--config", str(config), "--out", str(out)])
+        self.assert_rejected(code, capsys, "draw_index")
 
 
 class TestSeedOverride:

@@ -1,7 +1,13 @@
 import json
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from semiabc import artifacts
 from semiabc.engine import (
@@ -230,6 +236,114 @@ class TestArtifacts:
         (tmp_path / "projector.json").write_text((tmp_path / "region.json").read_text())
         with pytest.raises(ArtifactError, match="kind"):
             artifacts.load_projector(tmp_path, "h")
+
+
+# Values whose shortest decimal is easy to get wrong: signed zeros, the
+# smallest subnormal, the float below 1e16 (which repr prints in full) and
+# the points where repr switches to and from exponent notation.
+FINITE_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 1e16, 9999999999999998.0, 1e-5, 1e-4, 0.1]
+FINITE_CELLS = st.one_of(
+    st.sampled_from(FINITE_SPECIALS), st.floats(allow_nan=False, allow_infinity=False)
+)
+ANY_CELLS = st.one_of(FINITE_CELLS, st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
+def per_cell_csv(header, index, values) -> bytes:
+    """The bytes the table writer is pinned to: one cell at a time, str of
+    each index and `fmt` (repr of the float) of each value."""
+    lines = [",".join(header)]
+    lines.extend(
+        ",".join([str(int(i))] + [repr(float(v)) for v in row]) for i, row in zip(index, values)
+    )
+    return ("\n".join(lines) + "\n").encode()
+
+
+def bits_equal(a, b) -> bool:
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+def batch_header(p, d):
+    return (
+        ["draw_index"] + [f"theta_{i + 1}" for i in range(p)] + [f"stat_{j + 1}" for j in range(d)]
+    )
+
+
+class TestTableBytes:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_tables_match_per_cell_writer_and_reload_bitwise(self, data):
+        m = data.draw(st.integers(1, 40), label="m")
+        p, d = data.draw(st.integers(1, 3), label="p"), data.draw(st.integers(1, 4), label="d")
+        thetas = data.draw(arrays(np.float64, (m, p), elements=FINITE_CELLS), label="thetas")
+        stats = data.draw(arrays(np.float64, (m, d), elements=FINITE_CELLS), label="stats")
+        cells = data.draw(arrays(np.float64, (m, 3), elements=ANY_CELLS), label="cells")
+        weights = np.arange(1.0, m + 1.0) / (m * (m + 1) / 2)
+        batch = SimulationBatch(thetas=thetas, stats=stats, seed=3, model_name="t", prior_hash="h")
+        post = WeightedPosterior(
+            thetas=thetas, weights=weights, epsilon=0.5, distances=np.zeros(m),
+            accepted_indices=3 * np.arange(m),
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            artifacts.save_batch(out, "b", batch, "h", "simulate")
+            artifacts.save_posterior(out, "p", post, "h", "infer")
+            assert (out / "b.csv").read_bytes() == per_cell_csv(
+                batch_header(p, d), range(m), np.hstack([thetas, stats])
+            )
+            post_header = ["draw_index"] + [f"theta_{i + 1}" for i in range(p)] + ["weight"]
+            assert (out / "p.csv").read_bytes() == per_cell_csv(
+                post_header, 3 * np.arange(m), np.column_stack([thetas, weights])
+            )
+            loaded = artifacts.load_batch(out, "b", "h")
+            assert bits_equal(loaded.thetas, thetas) and bits_equal(loaded.stats, stats)
+            reloaded = artifacts.load_posterior(out, "p", "h")
+            assert bits_equal(reloaded.thetas, thetas) and bits_equal(reloaded.weights, weights)
+            np.testing.assert_array_equal(reloaded.accepted_indices, post.accepted_indices)
+            # the writer formats nan and the infinities like `fmt`; the
+            # reader refuses them, as batches and posteriors must be finite
+            header = ["index", "a", "b", "c"]
+            artifacts._write_table(out / "t.csv", header, np.arange(m), cells)
+            assert (out / "t.csv").read_bytes() == per_cell_csv(header, range(m), cells)
+            if np.isfinite(cells).all():
+                assert bits_equal(artifacts._read_table(out / "t.csv", header, m)[:, 1:], cells)
+            else:
+                with pytest.raises(ArtifactError, match="non-finite"):
+                    artifacts._read_table(out / "t.csv", header, m)
+
+    @pytest.mark.parametrize("m", [1, 4095, 4096, 4097, 8193])
+    def test_block_edges(self, tmp_path, m):
+        rng = np.random.default_rng(m)
+        batch = SimulationBatch(
+            thetas=rng.standard_normal((m, 2)), stats=rng.standard_normal((m, 3)) * 1e-7,
+            seed=1, model_name="t", prior_hash="h",
+        )
+        artifacts.save_batch(tmp_path, "b", batch, "h", "simulate")
+        assert (tmp_path / "b.csv").read_bytes() == per_cell_csv(
+            batch_header(2, 3), range(m), np.hstack([batch.thetas, batch.stats])
+        )
+        loaded = artifacts.load_batch(tmp_path, "b", "h")
+        assert bits_equal(loaded.thetas, batch.thetas) and bits_equal(loaded.stats, batch.stats)
+
+    def test_batch_save_and_load_stay_near_the_array_size(self, tmp_path):
+        # the 20 000 x 21 batch is 3.4 MB of float64; a writer that builds
+        # the whole file as text, or a parser that holds every cell as a
+        # Python string and float, peaks at several times that
+        rng = np.random.default_rng(3)
+        batch = SimulationBatch(
+            thetas=rng.standard_normal((20_000, 1)), stats=rng.standard_normal((20_000, 20)),
+            seed=1, model_name="t", prior_hash="h",
+        )
+        tracemalloc.start()
+        try:
+            artifacts.save_batch(tmp_path, "b", batch, "h", "simulate")
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            artifacts.load_batch(tmp_path, "b", "h")
+            load_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert save_peak < 12 * 2**20
+        assert load_peak < 8 * 2**20
 
 
 def test_run_semiauto_persists_when_output_dir_set(tmp_path):

@@ -1,5 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from semiabc.engine import (
     CHUNK,
@@ -15,6 +20,7 @@ from semiabc.engine import (
     normal,
     regression_adjust,
     rejection_abc,
+    scales_from_matrix,
     simulate_batch,
     systematic_resample,
     truncation_from_pilot,
@@ -142,6 +148,25 @@ class TestDistance:
         assert d2 == pytest.approx(d1 / 2.0)
 
 
+@st.composite
+def stat_matrices(draw):
+    """(m, d) statistics, m in [2, 300]; each column is continuous, drawn
+    from four values (ties, often a zero MAD) or constant."""
+    m = draw(st.integers(2, 300))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["continuous", "tied", "constant"]))
+        if kind == "constant":
+            columns.append(np.full(m, draw(st.floats(-1e6, 1e6, allow_nan=False))))
+            continue
+        elements = (
+            st.floats(-1e6, 1e6, allow_nan=False) if kind == "continuous"
+            else st.sampled_from([0.0, 0.1, 1.0, 7.25])
+        )
+        columns.append(draw(arrays(np.float64, m, elements=elements)))
+    return np.column_stack(columns)
+
+
 class TestScales:
     def test_constant_column_warns_and_uses_one(self):
         stats = np.column_stack([np.full(50, 2.0), np.arange(50.0)])
@@ -155,6 +180,22 @@ class TestScales:
         stats = rng.standard_normal((100_000, 1))
         batch = make_batch(np.zeros((100_000, 1)), stats)
         assert 0.97 <= compute_scales(batch)[0] <= 1.03
+
+    @settings(max_examples=80, deadline=None)
+    @given(stat_matrices())
+    @example(np.random.default_rng(4).standard_normal((2000, 11)))
+    @example(np.column_stack([
+        np.random.default_rng(5).integers(0, 3, (4097, 3)).astype(np.float64),
+        np.random.default_rng(6).standard_normal(4097),
+        np.full(4097, 0.1),
+    ]))
+    def test_medians_equal_axis0_formula_bitwise(self, x):
+        mad = 1.4826 * np.median(np.abs(x - np.median(x, axis=0)), axis=0)
+        sd = x.std(axis=0, ddof=1)
+        expected = np.where(mad == 0.0, np.where(sd == 0.0, 1.0, sd), mad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert np.array_equal(scales_from_matrix(x), expected)
 
     def test_mad_homogeneity_exact(self):
         rng = np.random.default_rng(2)
