@@ -90,7 +90,12 @@ def _read_table(path: Path, header: list[str], n: int) -> np.ndarray:
     try:
         with open(path) as f:
             found = f.readline().rstrip("\n").split(",")
-            data = np.loadtxt(f, delimiter=",", dtype=np.float64, ndmin=2, comments=None)
+            body = f.tell()
+            if f.readline().strip():
+                f.seek(body)
+                data = np.loadtxt(f, delimiter=",", dtype=np.float64, ndmin=2, comments=None)
+            else:  # no rows: loadtxt would warn and count one column
+                data = np.empty((0, len(found)))
     except ValueError as exc:
         raise ArtifactError(f"{path} is malformed: {exc}") from None
     if found != header:
@@ -287,21 +292,6 @@ def save_observed(directory, fixture, config_hash: str, seed: int) -> None:
             "s_obs": [float(v) for v in fixture.s_obs],
         },
     )
-
-
-def persist_pipeline_result(directory, config, result, fixture) -> None:
-    """Write every stage artifact of a pipeline run, with the same names
-    and stage labels the stage-by-stage CLI commands use."""
-    h = config.config_hash()
-    save_observed(directory, fixture, h, config.seed)
-    save_batch(directory, "batch_pilot", result.pilot_batch, h, "simulate")
-    save_posterior(directory, "posterior_pilot", result.pilot_posterior, h, "pilot")
-    save_region(directory, result.region, h, config.seed)
-    save_batch(directory, "batch_construct", result.construct_batch, h, "construct")
-    save_projector(directory, result.projector, h, config.seed)
-    save_batch(directory, "batch_main", result.main_batch, h, "infer")
-    stage = "infer+regression_adjust" if config.regression_adjust else "infer"
-    save_posterior(directory, "posterior_main", result.posterior, h, stage)
 
 
 def save_report_table(directory, rows: list[dict]) -> None:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
 from .linalg import as_matrix, as_vector, sample_cov, sample_mean, solve_spd
 
 # Relative slack allowed between the stored intercept and
@@ -163,32 +162,3 @@ def adjusted_variance(model: BayesLinearModel) -> np.ndarray:
         )
     return out
 
-
-def model_to_dict(model: BayesLinearModel) -> dict:
-    """JSON-ready representation (lists of floats, row-major)."""
-    return {
-        "intercept": model.intercept.tolist(),
-        "coef": model.coef.tolist(),
-        "mean_theta": model.mean_theta.tolist(),
-        "mean_s": model.mean_s.tolist(),
-        "var_s": model.var_s.tolist(),
-        "cov_theta_s": model.cov_theta_s.tolist(),
-        "var_theta": model.var_theta.tolist(),
-        "n_fit": model.n_fit,
-    }
-
-
-def model_from_dict(data: dict) -> BayesLinearModel:
-    try:
-        return BayesLinearModel(
-            intercept=np.asarray(data["intercept"], dtype=np.float64),
-            coef=np.asarray(data["coef"], dtype=np.float64),
-            mean_theta=np.asarray(data["mean_theta"], dtype=np.float64),
-            mean_s=np.asarray(data["mean_s"], dtype=np.float64),
-            var_s=np.asarray(data["var_s"], dtype=np.float64),
-            cov_theta_s=np.asarray(data["cov_theta_s"], dtype=np.float64),
-            var_theta=np.asarray(data["var_theta"], dtype=np.float64),
-            n_fit=data.get("n_fit"),
-        )
-    except KeyError as exc:
-        raise NumericalError(f"model dictionary missing field {exc}") from None

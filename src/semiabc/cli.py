@@ -1,9 +1,11 @@
 """Command-line interface: stage-by-stage or end-to-end pipeline runs.
 
 Subcommands: simulate | pilot | construct | infer | marginal | experiment
-| report. Each stage reads the previous stage's artifacts from the output
-directory and refuses inputs whose config hash differs from the current
-run. Exit codes: 0 success, 1 validation error, 2 numerical failure.
+| report. A chained stage reloads the previous stage's artifacts from the
+output directory and refuses inputs whose config hash differs from the
+current run; `infer --full` runs the same four stages in one invocation
+and hands each stage's outputs to the next in memory, so both write the
+same bytes. Exit codes: 0 success, 1 validation error, 2 numerical failure.
 `--threads` affects speed only, never any computed value.
 """
 
@@ -22,7 +24,8 @@ from .runconfig import RunConfig, parse_config, serialize_config
 from .semiauto import (
     build_fixture,
     posterior_target_estimates,
-    run_semiauto,
+    # unused here but stays importable: perfbench/spans.py patches it by name
+    run_semiauto,  # noqa: F401
     stage_construct,
     stage_infer,
     stage_pilot,
@@ -39,7 +42,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="semiabc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "pilot", "construct", "infer", "marginal", "experiment", "report"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON run configuration")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -67,51 +70,48 @@ def _resolve(args) -> tuple[RunConfig, Path]:
     return config, Path(out)
 
 
-def _cmd_simulate(config, out, threads):
-    fixture = build_fixture(config)
+def _cmd_simulate(config, fixture, out, threads, held):
     h = config.config_hash()
     artifacts.save_observed(out, fixture, h, config.seed)
-    batch = stage_pilot_batch(config, fixture, threads=threads)
+    batch = held["pilot_batch"] = stage_pilot_batch(config, fixture, threads=threads)
     artifacts.save_batch(out, "batch_pilot", batch, h, "simulate")
     print(f"simulate: wrote batch_pilot ({batch.m} draws) to {out}")
-    return batch
 
 
-def _cmd_pilot(config, out, pilot_batch=None):
-    fixture = build_fixture(config)
+def _cmd_pilot(config, fixture, out, threads, held):
     h = config.config_hash()
-    if pilot_batch is None:
-        pilot_batch = artifacts.load_batch(out, "batch_pilot", h)
-    accepted, region = stage_pilot(config, fixture, pilot_batch)
+    if "pilot_batch" not in held:
+        held["pilot_batch"] = artifacts.load_batch(out, "batch_pilot", h)
+    accepted, region = stage_pilot(config, fixture, held["pilot_batch"])
+    held["region"] = region
     artifacts.save_posterior(out, "posterior_pilot", accepted, h, "pilot")
     artifacts.save_region(out, region, h, config.seed)
     print(f"pilot: accepted {accepted.n} draws, region written to {out}")
-    return accepted, region
 
 
-def _cmd_construct(config, out, threads, region=None):
-    fixture = build_fixture(config)
+def _cmd_construct(config, fixture, out, threads, held):
     h = config.config_hash()
-    if region is None:
-        region = artifacts.load_region(out, h)
-    batch, projector = stage_construct(config, fixture, region, threads=threads)
+    if "region" not in held:
+        held["region"] = artifacts.load_region(out, h)
+    batch, projector = stage_construct(config, fixture, held["region"], threads=threads)
+    held["projector"] = projector
     artifacts.save_batch(out, "batch_construct", batch, h, "construct")
     artifacts.save_projector(out, projector, h, config.seed)
     print(
         f"construct: projector with {projector.out_dim} summaries "
         f"(condition {projector.condition_number:.3g}) written to {out}"
     )
-    return batch, projector
 
 
-def _cmd_infer(config, out, threads, region=None, projector=None):
-    fixture = build_fixture(config)
+def _cmd_infer(config, fixture, out, threads, held):
     h = config.config_hash()
-    if region is None:
-        region = artifacts.load_region(out, h)
-    if projector is None:
-        projector = artifacts.load_projector(out, h)
-    main_batch, posterior = stage_infer(config, fixture, region, projector, threads=threads)
+    if "region" not in held:
+        held["region"] = artifacts.load_region(out, h)
+    if "projector" not in held:
+        held["projector"] = artifacts.load_projector(out, h)
+    main_batch, posterior = stage_infer(
+        config, fixture, held["region"], held["projector"], threads=threads
+    )
     artifacts.save_batch(out, "batch_main", main_batch, h, "infer")
     stage = "infer+regression_adjust" if config.regression_adjust else "infer"
     artifacts.save_posterior(out, "posterior_main", posterior, h, stage)
@@ -119,22 +119,9 @@ def _cmd_infer(config, out, threads, region=None, projector=None):
         f"infer: accepted {posterior.n} draws "
         f"(epsilon {posterior.epsilon:.6g}) written to {out}"
     )
-    return posterior
 
 
-def _cmd_infer_full(config, out, threads):
-    # run_semiauto persists the same artifact set the four chained stages
-    # write, with identical bytes
-    result = run_semiauto(config, threads=threads)
-    print(
-        f"infer --full: accepted {result.posterior.n} draws "
-        f"(epsilon {result.posterior.epsilon:.6g}) written to {out}"
-    )
-    return result.posterior
-
-
-def _cmd_marginal(config, out, threads):
-    fixture = build_fixture(config)
+def _cmd_marginal(config, fixture, out, threads, held):
     h = config.config_hash()
     joint = artifacts.load_posterior(out, "posterior_main", h)
     marginals = []
@@ -145,14 +132,13 @@ def _cmd_marginal(config, out, threads):
     adjusted = marginal_remap(joint, marginals)
     artifacts.save_posterior(out, "posterior_marginal", adjusted, h, "marginal")
     print(f"marginal: remapped {len(marginals)} margins, posterior written to {out}")
-    return adjusted
 
 
-def _cmd_experiment(config, out, threads):
+def _cmd_experiment(config, fixture, out, threads, held):
     if config.experiment is None:
         raise ConfigError("config has no 'experiment' section")
     plan = plan_from_config(config.experiment, len(config.targets), config.seed)
-    report = run_experiment(plan, config, threads=threads)
+    report = run_experiment(plan, config, fixture, threads=threads)
     artifacts.save_experiment_report(out, report, config.config_hash())
     print(
         f"experiment: {len(report.rows)} rows, {len(report.failures)} failures, "
@@ -163,11 +149,9 @@ def _cmd_experiment(config, out, threads):
             f"  {key[0]} p'={key[1]}: mean |error| {stats['mean']:.6g}, "
             f"median {stats['median']:.6g} (n={stats['n']})"
         )
-    return report
 
 
-def _cmd_report(config, out):
-    fixture = build_fixture(config)
+def _cmd_report(config, fixture, out, threads, held):
     h = config.config_hash()
     name = "posterior_marginal" if (out / "posterior_marginal.json").exists() else "posterior_main"
     posterior = artifacts.load_posterior(out, name, h)
@@ -201,7 +185,22 @@ def _cmd_report(config, out):
             f"{r['target']:<16}{r['estimate']:>14.6g}{oracle_s:>14}{err_s:>14}"
             f"{r['mc_sd']:>12.3g}"
         )
-    return rows
+
+
+# Every command takes (config, fixture, out, threads, held). `held` carries
+# the outputs a stage hands to the next within one invocation; a stage loads
+# from `out` whatever it does not find there.
+_COMMANDS = {
+    "simulate": _cmd_simulate,
+    "pilot": _cmd_pilot,
+    "construct": _cmd_construct,
+    "infer": _cmd_infer,
+    "marginal": _cmd_marginal,
+    "experiment": _cmd_experiment,
+    "report": _cmd_report,
+}
+# the chained stages, in the order `infer --full` runs them
+_STAGES = ("simulate", "pilot", "construct", "infer")
 
 
 def main(argv=None) -> int:
@@ -213,23 +212,10 @@ def main(argv=None) -> int:
         # echoed without the output path so artifact trees stay byte-identical
         # wherever the run lands
         (out / "config.json").write_text(serialize_config(replace(config, output_dir=None)))
-        if args.command == "simulate":
-            _cmd_simulate(config, out, args.threads)
-        elif args.command == "pilot":
-            _cmd_pilot(config, out)
-        elif args.command == "construct":
-            _cmd_construct(config, out, args.threads)
-        elif args.command == "infer":
-            if args.full:
-                _cmd_infer_full(config, out, args.threads)
-            else:
-                _cmd_infer(config, out, args.threads)
-        elif args.command == "marginal":
-            _cmd_marginal(config, out, args.threads)
-        elif args.command == "experiment":
-            _cmd_experiment(config, out, args.threads)
-        elif args.command == "report":
-            _cmd_report(config, out)
+        fixture = build_fixture(config)
+        held: dict = {}
+        for name in _STAGES if getattr(args, "full", False) else (args.command,):
+            _COMMANDS[name](config, fixture, out, args.threads, held)
     except (ConfigError, ArtifactError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -177,9 +177,8 @@ def _run_one(
     group_targets = tuple(config.targets[i] for i in group)
     # The run seed depends only on (replicate seed); a separate-strategy
     # singleton therefore reproduces the joint run on the same single
-    # target bit for bit. Replicates stay in memory: the report is the
-    # artifact, so output_dir is cleared.
-    sub = replace(config, targets=group_targets, seed=seed, experiment=None, output_dir=None)
+    # target bit for bit.
+    sub = replace(config, targets=group_targets, seed=seed, experiment=None)
     result = run_semiauto(sub, fixture, batches=batches)
     targets = targets_from_specs(group_targets, fixture.simulator.param_dim)
     adjustment = result.posterior.provenance.get("adjustment")

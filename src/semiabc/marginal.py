@@ -61,7 +61,6 @@ def estimate_marginal(
         targets=(TargetSpec(kind="coordinate", index=coordinate),),
         marginal_adjust=False,
         seed=derive_seed(config.seed, TAG_MARGINAL, coordinate),
-        output_dir=None,  # the per-coordinate run never overwrites main artifacts
     )
     result = run_semiauto(sub_config, fixture, threads=threads)
     posterior = result.posterior

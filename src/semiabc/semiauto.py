@@ -278,7 +278,6 @@ class PipelineResult:
     main_batch: SimulationBatch
     posterior: WeightedPosterior
     estimates: dict = field(default_factory=dict)  # name -> {estimate, mc_sd}
-    config_hash: str = ""
 
 
 def build_fixture(config: RunConfig) -> ModelFixture:
@@ -447,7 +446,8 @@ def run_semiauto(
     Deterministic: (config, seed) fully determines every stage; `threads`
     never changes values. `batches` (see `shared_stage_batches`) is only
     read: a stage batch it holds is used instead of simulated, which gives
-    the same values.
+    the same values. Nothing is written to disk, whatever
+    `config.output_dir` holds; the CLI is the persisted path.
     """
     fixture = fixture if fixture is not None else build_fixture(config)
     targets = targets_from_specs(config.targets, fixture.simulator.param_dim)
@@ -460,7 +460,7 @@ def run_semiauto(
         config, fixture, region, projector, threads=threads, batches=batches
     )
     estimates = posterior_target_estimates(posterior, targets)
-    result = PipelineResult(
+    return PipelineResult(
         pilot_batch=pilot_batch,
         pilot_posterior=pilot_posterior,
         region=region,
@@ -469,10 +469,4 @@ def run_semiauto(
         main_batch=main_batch,
         posterior=posterior,
         estimates=estimates,
-        config_hash=config.config_hash(),
     )
-    if config.output_dir is not None:
-        from . import artifacts  # local import avoids a cycle
-
-        artifacts.persist_pipeline_result(config.output_dir, config, result, fixture)
-    return result

@@ -8,8 +8,6 @@ from semiabc.bayes_linear import (
     criterion_value,
     fit_bayes_linear,
     from_moments,
-    model_from_dict,
-    model_to_dict,
 )
 from semiabc.engine import SimulationBatch
 from semiabc.models import linear_gaussian_fixture, linear_gaussian_moments
@@ -200,13 +198,3 @@ class TestEquivalences:
         expectation = adjusted_expectation(model, fixture.s_obs)
         np.testing.assert_allclose(expectation, fixture.oracle.mean, atol=1e-8)
 
-
-def test_model_json_roundtrip():
-    rng = np.random.default_rng(10)
-    thetas = rng.standard_normal((100, 1))
-    stats = rng.standard_normal((100, 2))
-    model = fit_bayes_linear(make_batch(thetas, stats))
-    clone = model_from_dict(model_to_dict(model))
-    np.testing.assert_array_equal(clone.coef, model.coef)
-    np.testing.assert_array_equal(clone.intercept, model.intercept)
-    assert clone.n_fit == model.n_fit

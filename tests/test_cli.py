@@ -98,7 +98,8 @@ class TestExitCodes:
         assert main(["pilot", "--config", str(config), "--seed", "99", "--out", str(out)]) == 1
         assert "refusing to mix runs" in capsys.readouterr().err
 
-    def test_numerical_failure_is_two(self, tmp_path):
+    @pytest.mark.parametrize("full", [False, True], ids=["chained", "full"])
+    def test_numerical_failure_is_two(self, tmp_path, full):
         # duplicated basis monomials make the construction regression
         # rank-deficient with no ridge penalty
         config = write_config(
@@ -106,9 +107,17 @@ class TestExitCodes:
             basis={"kind": "powers", "exponents": [[1, 0, 0, 0], [1, 0, 0, 0]]},
         )
         out = tmp_path / "o"
-        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
-        assert main(["pilot", "--config", str(config), "--out", str(out)]) == 0
-        assert main(["construct", "--config", str(config), "--out", str(out)]) == 2
+        args = ["--config", str(config), "--out", str(out)]
+        if full:
+            assert main(["infer", "--full"] + args) == 2
+        else:
+            assert main(["simulate"] + args) == 0
+            assert main(["pilot"] + args) == 0
+            assert main(["construct"] + args) == 2
+        # either way the stages before the failure leave their artifacts
+        assert (out / "batch_pilot.csv").exists()
+        assert (out / "region.json").exists()
+        assert not (out / "projector.json").exists()
 
     def test_unknown_command_is_one(self, tmp_path):
         assert main(["bogus"]) == 1
@@ -119,9 +128,11 @@ class TestExitCodes:
 
 
 def rewrite_rows(path: Path, edit) -> None:
-    """Apply `edit` to the cells of every data row of a CSV artifact."""
+    """Apply `edit` to the cells of every data row of a CSV artifact; a row
+    for which it returns None is dropped."""
     header, *rows = path.read_text().splitlines()
-    rows = [",".join(edit(i, row.split(","))) for i, row in enumerate(rows)]
+    rows = [row.split(",") for row in rows]
+    rows = [",".join(c) for i, row in enumerate(rows) if (c := edit(i, row)) is not None]
     path.write_text("\n".join([header] + rows) + "\n")
 
 
@@ -135,6 +146,8 @@ class TestMalformedArtifacts:
         assert err.startswith("error:")
         assert name in err
         assert "Traceback" not in err
+        assert "Warning" not in err
+        return err
 
     @pytest.mark.parametrize(
         "edit",
@@ -143,9 +156,13 @@ class TestMalformedArtifacts:
             lambda i, cells: cells[:2] + ["nan"] + cells[3:] if i == 3 else cells,
             lambda i, cells: cells[:-1] if i == 3 else cells,
             lambda i, cells: cells[:-1],
+            lambda i, cells: None,
         ],
-        ids=["bad_cell", "nan_cell", "ragged_row", "missing_column"],
+        ids=["bad_cell", "nan_cell", "ragged_row", "missing_column", "header_only"],
     )
+    # a warning numpy emits while parsing fails the test instead of
+    # reaching stderr next to the error line
+    @pytest.mark.filterwarnings("error")
     def test_corrupted_batch(self, tmp_path, capsys, edit):
         config = write_config(tmp_path)
         out = tmp_path / "o"
@@ -153,7 +170,10 @@ class TestMalformedArtifacts:
         rewrite_rows(out / "batch_pilot.csv", edit)
         capsys.readouterr()
         code = main(["pilot", "--config", str(config), "--out", str(out)])
-        self.assert_rejected(code, capsys, "batch_pilot.csv")
+        err = self.assert_rejected(code, capsys, "batch_pilot.csv")
+        header, *rows = (out / "batch_pilot.csv").read_text().splitlines()
+        if not rows:
+            assert f"0 rows of {header.count(',') + 1} columns" in err
 
     def test_non_integral_draw_index(self, tmp_path, capsys):
         config = write_config(tmp_path)

@@ -346,7 +346,7 @@ class TestTableBytes:
         assert load_peak < 8 * 2**20
 
 
-def test_run_semiauto_persists_when_output_dir_set(tmp_path):
+def test_run_semiauto_writes_no_files(tmp_path):
     from semiabc.runconfig import RunConfig, TargetSpec
     from semiabc.semiauto import run_semiauto
 
@@ -361,13 +361,9 @@ def test_run_semiauto_persists_when_output_dir_set(tmp_path):
         seed=2,
         output_dir=str(tmp_path / "run"),
     )
-    run_semiauto(config)
-    out = tmp_path / "run"
-    for name in (
-        "observed.csv", "batch_pilot.csv", "posterior_pilot.csv", "region.json",
-        "batch_construct.csv", "projector.json", "batch_main.csv", "posterior_main.csv",
-    ):
-        assert (out / name).exists(), name
+    result = run_semiauto(config)
+    assert result.posterior.n == 100
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_dataclass_helpers():
