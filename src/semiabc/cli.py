@@ -3,9 +3,10 @@
 Subcommands: simulate | pilot | construct | infer | marginal | experiment
 | report. A chained stage reloads the previous stage's artifacts from the
 output directory and refuses inputs whose config hash differs from the
-current run; `infer --full` runs the same four stages in one invocation
-and hands each stage's outputs to the next in memory, so both write the
-same bytes. Exit codes: 0 success, 1 validation error, 2 numerical failure.
+current run. `infer --full` computes all four stages with one
+`run_semiauto` call and then writes them through the same four stage
+commands, so both paths write the same bytes. Exit codes: 0 success, 1
+validation error, 2 numerical failure.
 `--threads` affects speed only, never any computed value.
 """
 
@@ -24,8 +25,7 @@ from .runconfig import RunConfig, parse_config, serialize_config
 from .semiauto import (
     build_fixture,
     posterior_target_estimates,
-    # unused here but stays importable: perfbench/spans.py patches it by name
-    run_semiauto,  # noqa: F401
+    run_semiauto,
     stage_construct,
     stage_infer,
     stage_pilot,
@@ -72,30 +72,34 @@ def _resolve(args) -> tuple[RunConfig, Path]:
 
 def _cmd_simulate(config, fixture, out, threads, held):
     h = config.config_hash()
+    if "pilot_batch" not in held:
+        held["pilot_batch"] = stage_pilot_batch(config, fixture, threads=threads)
+    batch = held["pilot_batch"]
     artifacts.save_observed(out, fixture, h, config.seed)
-    batch = held["pilot_batch"] = stage_pilot_batch(config, fixture, threads=threads)
     artifacts.save_batch(out, "batch_pilot", batch, h, "simulate")
     print(f"simulate: wrote batch_pilot ({batch.m} draws) to {out}")
 
 
 def _cmd_pilot(config, fixture, out, threads, held):
     h = config.config_hash()
-    if "pilot_batch" not in held:
-        held["pilot_batch"] = artifacts.load_batch(out, "batch_pilot", h)
-    accepted, region = stage_pilot(config, fixture, held["pilot_batch"])
-    held["region"] = region
+    if "region" not in held:
+        batch = artifacts.load_batch(out, "batch_pilot", h)
+        held["pilot_posterior"], held["region"] = stage_pilot(config, fixture, batch)
+    accepted = held["pilot_posterior"]
     artifacts.save_posterior(out, "posterior_pilot", accepted, h, "pilot")
-    artifacts.save_region(out, region, h, config.seed)
+    artifacts.save_region(out, held["region"], h, config.seed)
     print(f"pilot: accepted {accepted.n} draws, region written to {out}")
 
 
 def _cmd_construct(config, fixture, out, threads, held):
     h = config.config_hash()
-    if "region" not in held:
-        held["region"] = artifacts.load_region(out, h)
-    batch, projector = stage_construct(config, fixture, held["region"], threads=threads)
-    held["projector"] = projector
-    artifacts.save_batch(out, "batch_construct", batch, h, "construct")
+    if "projector" not in held:
+        region = artifacts.load_region(out, h)
+        held["construct_batch"], held["projector"] = stage_construct(
+            config, fixture, region, threads=threads
+        )
+    projector = held["projector"]
+    artifacts.save_batch(out, "batch_construct", held["construct_batch"], h, "construct")
     artifacts.save_projector(out, projector, h, config.seed)
     print(
         f"construct: projector with {projector.out_dim} summaries "
@@ -105,14 +109,14 @@ def _cmd_construct(config, fixture, out, threads, held):
 
 def _cmd_infer(config, fixture, out, threads, held):
     h = config.config_hash()
-    if "region" not in held:
-        held["region"] = artifacts.load_region(out, h)
-    if "projector" not in held:
-        held["projector"] = artifacts.load_projector(out, h)
-    main_batch, posterior = stage_infer(
-        config, fixture, held["region"], held["projector"], threads=threads
-    )
-    artifacts.save_batch(out, "batch_main", main_batch, h, "infer")
+    if "posterior" not in held:
+        region = artifacts.load_region(out, h)
+        projector = artifacts.load_projector(out, h)
+        held["main_batch"], held["posterior"] = stage_infer(
+            config, fixture, region, projector, threads=threads
+        )
+    posterior = held["posterior"]
+    artifacts.save_batch(out, "batch_main", held["main_batch"], h, "infer")
     stage = "infer+regression_adjust" if config.regression_adjust else "infer"
     artifacts.save_posterior(out, "posterior_main", posterior, h, stage)
     print(
@@ -187,9 +191,11 @@ def _cmd_report(config, fixture, out, threads, held):
         )
 
 
-# Every command takes (config, fixture, out, threads, held). `held` carries
-# the outputs a stage hands to the next within one invocation; a stage loads
-# from `out` whatever it does not find there.
+# Every command takes (config, fixture, out, threads, held). `held` maps
+# PipelineResult field names to stage outputs already computed: `infer
+# --full` fills it from one run_semiauto call, so its four stages only
+# write; a chained stage finds it empty, reloads its inputs from `out` and
+# computes its own outputs.
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "pilot": _cmd_pilot,
@@ -199,7 +205,7 @@ _COMMANDS = {
     "experiment": _cmd_experiment,
     "report": _cmd_report,
 }
-# the chained stages, in the order `infer --full` runs them
+# the chained stages, in the order `infer --full` writes them
 _STAGES = ("simulate", "pilot", "construct", "infer")
 
 
@@ -213,8 +219,9 @@ def main(argv=None) -> int:
         # wherever the run lands
         (out / "config.json").write_text(serialize_config(replace(config, output_dir=None)))
         fixture = build_fixture(config)
-        held: dict = {}
-        for name in _STAGES if getattr(args, "full", False) else (args.command,):
+        full = getattr(args, "full", False)
+        held = vars(run_semiauto(config, fixture, threads=args.threads)) if full else {}
+        for name in _STAGES if full else (args.command,):
             _COMMANDS[name](config, fixture, out, args.threads, held)
     except (ConfigError, ArtifactError) as exc:
         print(f"error: {exc}", file=sys.stderr)
