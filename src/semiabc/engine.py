@@ -5,6 +5,9 @@ from a counter-based (Philox) stream keyed only by the batch seed, a fixed
 purpose tag, and m's fixed-size chunk. Identical (seed, draw index) give
 identical output for any batch size and any worker-thread count; the
 suite asserts byte equality at 1 vs 8 threads.
+
+Thetas are exact inversion draws of the (truncated) prior, one uniform
+matrix per chunk from the stream keyed (seed, 0, chunk, 0).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from .errors import ConfigError, NumericalError
 from .linalg import as_matrix, as_vector
@@ -32,14 +35,10 @@ CHUNK = 4096
 # Stream purpose tags (second element of the SeedSequence key).
 _TAG_PRIOR = 0
 _TAG_SIM = 1
-_TAG_PROBE = 2
 _TAG_RESAMPLE = 5
 
-# simulate_batch probes with this many prior proposals before rejecting
-# against a truncation region; below the rate threshold it gives up.
-PROBE_SIZE = 10_000
-MIN_TRUNCATION_ACCEPT_RATE = 1e-4
-_MAX_REJECTION_ROUNDS = 100_000
+# simulate_batch refuses a truncation box with less prior mass than this.
+MIN_TRUNCATION_MASS = 1e-4
 
 PRIOR_KINDS = ("uniform", "normal", "lognormal")
 
@@ -74,10 +73,6 @@ class TruncationRegion:
     @property
     def dim(self) -> int:
         return self.lo.shape[0]
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        """Boolean mask over the rows of an (n, p) array."""
-        return np.all((points >= self.lo) & (points <= self.hi), axis=1)
 
     def to_dict(self) -> dict:
         return {"lo": self.lo.tolist(), "hi": self.hi.tolist()}
@@ -116,12 +111,14 @@ class MarginalPrior:
             return self.a + self.b * z
         return np.exp(self.a + self.b * z)
 
-    def mean(self) -> float:
+    def cdf(self, x: float) -> float:
+        """Prior CDF at one scalar point, such as a truncation box edge."""
         if self.kind == "uniform":
-            return 0.5 * (self.a + self.b)
+            return min(max((x - self.a) / (self.b - self.a), 0.0), 1.0)
         if self.kind == "normal":
-            return self.a
-        return math.exp(self.a + 0.5 * self.b**2)
+            return float(ndtr((x - self.a) / self.b))
+        # an expanded pilot box can reach below the lognormal support
+        return float(ndtr((math.log(x) - self.a) / self.b)) if x > 0 else 0.0
 
 
 def uniform(lo: float, hi: float) -> MarginalPrior:
@@ -157,11 +154,27 @@ class PriorSpec:
     def dim(self) -> int:
         return len(self.marginals)
 
-    def sample_untruncated(self, u: np.ndarray) -> np.ndarray:
-        """Map an (n, p) uniform matrix through the per-coordinate inverse CDFs."""
+    def _cdf_bounds(self) -> list[tuple[float, float]]:
+        """Per-coordinate prior CDF at the box edges; (0, 1) without a box."""
+        box = self.truncation_box
+        if box is None:
+            return [(0.0, 1.0)] * self.dim
+        return [(m.cdf(lo), m.cdf(hi)) for m, lo, hi in zip(self.marginals, box.lo, box.hi)]
+
+    def mass(self) -> float:
+        """Prior probability of the truncation box (1.0 without a box)."""
+        return math.prod(f_hi - f_lo for f_lo, f_hi in self._cdf_bounds())
+
+    def sample(self, u: np.ndarray) -> np.ndarray:
+        """Map an (n, p) uniform matrix to prior draws by inversion; without
+        a box this is the plain inverse CDF bit for bit (0.0 + u * 1.0 == u)."""
         out = np.empty_like(u)
-        for i, marg in enumerate(self.marginals):
-            out[:, i] = marg.ppf(u[:, i])
+        for i, (marg, (f_lo, f_hi)) in enumerate(zip(self.marginals, self._cdf_bounds())):
+            out[:, i] = marg.ppf(f_lo + u[:, i] * (f_hi - f_lo))
+        box = self.truncation_box
+        if box is not None:
+            # absorb ppf rounding at the edges
+            np.clip(out, box.lo, box.hi, out=out)
         return out
 
     def truncated(self, box: TruncationRegion) -> "PriorSpec":
@@ -280,21 +293,10 @@ class WeightedPosterior:
 
 
 def _sample_thetas_chunk(prior: PriorSpec, seed: int, chunk_index: int) -> np.ndarray:
-    """Draw one full chunk of thetas; rejection against the truncation box."""
-    p = prior.dim
-    box = prior.truncation_box
-    thetas = np.empty((CHUNK, p))
-    unfilled = np.ones(CHUNK, dtype=bool)
-    for round_index in range(_MAX_REJECTION_ROUNDS):
-        rng = _generator(seed, _TAG_PRIOR, chunk_index, round_index)
-        candidates = prior.sample_untruncated(rng.random((CHUNK, p)))
-        ok = box.contains(candidates) if box is not None else np.ones(CHUNK, dtype=bool)
-        take = ok & unfilled
-        thetas[take] = candidates[take]
-        unfilled &= ~take
-        if not unfilled.any():
-            return thetas
-    raise NumericalError("truncation region too small for prior")
+    """Draw one full chunk of thetas from one uniform matrix."""
+    # the key, trailing 0 included, is part of the reproducibility contract
+    rng = _generator(seed, _TAG_PRIOR, chunk_index, 0)
+    return prior.sample(rng.random((CHUNK, prior.dim)))
 
 
 def _simulate_chunk(
@@ -309,20 +311,6 @@ def _simulate_chunk(
             f"expected {(CHUNK, sim.stat_dim)}"
         )
     return thetas[:n_keep], stats[:n_keep]
-
-
-def _probe_truncation(prior: PriorSpec, seed: int) -> None:
-    box = prior.truncation_box
-    if box is None:
-        return
-    rng = _generator(seed, _TAG_PROBE)
-    proposals = prior.sample_untruncated(rng.random((PROBE_SIZE, prior.dim)))
-    rate = float(np.mean(box.contains(proposals)))
-    if rate < MIN_TRUNCATION_ACCEPT_RATE:
-        raise NumericalError(
-            f"truncation region too small for prior "
-            f"(probe acceptance rate {rate:.2e} < {MIN_TRUNCATION_ACCEPT_RATE:.0e})"
-        )
 
 
 def simulate_batch(
@@ -344,7 +332,12 @@ def simulate_batch(
         raise ValueError(
             f"simulator expects {sim.param_dim} parameters, prior has {prior.dim}"
         )
-    _probe_truncation(prior, seed)
+    mass = prior.mass()
+    if mass < MIN_TRUNCATION_MASS:
+        raise NumericalError(
+            f"truncation region too small for prior "
+            f"(prior mass {mass:.2e} < {MIN_TRUNCATION_MASS:.0e})"
+        )
 
     n_chunks = (m + CHUNK - 1) // CHUNK
     thetas = np.empty((m, prior.dim))
@@ -417,7 +410,6 @@ def rejection_abc(
     epsilon: float | None = None,
     fraction: float | None = None,
     scales=None,
-    kernel: str = "uniform",
     provenance: dict | None = None,
 ) -> WeightedPosterior:
     """Keep the draws whose statistics are closest to the observed ones.
@@ -425,8 +417,7 @@ def rejection_abc(
     Exactly one of `epsilon` (absolute distance threshold) or `fraction`
     (keep the ceil(fraction*M) smallest distances, ties broken by draw
     index) must be given. Scales default to compute_scales(batch).
-    kernel="epanechnikov" weights accepted draws by 1 - (d/eps)^2 instead
-    of uniformly; the default stays uniform so exact oracles stay simple.
+    Accepted draws get uniform weights.
     """
     if (epsilon is None) == (fraction is None):
         raise ValueError("give exactly one of epsilon or fraction")
@@ -457,28 +448,20 @@ def rejection_abc(
 
     n = accepted.shape[0]
     realized = float(distances[accepted].max())
-    if kernel == "uniform":
-        weights = np.full(n, 1.0 / n)
-    elif kernel == "epanechnikov":
-        raw = 1.0 - (distances[accepted] / realized) ** 2 if realized > 0 else np.ones(n)
-        total = float(raw.sum())
-        weights = raw / total if total > 0 else np.full(n, 1.0 / n)
-    else:
-        raise ValueError(f"unknown kernel {kernel!r}")
     info = {
         "seed": batch.seed,
         "model": batch.model_name,
         "prior_hash": batch.prior_hash,
         "mode": "fraction" if fraction is not None else "epsilon",
         "requested": fraction if fraction is not None else epsilon,
-        "kernel": kernel,
+        "kernel": "uniform",
         "n_simulated": batch.m,
     }
     if provenance:
         info.update(provenance)
     return WeightedPosterior(
         thetas=batch.thetas[accepted],
-        weights=weights,
+        weights=np.full(n, 1.0 / n),
         epsilon=realized,
         distances=distances[accepted],
         accepted_indices=accepted,

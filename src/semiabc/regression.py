@@ -141,10 +141,6 @@ class LinearFit:
         if self.condition_number < 1.0:
             raise ValueError("condition_number must be >= 1")
 
-    def predict(self, design) -> np.ndarray:
-        x = as_matrix(design, "design")
-        return self.intercept + x @ self.coef.T
-
 
 def _weighted_mean(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (w[:, None] * x).sum(axis=0) / w.sum()

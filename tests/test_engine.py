@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import stats
 
 from semiabc.engine import (
     CHUNK,
@@ -40,6 +41,13 @@ def two_call_simulator(d=3):
     return SimulatorContract(name="two_call", param_dim=1, stat_dim=d, simulate=simulate)
 
 
+def echo_simulator(p):
+    """Statistics are the parameters themselves; consumes no randomness."""
+    return SimulatorContract(
+        name="echo", param_dim=p, stat_dim=p, simulate=lambda thetas, rng: thetas.copy()
+    )
+
+
 def make_batch(thetas, stats, seed=0):
     return SimulationBatch(
         thetas=np.asarray(thetas, dtype=np.float64),
@@ -61,9 +69,6 @@ class TestPriors:
                 (uniform(0.0, 1.0),),
                 truncation_box=TruncationRegion(lo=[0.5], hi=[0.5]),
             )
-
-    def test_lognormal_mean(self):
-        assert lognormal(0.0, 1.0).mean() == pytest.approx(np.exp(0.5))
 
 
 class TestSimulateBatch:
@@ -120,6 +125,49 @@ class TestSimulateBatch:
         prior = PriorSpec((uniform(0.0, 1.0),), truncation_box=box)
         with pytest.raises(NumericalError, match="truncation region too small"):
             simulate_batch(prior, two_call_simulator(), 10, seed=5)
+
+    def test_untruncated_thetas_are_ppf_of_chunk_stream(self):
+        margs = (normal(1.0, 2.0), lognormal(0.0, 0.5))
+        seed, m = 21, CHUNK + 100
+        batch = simulate_batch(PriorSpec(margs), echo_simulator(2), m, seed=seed)
+        expected = []
+        for chunk in range(2):
+            key = np.random.SeedSequence((seed, 0, chunk, 0))
+            u = np.random.Generator(np.random.Philox(key)).random((CHUNK, 2))
+            expected.append(np.column_stack([g.ppf(u[:, i]) for i, g in enumerate(margs)]))
+        np.testing.assert_array_equal(batch.thetas, np.vstack(expected)[:m])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_mass_floor_is_exact(self, seed):
+        prior = PriorSpec((uniform(0.0, 1.0),))
+        below = prior.truncated(TruncationRegion(lo=[0.5], hi=[0.5 + 0.9e-4]))
+        with pytest.raises(NumericalError, match="truncation region too small"):
+            simulate_batch(below, two_call_simulator(), 10, seed=seed)
+        above = prior.truncated(TruncationRegion(lo=[0.5], hi=[0.5 + 1.1e-4]))
+        batch = simulate_batch(above, two_call_simulator(), 10, seed=seed)
+        assert np.all((batch.thetas >= 0.5) & (batch.thetas <= 0.5 + 1.1e-4))
+
+    @pytest.mark.parametrize(
+        "marg, lo, hi, dist",
+        [
+            (normal(0.0, 1.0), -0.5, 1.2, stats.norm()),
+            # upper tail, prior mass 1.1e-3
+            (normal(0.0, 1.0), 3.0, 3.5, stats.norm()),
+            # expanded box reaching below the lognormal support
+            (lognormal(0.0, 1.0), -0.3, 1.5, stats.lognorm(s=1.0)),
+            (uniform(0.0, 1.0), -0.25, 0.4, stats.uniform()),
+        ],
+        ids=["normal_interior", "normal_upper_tail", "lognormal_below_zero", "uniform_past_support"],
+    )
+    def test_truncated_draws_follow_truncated_cdf(self, marg, lo, hi, dist):
+        box = TruncationRegion(lo=[lo], hi=[hi])
+        prior = PriorSpec((marg,), truncation_box=box)
+        x = simulate_batch(prior, echo_simulator(1), 20_000, seed=31).thetas[:, 0]
+        assert np.all((x >= lo) & (x <= hi))
+        # probability-integral transform under the truncated prior, taken
+        # with survival functions so the upper tail keeps its precision
+        pit = (dist.sf(lo) - dist.sf(x)) / (dist.sf(lo) - dist.sf(hi))
+        assert stats.kstest(pit, "uniform").pvalue > 0.01
 
     def test_derive_seed_is_stable(self):
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
@@ -250,18 +298,6 @@ class TestRejection:
         post = rejection_abc(batch, [0.0], fraction=0.75, scales=[1.0])
         np.testing.assert_array_equal(post.accepted_indices, [0, 1, 3])
 
-    def test_epanechnikov_kernel_weights(self):
-        stats = np.array([[0.0], [1.0], [2.0], [5.0]])
-        batch = make_batch(np.zeros((4, 1)), stats)
-        post = rejection_abc(
-            batch, [0.0], fraction=0.75, scales=[1.0], kernel="epanechnikov"
-        )
-        # distances (0,1,2), eps=2: raw weights (1, 0.75, 0) -> (4/7, 3/7, 0)
-        np.testing.assert_allclose(post.weights, [4 / 7, 3 / 7, 0.0])
-        assert post.weights.sum() == pytest.approx(1.0)
-        with pytest.raises(ValueError, match="kernel"):
-            rejection_abc(batch, [0.0], fraction=0.5, scales=[1.0], kernel="boxcar")
-
 
 class TestTruncationFromPilot:
     def make_posterior(self, values):
@@ -293,7 +329,7 @@ class TestTruncationFromPilot:
         rng = np.random.default_rng(7)
         post = self.make_posterior(rng.standard_normal(100))
         region = truncation_from_pilot(post, expand=0.0)
-        assert region.contains(post.thetas).all()
+        assert np.all((region.lo <= post.thetas) & (post.thetas <= region.hi))
 
 
 class TestRegressionAdjust:

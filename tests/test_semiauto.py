@@ -203,7 +203,8 @@ class TestPipeline:
         config = gaussian_config(pilot_accept_fraction=1.0, main_m=5000)
         result = run_semiauto(config)
         # region is then the bounding box of the whole pilot sample
-        assert result.region.contains(result.pilot_batch.thetas).all()
+        thetas, region = result.pilot_batch.thetas, result.region
+        assert np.all((region.lo <= thetas) & (thetas <= region.hi))
         assert result.posterior.n == 50
 
     def test_end_to_end_determinism(self):
