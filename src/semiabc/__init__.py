@@ -39,7 +39,7 @@ from .errors import (
     RankDeficientError,
     SingularMatrixError,
 )
-from .experiment import ExperimentPlan, ExperimentReport, plan_from_config, run_experiment
+from .experiment import ExperimentReport, plan_from_config, run_experiment
 from .linalg import sample_cov, sample_mean, solve_spd
 from .marginal import MarginalEstimate, estimate_marginal, marginal_remap
 from .models import (
@@ -50,14 +50,11 @@ from .models import (
     make_fixture,
 )
 from .regression import BasisSpec, LinearFit, condition_diagnostics, expand_basis, fit_linear
-from .runconfig import RunConfig, TargetSpec, parse_config, parse_config_dict
+from .runconfig import ExperimentConfig, RunConfig, TargetSpec, parse_config, parse_config_dict
 from .semiauto import (
     SummaryProjector,
-    TargetFunctional,
     construct_projector,
-    coordinate_target,
     evaluate_targets,
-    gpd_quantile_target,
     posterior_target_estimates,
     project,
     project_matrix,

@@ -5,8 +5,9 @@ Subcommands: simulate | pilot | construct | infer | marginal | experiment
 output directory and refuses inputs whose config hash differs from the
 current run. `infer --full` computes all four stages with one
 `run_semiauto` call and then writes them through the same four stage
-commands, so both paths write the same bytes. Exit codes: 0 success, 1
-validation error, 2 numerical failure.
+commands, so both paths write the same bytes; with `adjust.marginal` set
+it then runs `marginal` on the joint posterior it holds. Exit codes: 0
+success, 1 validation error, 2 numerical failure.
 `--threads` affects speed only, never any computed value.
 """
 
@@ -19,7 +20,7 @@ from pathlib import Path
 
 from . import artifacts
 from .errors import ArtifactError, ConfigError, NumericalError
-from .experiment import plan_from_config, run_experiment
+from .experiment import run_experiment
 from .marginal import estimate_marginal, marginal_remap
 from .runconfig import RunConfig, parse_config, serialize_config
 from .semiauto import (
@@ -51,7 +52,8 @@ def _build_parser() -> _Parser:
                        help="worker threads (speed only, never changes output)")
         if name == "infer":
             p.add_argument("--full", action="store_true",
-                           help="run simulate, pilot, construct, and infer in one invocation")
+                           help="run simulate, pilot, construct and infer in one invocation, "
+                                "then marginal when adjust.marginal is set")
     return parser
 
 
@@ -127,7 +129,7 @@ def _cmd_infer(config, fixture, out, threads, held):
 
 def _cmd_marginal(config, fixture, out, threads, held):
     h = config.config_hash()
-    joint = artifacts.load_posterior(out, "posterior_main", h)
+    joint = held.get("posterior") or artifacts.load_posterior(out, "posterior_main", h)
     marginals = []
     for i in range(fixture.simulator.param_dim):
         marginal = estimate_marginal(i, config, fixture, threads=threads)
@@ -141,8 +143,7 @@ def _cmd_marginal(config, fixture, out, threads, held):
 def _cmd_experiment(config, fixture, out, threads, held):
     if config.experiment is None:
         raise ConfigError("config has no 'experiment' section")
-    plan = plan_from_config(config.experiment, len(config.targets), config.seed)
-    report = run_experiment(plan, config, fixture, threads=threads)
+    report = run_experiment(config.experiment, config, fixture, threads=threads)
     artifacts.save_experiment_report(out, report, config.config_hash())
     print(
         f"experiment: {len(report.rows)} rows, {len(report.failures)} failures, "
@@ -194,8 +195,9 @@ def _cmd_report(config, fixture, out, threads, held):
 # Every command takes (config, fixture, out, threads, held). `held` maps
 # PipelineResult field names to stage outputs already computed: `infer
 # --full` fills it from one run_semiauto call, so its four stages only
-# write; a chained stage finds it empty, reloads its inputs from `out` and
-# computes its own outputs.
+# write and `marginal` takes the joint posterior from it; a chained stage
+# finds it empty, reloads its inputs from `out` and computes its own
+# outputs.
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "pilot": _cmd_pilot,
@@ -219,9 +221,12 @@ def main(argv=None) -> int:
         # wherever the run lands
         (out / "config.json").write_text(serialize_config(replace(config, output_dir=None)))
         fixture = build_fixture(config)
-        full = getattr(args, "full", False)
-        held = vars(run_semiauto(config, fixture, threads=args.threads)) if full else {}
-        for name in _STAGES if full else (args.command,):
+        targets_from_specs(config.targets, fixture.simulator.param_dim)  # before any stage writes
+        stages, held = (args.command,), {}
+        if getattr(args, "full", False):
+            held = vars(run_semiauto(config, fixture, threads=args.threads))
+            stages = _STAGES + (("marginal",) if config.marginal_adjust else ())
+        for name in stages:
             _COMMANDS[name](config, fixture, out, args.threads, held)
     except (ConfigError, ArtifactError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,7 +9,18 @@ from __future__ import annotations
 
 
 class ConfigError(ValueError):
-    """Invalid configuration: missing/unknown keys, out-of-range values."""
+    """Invalid configuration: missing/unknown keys, out-of-range values.
+
+    `key` is the dotted path of the offending value within the object that
+    raised; `under(prefix)` re-roots it where a parser found that object.
+    """
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(f"{key!r} {message}" if key else message)
+        self.message, self.key = message, key
+
+    def under(self, prefix: str) -> "ConfigError":
+        return ConfigError(self.message, f"{prefix}.{self.key}" if self.key else prefix)
 
 
 class ArtifactError(ValueError):

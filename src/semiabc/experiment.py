@@ -33,42 +33,22 @@ from .semiauto import (
     targets_from_specs,
 )
 
-STRATEGIES = ("joint", "separate")
 
-
-@dataclass(frozen=True)
-class ExperimentPlan:
-    """Strategies, target grouping, and per-replicate seeds."""
-
-    strategies: tuple[str, ...]
-    groups: tuple[tuple[int, ...], ...]
-    replications: int
-    seeds: tuple[int, ...]
-
-    def __post_init__(self):
-        for s in self.strategies:
-            if s not in STRATEGIES:
-                raise ConfigError(f"unknown strategy {s!r}")
-        if self.replications < 1:
-            raise ConfigError("replications must be >= 1")
-        if len(self.seeds) != self.replications:
-            raise ConfigError("need exactly one seed per replicate")
-        flat = sorted(i for g in self.groups for i in g)
-        if flat != list(range(len(flat))):
-            raise ConfigError("groups must partition the target indices exactly")
-        if not self.groups or any(not g for g in self.groups):
-            raise ConfigError("groups must be nonempty")
-
-
-def plan_from_config(exp: ExperimentConfig, n_targets: int, base_seed: int) -> ExperimentPlan:
-    groups = exp.groups if exp.groups is not None else tuple((i,) for i in range(n_targets))
-    seeds = (
-        exp.seeds
-        if exp.seeds is not None
-        else tuple(derive_seed(base_seed, TAG_EXPERIMENT, r) for r in range(exp.replications))
-    )
-    return ExperimentPlan(
-        strategies=exp.strategies, groups=groups, replications=exp.replications, seeds=seeds
+def plan_from_config(exp: ExperimentConfig, n_targets: int, base_seed: int) -> ExperimentConfig:
+    """`exp` with its groups (singletons by default) and per-replicate seeds
+    (derived from `base_seed` by default) filled in for `n_targets` targets."""
+    if exp.groups is not None and sum(map(len, exp.groups)) != n_targets:
+        raise ConfigError(
+            f"must partition the target indices 0..{n_targets - 1}, got "
+            f"{[list(g) for g in exp.groups]!r}",
+            "experiment.groups",
+        )
+    return replace(
+        exp,
+        groups=exp.groups or tuple((i,) for i in range(n_targets)),
+        seeds=exp.seeds or tuple(
+            derive_seed(base_seed, TAG_EXPERIMENT, r) for r in range(exp.replications)
+        ),
     )
 
 
@@ -172,7 +152,8 @@ def _run_one(
     replicate: int,
     seed: int,
     group: tuple[int, ...],
-    batches: dict,
+    batches: dict | None,
+    oracle_values: dict,
 ) -> list[ExperimentRow]:
     group_targets = tuple(config.targets[i] for i in group)
     # The run seed depends only on (replicate seed); a separate-strategy
@@ -180,12 +161,11 @@ def _run_one(
     # target bit for bit.
     sub = replace(config, targets=group_targets, seed=seed, experiment=None)
     result = run_semiauto(sub, fixture, batches=batches)
-    targets = targets_from_specs(group_targets, fixture.simulator.param_dim)
     adjustment = result.posterior.provenance.get("adjustment")
-    label = "+".join(t.label() for t in group_targets)
+    label = "+".join(t.name for t in group_targets)
     rows = []
-    for target in targets:
-        oracle_value = float(fixture.oracle.target_mean(target))
+    for target in group_targets:
+        oracle_value = oracle_values[target.name]
         estimate = result.estimates[target.name]["estimate"]
         rows.append(
             ExperimentRow(
@@ -211,13 +191,19 @@ def _run_one(
 
 
 def run_experiment(
-    plan: ExperimentPlan,
+    plan: ExperimentConfig,
     config: RunConfig,
     fixture: ModelFixture | None = None,
     *,
     threads: int = 1,
 ) -> ExperimentReport:
     """Execute every (strategy, replicate, group) cell of the plan.
+
+    `plan` is filled in by `plan_from_config` for the config's targets.
+    The oracle value of each target is computed once, before any cell
+    runs; a target the fixture's oracle cannot evaluate, and
+    `adjust.marginal`, which the cells would not apply, are refused with a
+    ConfigError.
 
     Replicates are independent deterministic units keyed by their seed,
     run one after another: a replicate's target-free stage batches are
@@ -228,6 +214,19 @@ def run_experiment(
     exception is a bug and propagates.
     """
     fixture = fixture if fixture is not None else build_fixture(config)
+    plan = plan_from_config(plan, len(config.targets), config.seed)
+    if config.marginal_adjust:
+        raise ConfigError(
+            "is not supported by experiment, whose rows score the joint posterior",
+            "adjust.marginal",
+        )
+    targets = targets_from_specs(config.targets, fixture.simulator.param_dim)
+    oracle_values = {}
+    for i, target in enumerate(targets):
+        try:
+            oracle_values[target.name] = float(fixture.oracle.target_mean(target))
+        except NotImplementedError as exc:
+            raise ConfigError(f"has no oracle value to score against: {exc}", f"targets[{i}]")
     all_indices = tuple(range(len(config.targets)))
     cells = []
     for strategy in plan.strategies:
@@ -238,9 +237,12 @@ def run_experiment(
 
     def run_cell(cell, batches):
         strategy, replicate, seed, group = cell
-        label = "+".join(config.targets[i].label() for i in group)
+        label = "+".join(config.targets[i].name for i in group)
         try:
-            return _run_one(config, fixture, strategy, replicate, seed, group, batches), None
+            rows = _run_one(
+                config, fixture, strategy, replicate, seed, group, batches, oracle_values
+            )
+            return rows, None
         except (NumericalError, ValueError) as exc:  # recorded, not fatal
             return [], ExperimentFailure(
                 strategy=strategy,

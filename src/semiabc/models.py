@@ -63,13 +63,6 @@ def gpd_logpdf(x, sigma, xi):
     return np.where(inside, out, -np.inf)
 
 
-def gpd_mean(sigma: float, xi: float) -> float:
-    """Mean sigma/(1-xi), defined for xi < 1."""
-    if xi >= 1.0:
-        raise ValueError("GPD mean requires xi < 1")
-    return sigma / (1.0 - xi)
-
-
 @dataclass(frozen=True)
 class ModelFixture:
     """A named simulator, its prior, observed statistics, and an oracle."""
@@ -81,6 +74,15 @@ class ModelFixture:
     s_obs: np.ndarray
     oracle: object
     params: dict = field(default_factory=dict, compare=False)
+
+
+def _raw_coordinate(target, oracle: str) -> int:
+    """The index of a raw coordinate target, the only kind with a closed form."""
+    if target.kind != "coordinate" or target.transform != "raw":
+        raise NotImplementedError(
+            f"the {oracle} oracle evaluates raw coordinate targets only, not {target.name!r}"
+        )
+    return target.index
 
 
 class ConjugateNormalOracle:
@@ -96,23 +98,12 @@ class ConjugateNormalOracle:
         return self.post_mean
 
     def target_mean(self, target) -> float:
-        if target.kind == "coordinate":
-            return self.coordinate_mean(target.coordinate)
-        # Gauss-Hermite quadrature handles arbitrary smooth functionals.
-        nodes, weights = np.polynomial.hermite_e.hermegauss(101)
-        thetas = (self.post_mean + self.post_sd * nodes).reshape(-1, 1)
-        values = target.fn(thetas)
-        return float((weights @ values) / math.sqrt(2.0 * math.pi))
+        return self.coordinate_mean(_raw_coordinate(target, "conjugate normal"))
 
     def marginal_cdf(self, i: int, x) -> np.ndarray:
         if i != 0:
             raise IndexError("Gaussian location model has a single parameter")
         return ndtr((np.asarray(x, dtype=np.float64) - self.post_mean) / self.post_sd)
-
-    def marginal_quantile(self, i: int, q) -> np.ndarray:
-        if i != 0:
-            raise IndexError("Gaussian location model has a single parameter")
-        return self.post_mean + self.post_sd * ndtri(np.asarray(q, dtype=np.float64))
 
 
 class LinearGaussianOracle:
@@ -126,11 +117,7 @@ class LinearGaussianOracle:
         return float(self.mean[i])
 
     def target_mean(self, target) -> float:
-        if target.kind != "coordinate":
-            raise NotImplementedError(
-                "linear-Gaussian oracle evaluates coordinate targets only"
-            )
-        return self.coordinate_mean(target.coordinate)
+        return self.coordinate_mean(_raw_coordinate(target, "linear-Gaussian"))
 
     def marginal_cdf(self, i: int, x) -> np.ndarray:
         sd = math.sqrt(float(self.cov[i, i]))
@@ -177,7 +164,10 @@ class GpdGridOracle:
         return np.column_stack([ss.ravel(), xx.ravel()])
 
     def target_mean(self, target) -> float:
-        values = target.fn(self.grid_points())
+        with np.errstate(invalid="ignore", divide="ignore"):
+            values = target.fn(self.grid_points())
+        if not np.all(np.isfinite(values)):  # such as log xi where xi <= 0
+            raise NotImplementedError(f"{target.name!r} is not finite on the whole grid")
         return float(self.weights.ravel() @ values)
 
     def coordinate_mean(self, i: int) -> float:
@@ -374,16 +364,14 @@ def gpd_fixture(
     sigma_true: float = 1.0,
     xi_true: float = 0.2,
     n_exceedances: int = 100,
-    tau_grid=(0.9,),
     obs_seed: int = 20260101,
     grid_shape=(200, 200),
 ) -> ModelFixture:
     """Generalized Pareto exceedance model with a grid-posterior oracle.
 
     Simulates n exceedances by inverse CDF, reports the fixed quantile
-    ladder plus mean and sd (13 statistics). Targets of interest are the
-    posterior means of the distribution quantiles at `tau_grid`. Prior:
-    sigma ~ lognormal(0,1), xi ~ uniform(-0.4, 0.9).
+    ladder plus mean and sd (13 statistics). Prior: sigma ~ lognormal(0,1),
+    xi ~ uniform(-0.4, 0.9).
     """
     if sigma_true <= 0:
         raise ConfigError("sigma_true must be positive")
@@ -391,9 +379,6 @@ def gpd_fixture(
         raise ConfigError("xi_true must exceed -0.5")
     if n_exceedances < 3:
         raise ConfigError("need at least 3 exceedances for the statistic ladder")
-    taus = tuple(float(t) for t in tau_grid)
-    if any(not 0.0 < t < 1.0 for t in taus):
-        raise ConfigError("tau values must lie in (0, 1)")
 
     def simulate(thetas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         u = rng.random((thetas.shape[0], n_exceedances))
@@ -421,7 +406,7 @@ def gpd_fixture(
         oracle=oracle,
         params={
             "sigma_true": sigma_true, "xi_true": xi_true,
-            "n_exceedances": n_exceedances, "tau_grid": list(taus),
+            "n_exceedances": n_exceedances,
             "obs_seed": int(obs_seed), "grid_shape": list(grid_shape),
         },
     )
@@ -460,8 +445,14 @@ def apply_prior_overrides(fixture: ModelFixture, overrides: dict) -> ModelFixtur
     for key, spec in overrides.items():
         i = int(key)
         if not 0 <= i < len(margs):
-            raise ConfigError(f"prior override coordinate {i} out of range")
-        margs[i] = MarginalPrior(spec["kind"], float(spec["a"]), float(spec["b"]))
+            raise ConfigError(
+                f"coordinate {i} is out of range for {len(margs)} parameters",
+                f"prior_overrides.{key}",
+            )
+        try:
+            margs[i] = MarginalPrior(spec["kind"], float(spec["a"]), float(spec["b"]))
+        except ConfigError as exc:
+            raise exc.under(f"prior_overrides.{key}") from None
     new_prior = PriorSpec(tuple(margs), truncation_box=fixture.prior.truncation_box)
     return ModelFixture(
         name=fixture.name,

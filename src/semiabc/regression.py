@@ -46,18 +46,29 @@ class BasisSpec:
 
     def __post_init__(self):
         if self.kind not in BASIS_KINDS:
-            raise ConfigError(f"unknown basis kind {self.kind!r}")
-        if self.kind == "polynomial":
-            if self.degree is None or self.degree < 1:
-                raise ConfigError("polynomial basis requires degree >= 1")
-        if self.kind == "powers":
-            if not self.exponents:
-                raise ConfigError("powers basis requires a nonempty exponent list")
-            for exps in self.exponents:
-                if any(e < 0 for e in exps):
-                    raise ConfigError("power exponents must be nonnegative")
-        if self.kind == "custom" and not self.name:
-            raise ConfigError("custom basis requires a registered name")
+            raise ConfigError(f"must be one of {BASIS_KINDS}, got {self.kind!r}", "kind")
+        if (self.kind == "polynomial" or self.degree is not None) and not (
+            _is_int(self.degree) and self.degree >= 1
+        ):
+            raise ConfigError(f"must be an integer >= 1, got {self.degree!r}", "degree")
+        if (self.kind == "powers" or self.exponents is not None) and not (
+            self.exponents
+            and all(isinstance(e, tuple) and all(_is_int(k) and k >= 0 for k in e)
+                    for e in self.exponents)
+        ):
+            raise ConfigError(f"must list nonnegative integer vectors, got {self.exponents!r}",
+                              "exponents")
+        if (self.kind == "custom" or self.name is not None) and not (
+            isinstance(self.name, str) and self.name
+        ):
+            raise ConfigError(f"must name a registered custom basis, got {self.name!r}", "name")
+        if not isinstance(self.include_intercept, bool):
+            raise ConfigError(f"must be a boolean, got {self.include_intercept!r}",
+                              "include_intercept")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def monomial_exponents(d: int, degree: int) -> list[tuple[int, ...]]:

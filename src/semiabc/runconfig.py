@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError
-from .regression import BasisSpec
+from .models import gpd_quantile
+from .regression import BasisSpec, _is_int
 
 PILOT_DEFAULTS = {"m": 10_000, "accept_fraction": 0.05, "statistics": "raw", "expand": 0.0}
 MAIN_DEFAULTS = {"m": 100_000, "accept_fraction": 0.01}
@@ -28,51 +31,98 @@ _TOP_KEYS = {
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """Declarative description of a target functional (config-level)."""
+    """One target functional of the parameter vector: config form, name and values.
 
-    kind: str  # coordinate | gpd_quantile | custom
+    kind "coordinate" is theta_index (transform "raw") or log theta_index
+    (transform "log"); kind "gpd_quantile" is the GPD quantile at level
+    tau of (sigma, xi) = (theta_0, theta_1). `name` defaults to
+    theta_i, log_theta_i or gpd_q{tau:g}; once constructed it always
+    holds the resolved name.
+    """
+
+    kind: str
     index: int | None = None
     tau: float | None = None
-    transform: str = "raw"  # raw | log, coordinate targets only
+    transform: str = "raw"
     name: str | None = None
 
-    def label(self) -> str:
-        if self.name:
-            return self.name
+    def __post_init__(self):
         if self.kind == "coordinate":
-            prefix = "log_theta" if self.transform == "log" else "theta"
-            return f"{prefix}_{self.index}"
+            if not _is_int(self.index) or self.index < 0:
+                raise ConfigError(f"must be a nonnegative integer, got {self.index!r}", "index")
+            if self.transform not in ("raw", "log"):
+                raise ConfigError(f"must be 'raw' or 'log', got {self.transform!r}", "transform")
+            stray = "tau" if self.tau is not None else None
+        elif self.kind == "gpd_quantile":
+            if not _is_number(self.tau) or not 0.0 < self.tau < 1.0:
+                raise ConfigError(f"must lie strictly in (0, 1), got {self.tau!r}", "tau")
+            object.__setattr__(self, "tau", float(self.tau))
+            stray = "index" if self.index is not None else None
+            stray = "transform" if self.transform != "raw" else stray
+        else:
+            raise ConfigError(f"must be 'coordinate' or 'gpd_quantile', got {self.kind!r}", "kind")
+        if stray:
+            raise ConfigError(f"does not apply to {self.kind} targets", stray)
+        if self.name is None:
+            object.__setattr__(self, "name", self._default_name())
+        elif not isinstance(self.name, str) or not self.name:
+            raise ConfigError(f"must be a nonempty string, got {self.name!r}", "name")
+
+    def _default_name(self) -> str:
         if self.kind == "gpd_quantile":
             return f"gpd_q{self.tau:g}"
-        return "custom"
+        return f"{'log_theta' if self.transform == 'log' else 'theta'}_{self.index}"
+
+    def fn(self, thetas: np.ndarray) -> np.ndarray:
+        """The functional at each row of an (M, p) parameter matrix."""
+        if self.kind == "gpd_quantile":
+            return gpd_quantile(self.tau, thetas[:, 0], thetas[:, 1])
+        column = thetas[:, self.index]
+        return np.log(column) if self.transform == "log" else column
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        if self.index is not None:
-            d["index"] = self.index
-        if self.tau is not None:
-            d["tau"] = self.tau
-        if self.transform != "raw":
-            d["transform"] = self.transform
-        if self.name is not None:
-            d["name"] = self.name
+        d = _changed_fields(self)
+        if d["name"] == self._default_name():
+            del d["name"]
         return d
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The study plan: strategies, target grouping, replications, seeds.
+
+    `groups` None means one singleton group per target and `seeds` None
+    means seeds derived from the run seed; `experiment.plan_from_config`
+    fills both in for a given target count.
+    """
+
     strategies: tuple[str, ...] = ("joint",)
-    groups: tuple[tuple[int, ...], ...] | None = None  # None -> singletons
+    groups: tuple[tuple[int, ...], ...] | None = None
     replications: int = 20
-    seeds: tuple[int, ...] | None = None  # None -> derived from config seed
+    seeds: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        groups, seeds = self.groups, self.seeds
+        flat = [i for g in groups or () if isinstance(g, tuple) for i in g]
+        for key, ok, rule in (
+            ("strategies",
+             self.strategies and all(s in ("joint", "separate") for s in self.strategies),
+             "must list 'joint' and/or 'separate'"),
+            ("replications", _is_int(self.replications) and self.replications >= 1,
+             "must be a positive integer"),
+            ("groups", groups is None or (
+                groups and all(isinstance(g, tuple) and g for g in groups)
+                and all(map(_is_int, flat)) and sorted(flat) == list(range(len(flat)))),
+             "must partition the target indices 0..k-1 into nonempty lists"),
+            ("seeds", seeds is None or (len(seeds) == self.replications
+                                        and all(_is_int(v) and v >= 0 for v in seeds)),
+             "must list one nonnegative integer seed per replicate"),
+        ):
+            if not ok:
+                raise ConfigError(f"{rule}, got {getattr(self, key)!r}", key)
 
     def to_dict(self) -> dict:
-        d: dict = {"strategies": list(self.strategies), "replications": self.replications}
-        if self.groups is not None:
-            d["groups"] = [list(g) for g in self.groups]
-        if self.seeds is not None:
-            d["seeds"] = list(self.seeds)
-        return d
+        return _changed_fields(self, "strategies", "replications")
 
 
 @dataclass(frozen=True)
@@ -114,7 +164,7 @@ class RunConfig:
             },
             "construct": {"m": self.effective_construct_m},
             "main": {"m": self.main_m, "accept_fraction": self.main_accept_fraction},
-            "basis": _basis_to_dict(self.basis),
+            "basis": _changed_fields(self.basis, "kind"),
             "ridge_lambda": self.ridge_lambda,
             "targets": [t.to_dict() for t in self.targets],
             "adjust": {"regression": self.regression_adjust, "marginal": self.marginal_adjust},
@@ -135,17 +185,14 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _basis_to_dict(basis: BasisSpec) -> dict:
-    d: dict = {"kind": basis.kind}
-    if basis.degree is not None:
-        d["degree"] = basis.degree
-    if basis.exponents is not None:
-        d["exponents"] = [list(e) for e in basis.exponents]
-    if basis.name is not None:
-        d["name"] = basis.name
-    if not basis.include_intercept:
-        d["include_intercept"] = False
-    return d
+def _changed_fields(obj, *always: str) -> dict:
+    """The fields of a config dataclass that differ from their defaults
+    (a field without a default always differs), plus those in `always`."""
+    return {
+        f.name: getattr(obj, f.name)
+        for f in fields(obj)
+        if f.name in always or getattr(obj, f.name) != f.default
+    }
 
 
 def _require(data: dict, key: str, path: str):
@@ -166,102 +213,57 @@ def _check_keys(data: dict, allowed: set[str], path: str):
             raise ConfigError(f"unknown key {_join(path, key)!r}")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_count(value, path: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ConfigError(f"{path!r} must be a positive integer, got {value!r}")
+    if not _is_int(value) or value < 1:
+        raise ConfigError(f"must be a positive integer, got {value!r}", path)
     return value
 
 
+def _as_number(value, path: str) -> float:
+    if not _is_number(value):
+        raise ConfigError(f"must be a number, got {value!r}", path)
+    return float(value)
+
+
 def _as_fraction(value, path: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{path!r} must be a number")
-    v = float(value)
+    v = _as_number(value, path)
     if not 0.0 < v <= 1.0:
-        raise ConfigError(f"{path!r} must lie in (0, 1], got {value!r}")
+        raise ConfigError(f"must lie in (0, 1], got {value!r}", path)
     return v
 
 
 def _as_nonneg(value, path: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{path!r} must be a number")
-    v = float(value)
+    v = _as_number(value, path)
     if v < 0:
-        raise ConfigError(f"{path!r} must be >= 0, got {value!r}")
+        raise ConfigError(f"must be >= 0, got {value!r}", path)
     return v
 
 
-def _parse_basis(data: dict, path: str) -> BasisSpec:
-    _check_keys(data, {"kind", "degree", "exponents", "name", "include_intercept"}, path)
-    kind = data.get("kind", "identity")
+def _as_tuple(value, path: str) -> tuple | None:
+    """A JSON list as a tuple and a list of lists as a tuple of tuples."""
+    if value is None:
+        return None
+    if not isinstance(value, list):
+        raise ConfigError(f"must be a list, got {value!r}", path)
+    return tuple(tuple(v) if isinstance(v, list) else v for v in value)
+
+
+def _parse_typed(cls, data: dict, path: str, lists: tuple[str, ...] = ()):
+    """A typed config object from its JSON object. Keys, and the JSON lists
+    named in `lists`, are checked here; `cls` checks its own values, and
+    its errors get the object's dotted path in front."""
+    _check_keys(data, {f.name for f in fields(cls)}, path)
+    for f in fields(cls):
+        if f.default is MISSING:
+            _require(data, f.name, path)
     try:
-        return BasisSpec(
-            kind=kind,
-            degree=data.get("degree"),
-            exponents=(
-                tuple(tuple(int(e) for e in row) for row in data["exponents"])
-                if "exponents" in data
-                else None
-            ),
-            name=data.get("name"),
-            include_intercept=bool(data.get("include_intercept", True)),
-        )
+        return cls(**{k: _as_tuple(v, k) if k in lists else v for k, v in data.items()})
     except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
-def _parse_target(data: dict, path: str) -> TargetSpec:
-    _check_keys(data, {"kind", "index", "tau", "transform", "name"}, path)
-    kind = _require(data, "kind", path)
-    if kind == "coordinate":
-        index = _require(data, "index", path)
-        if not isinstance(index, int) or isinstance(index, bool) or index < 0:
-            raise ConfigError(f"{_join(path, 'index')!r} must be a nonnegative integer")
-        transform = data.get("transform", "raw")
-        if transform not in ("raw", "log"):
-            raise ConfigError(f"{_join(path, 'transform')!r} must be 'raw' or 'log'")
-        return TargetSpec(kind=kind, index=index, transform=transform, name=data.get("name"))
-    if kind == "gpd_quantile":
-        tau = _require(data, "tau", path)
-        tau = _as_fraction(tau, _join(path, "tau"))
-        if tau == 1.0:
-            raise ConfigError(f"{_join(path, 'tau')!r} must lie strictly in (0, 1)")
-        return TargetSpec(kind=kind, tau=tau, name=data.get("name"))
-    raise ConfigError(f"{_join(path, 'kind')!r} must be 'coordinate' or 'gpd_quantile', got {kind!r}")
-
-
-def _parse_experiment(data: dict, n_targets: int, path: str) -> ExperimentConfig:
-    _check_keys(data, {"strategies", "groups", "replications", "seeds"}, path)
-    strategies = tuple(data.get("strategies", ["joint"]))
-    for s in strategies:
-        if s not in ("joint", "separate"):
-            raise ConfigError(f"{_join(path, 'strategies')!r} entries must be 'joint' or 'separate'")
-    if not strategies:
-        raise ConfigError(f"{_join(path, 'strategies')!r} must be nonempty")
-    groups = None
-    if "groups" in data:
-        raw_groups = data["groups"]
-        if not isinstance(raw_groups, list) or not all(isinstance(g, list) for g in raw_groups):
-            raise ConfigError(f"{_join(path, 'groups')!r} must be a list of lists")
-        groups = tuple(tuple(int(i) for i in g) for g in raw_groups)
-        seen = [i for g in groups for i in g]
-        if sorted(seen) != list(range(n_targets)):
-            raise ConfigError(
-                f"{_join(path, 'groups')!r} must partition the target indices 0..{n_targets - 1}"
-            )
-    replications = _as_count(data.get("replications", 20), _join(path, "replications"))
-    seeds = None
-    if "seeds" in data:
-        raw_seeds = data["seeds"]
-        if not isinstance(raw_seeds, list) or len(raw_seeds) != replications:
-            raise ConfigError(
-                f"{_join(path, 'seeds')!r} must list exactly {replications} seeds"
-            )
-        seeds = tuple(int(s) for s in raw_seeds)
-        if any(s < 0 for s in seeds):
-            raise ConfigError(f"{_join(path, 'seeds')!r} must be nonnegative")
-    return ExperimentConfig(
-        strategies=strategies, groups=groups, replications=replications, seeds=seeds
-    )
+        raise exc.under(path) from None
 
 
 def parse_config_dict(data: dict) -> RunConfig:
@@ -278,7 +280,7 @@ def parse_config_dict(data: dict) -> RunConfig:
         raise ConfigError("'model.params' must be an object")
 
     seed = _require(data, "seed", "")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ConfigError(f"'seed' must be a nonnegative integer, got {seed!r}")
 
     pilot = dict(PILOT_DEFAULTS)
@@ -304,15 +306,13 @@ def parse_config_dict(data: dict) -> RunConfig:
     main_m = _as_count(main["m"], "main.m")
     main_fraction = _as_fraction(main["accept_fraction"], "main.accept_fraction")
 
-    basis = _parse_basis(data.get("basis", {"kind": "identity"}), "basis")
+    basis = _parse_typed(BasisSpec, data.get("basis", {}), "basis", ("exponents",))
     ridge = _as_nonneg(data.get("ridge_lambda", 0.0), "ridge_lambda")
 
     raw_targets = _require(data, "targets", "")
     if not isinstance(raw_targets, list) or not raw_targets:
         raise ConfigError("'targets' must be a nonempty list")
-    targets = tuple(
-        _parse_target(t, f"targets[{i}]") for i, t in enumerate(raw_targets)
-    )
+    targets = tuple(_parse_typed(TargetSpec, t, f"targets[{i}]") for i, t in enumerate(raw_targets))
 
     adjust = {"regression": False, "marginal": False}
     if "adjust" in data:
@@ -328,7 +328,8 @@ def parse_config_dict(data: dict) -> RunConfig:
         if not isinstance(raw, dict):
             raise ConfigError("'prior_overrides' must be an object keyed by coordinate")
         for key, spec in raw.items():
-            _check_keys(spec, {"kind", "a", "b"}, f"prior_overrides.{key}")
+            where = f"prior_overrides.{key}"
+            _check_keys(spec, {"kind", "a", "b"}, where)
             try:
                 coord = int(key)
             except ValueError:
@@ -336,14 +337,15 @@ def parse_config_dict(data: dict) -> RunConfig:
                     f"'prior_overrides' key {key!r} is not a coordinate index"
                 ) from None
             prior_overrides[coord] = {
-                "kind": _require(spec, "kind", f"prior_overrides.{key}"),
-                "a": float(_require(spec, "a", f"prior_overrides.{key}")),
-                "b": float(_require(spec, "b", f"prior_overrides.{key}")),
+                "kind": _require(spec, "kind", where),
+                **{k: _as_number(_require(spec, k, where), f"{where}.{k}") for k in ("a", "b")},
             }
 
     experiment = None
     if "experiment" in data:
-        experiment = _parse_experiment(data["experiment"], len(targets), "experiment")
+        experiment = _parse_typed(
+            ExperimentConfig, data["experiment"], "experiment", ("strategies", "groups", "seeds")
+        )
 
     output_dir = data.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):

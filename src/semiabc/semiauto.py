@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .engine import (
 )
 from .errors import ConfigError, NumericalError
 from .linalg import as_matrix, as_vector
-from .models import ModelFixture, apply_prior_overrides, gpd_quantile, make_fixture
+from .models import ModelFixture, apply_prior_overrides, make_fixture
 from .regression import BasisSpec, expand_basis, expand_design, fit_linear
 from .runconfig import RunConfig, TargetSpec
 
@@ -42,72 +41,32 @@ TAG_MAIN = 3
 TAG_MARGINAL = 4
 TAG_EXPERIMENT = 6
 
-TARGET_KINDS = ("coordinate", "gpd_quantile", "custom")
 
+def targets_from_specs(specs: tuple[TargetSpec, ...], param_dim: int) -> tuple[TargetSpec, ...]:
+    """The target specs of a run, once each fits a model with `param_dim`
+    parameters and no two share a name; errors name `targets[i]`.
 
-@dataclass(frozen=True)
-class TargetFunctional:
-    """A named scalar function of the parameter vector.
-
-    `fn` is vectorized: it maps an (M, p) parameter matrix to the (M,)
-    vector of functional values.
+    `run_semiauto`, `run_experiment` and the CLI check a run's targets
+    with it once; the stage functions take `config.targets` as checked.
     """
-
-    name: str
-    kind: str
-    fn: Callable[[np.ndarray], np.ndarray]
-    coordinate: int | None = None
-    tau: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in TARGET_KINDS:
-            raise ConfigError(f"unknown target kind {self.kind!r}")
-
-
-def coordinate_target(index: int, transform: str = "raw", name: str | None = None) -> TargetFunctional:
-    """Posterior mean of theta_index (or of log theta_index)."""
-    if transform not in ("raw", "log"):
-        raise ConfigError("transform must be 'raw' or 'log'")
-    if transform == "log":
-        fn = lambda thetas: np.log(thetas[:, index])  # noqa: E731
-        default = f"log_theta_{index}"
-    else:
-        fn = lambda thetas: thetas[:, index]  # noqa: E731
-        default = f"theta_{index}"
-    return TargetFunctional(
-        name=name or default, kind="coordinate", fn=fn, coordinate=index
-    )
-
-
-def gpd_quantile_target(tau: float, name: str | None = None) -> TargetFunctional:
-    """The GPD distribution quantile at level tau as a function of (sigma, xi)."""
-    if not 0.0 < tau < 1.0:
-        raise ConfigError("tau must lie in (0, 1)")
-    fn = lambda thetas: gpd_quantile(tau, thetas[:, 0], thetas[:, 1])  # noqa: E731
-    return TargetFunctional(name=name or f"gpd_q{tau:g}", kind="gpd_quantile", fn=fn, tau=tau)
-
-
-def custom_target(name: str, fn: Callable[[np.ndarray], np.ndarray]) -> TargetFunctional:
-    return TargetFunctional(name=name, kind="custom", fn=fn)
-
-
-def targets_from_specs(specs: tuple[TargetSpec, ...], param_dim: int) -> tuple[TargetFunctional, ...]:
-    out = []
-    for spec in specs:
-        if spec.kind == "coordinate":
-            if spec.index >= param_dim:
-                raise ConfigError(
-                    f"target coordinate {spec.index} out of range for {param_dim} parameters"
-                )
-            out.append(coordinate_target(spec.index, spec.transform, spec.name))
-        elif spec.kind == "gpd_quantile":
-            out.append(gpd_quantile_target(spec.tau, spec.name))
-        else:
-            raise ConfigError(f"cannot build target of kind {spec.kind!r} from config")
-    names = [t.name for t in out]
-    if len(set(names)) != len(names):
-        raise ConfigError(f"duplicate target names: {names}")
-    return tuple(out)
+    for i, spec in enumerate(specs):
+        if spec.kind == "gpd_quantile" and param_dim != 2:
+            raise ConfigError(
+                f"needs the two GPD parameters (sigma, xi); the model has {param_dim}",
+                f"targets[{i}]",
+            )
+        if spec.kind == "coordinate" and spec.index >= param_dim:
+            raise ConfigError(
+                f"{spec.index} is out of range for a model with {param_dim} parameters",
+                f"targets[{i}].index",
+            )
+    names = [spec.name for spec in specs]
+    for i, name in enumerate(names):
+        if names.index(name) != i:
+            raise ConfigError(
+                f"repeats the name {name!r} of targets[{names.index(name)}]", f"targets[{i}].name"
+            )
+    return tuple(specs)
 
 
 def evaluate_targets(thetas, targets) -> np.ndarray:
@@ -118,12 +77,7 @@ def evaluate_targets(thetas, targets) -> np.ndarray:
     out = np.empty((t.shape[0], len(targets)))
     for j, target in enumerate(targets):
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            values = np.asarray(target.fn(t), dtype=np.float64)
-        if values.shape != (t.shape[0],):
-            raise ValueError(
-                f"target {target.name!r} returned shape {values.shape}, "
-                f"expected ({t.shape[0]},)"
-            )
+            values = target.fn(t)
         if not np.all(np.isfinite(values)):
             raise NumericalError(f"target {target.name!r} evaluated non-finite")
         out[:, j] = values
@@ -156,17 +110,7 @@ class SummaryProjector:
 
     def to_dict(self) -> dict:
         d = {
-            "basis": {
-                "kind": self.basis.kind,
-                "degree": self.basis.degree,
-                "exponents": (
-                    [list(e) for e in self.basis.exponents]
-                    if self.basis.exponents is not None
-                    else None
-                ),
-                "name": self.basis.name,
-                "include_intercept": self.basis.include_intercept,
-            },
+            "basis": asdict(self.basis),
             "intercept": self.intercept.tolist(),
             "coef": self.coef.tolist(),
             "target_names": list(self.target_names),
@@ -180,21 +124,12 @@ class SummaryProjector:
 
     @staticmethod
     def from_dict(data: dict) -> "SummaryProjector":
-        b = data["basis"]
-        basis = BasisSpec(
-            kind=b["kind"],
-            degree=b.get("degree"),
-            exponents=(
-                tuple(tuple(int(x) for x in e) for e in b["exponents"])
-                if b.get("exponents") is not None
-                else None
-            ),
-            name=b.get("name"),
-            include_intercept=b.get("include_intercept", True),
-        )
+        b = dict(data["basis"])
+        if b.get("exponents") is not None:
+            b["exponents"] = tuple(map(tuple, b["exponents"]))
         region = data.get("region")
         return SummaryProjector(
-            basis=basis,
+            basis=BasisSpec(**b),
             intercept=np.asarray(data["intercept"], dtype=np.float64),
             coef=np.asarray(data["coef"], dtype=np.float64),
             target_names=tuple(data["target_names"]),
@@ -281,7 +216,10 @@ class PipelineResult:
 
 
 def build_fixture(config: RunConfig) -> ModelFixture:
-    fixture = make_fixture(config.model, config.model_params)
+    try:
+        fixture = make_fixture(config.model, config.model_params)
+    except ConfigError as exc:
+        raise exc.under("model") from None
     if config.prior_overrides:
         fixture = apply_prior_overrides(fixture, config.prior_overrides)
     return fixture
@@ -349,11 +287,10 @@ def stage_pilot(
     config: RunConfig, fixture: ModelFixture, pilot_batch: SimulationBatch
 ) -> tuple[WeightedPosterior, TruncationRegion]:
     """Rejection on the pilot batch, then the truncation box of its draws."""
-    targets = targets_from_specs(config.targets, fixture.simulator.param_dim)
     if config.pilot_statistics == "projected":
         # Preliminary projector fitted on the pilot batch itself (there is
         # no restricted region yet at this stage).
-        prelim = construct_projector(pilot_batch, targets, config.basis, config.ridge_lambda)
+        prelim = construct_projector(pilot_batch, config.targets, config.basis, config.ridge_lambda)
         batch = _projected_batch(pilot_batch, prelim)
         s_obs = project(prelim, fixture.s_obs)
     else:
@@ -378,9 +315,8 @@ def stage_construct(
     batches: dict | None = None,
 ) -> tuple[SimulationBatch, SummaryProjector]:
     """Fresh truncated batch (never reusing pilot draws) and the projector."""
-    targets = targets_from_specs(config.targets, fixture.simulator.param_dim)
     batch = _stage_batch(config, fixture, TAG_CONSTRUCT, region, threads, batches)
-    projector = construct_projector(batch, targets, config.basis, config.ridge_lambda)
+    projector = construct_projector(batch, config.targets, config.basis, config.ridge_lambda)
     return batch, projector
 
 

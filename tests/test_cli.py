@@ -43,6 +43,20 @@ class TestStageEquivalence:
 
         assert tree_bytes(chained) == tree_bytes(full)
 
+    def test_marginal_knob_makes_full_match_the_chain_through_marginal(self, tmp_path):
+        config = write_config(
+            tmp_path,
+            main={"m": 2000, "accept_fraction": 0.05},
+            adjust={"regression": True, "marginal": True},
+        )
+        chained = tmp_path / "chained"
+        full = tmp_path / "full"
+        for command in ("simulate", "pilot", "construct", "infer", "marginal"):
+            assert main([command, "--config", str(config), "--out", str(chained)]) == 0
+        assert main(["infer", "--full", "--config", str(config), "--out", str(full)]) == 0
+        assert (full / "posterior_marginal.json").exists()
+        assert tree_bytes(chained) == tree_bytes(full)
+
     def test_rerun_is_byte_identical_across_threads(self, tmp_path):
         config = write_config(tmp_path)
         one = tmp_path / "one"
@@ -73,6 +87,22 @@ class TestReport:
         capsys.readouterr()
         assert main(["report", "--config", str(config), "--out", str(out)]) == 0
         assert "posterior_marginal" in capsys.readouterr().out
+
+
+    def test_oracle_without_closed_form_prints_a_dash(self, tmp_path, capsys):
+        # with xbar_obs 5 the pilot box, and so every draw the log target
+        # is evaluated on, lies above zero
+        config = write_config(
+            tmp_path,
+            model={"name": "gaussian_location", "params": {"n_noise_stats": 2, "xbar_obs": 5.0}},
+            targets=[{"kind": "coordinate", "index": 0, "transform": "log"}],
+        )
+        out = tmp_path / "run"
+        assert main(["infer", "--full", "--config", str(config), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--config", str(config), "--out", str(out)]) == 0
+        row = capsys.readouterr().out.splitlines()[-1].split()
+        assert row[0] == "log_theta_0" and row[2:4] == ["-", "-"]
 
 
 class TestExitCodes:
@@ -218,6 +248,15 @@ class TestExperimentCommand:
         rows = (out / "experiment_rows.csv").read_text().splitlines()
         assert len(rows) == 1 + 4  # header + 2 replicates x 2 targets
         assert "p'=2" in capsys.readouterr().out
+
+    def test_experiment_refuses_marginal_adjustment(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            adjust={"marginal": True},
+            experiment={"strategies": ["joint"], "replications": 1},
+        )
+        assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error: 'adjust.marginal' ")
 
     def test_experiment_without_plan_is_one(self, tmp_path):
         config = write_config(tmp_path)

@@ -125,7 +125,71 @@ class TestParseConfig:
         )
         assert config.basis.degree == 2
         assert config.targets[0].transform == "log"
-        assert config.targets[1].label() == "gpd_q0.99"
+        assert config.targets[1].name == "gpd_q0.99"
+
+
+# One malformed value per case, with the dotted path its error must name.
+# None of them may be coerced (bool("false") is True) or escape as a
+# traceback.
+COORD = {"kind": "coordinate", "index": 0}
+MALFORMED = {
+    "include_intercept_string": (
+        "basis", {"include_intercept": "false"}, "basis.include_intercept"
+    ),
+    "fractional_degree": ("basis", {"kind": "polynomial", "degree": 2.5}, "basis.degree"),
+    "string_degree": ("basis", {"kind": "polynomial", "degree": "3"}, "basis.degree"),
+    "fractional_exponent": (
+        "basis", {"kind": "powers", "exponents": [[1, 0.5]]}, "basis.exponents"
+    ),
+    "exponent_row_not_list": ("basis", {"kind": "powers", "exponents": [1]}, "basis.exponents"),
+    "string_group_entry": ("experiment", {"groups": [[0, "1"]]}, "experiment.groups"),
+    "group_not_list": ("experiment", {"groups": [0]}, "experiment.groups"),
+    "fractional_seed": ("experiment", {"replications": 1, "seeds": [1.5]}, "experiment.seeds"),
+    "seeds_not_list": ("experiment", {"replications": 1, "seeds": 3}, "experiment.seeds"),
+    "unknown_strategy": ("experiment", {"strategies": ["both"]}, "experiment.strategies"),
+    "string_prior_a": (
+        "prior_overrides", {"0": {"kind": "normal", "a": "0", "b": 1.0}}, "prior_overrides.0.a"
+    ),
+    "null_prior_b": (
+        "prior_overrides", {"0": {"kind": "normal", "a": 0.0, "b": None}}, "prior_overrides.0.b"
+    ),
+    "unknown_prior_kind": (
+        "prior_overrides", {"0": {"kind": "cauchy", "a": 0.0, "b": 1.0}}, "prior_overrides.0"
+    ),
+    "numeric_target_name": ("targets", [{**COORD, "name": 5}], "targets[0].name"),
+    "unknown_transform": ("targets", [{**COORD, "transform": "sqrt"}], "targets[0].transform"),
+    "tau_on_coordinate": ("targets", [{**COORD, "tau": 0.5}], "targets[0].tau"),
+    "tau_of_one": ("targets", [{"kind": "gpd_quantile", "tau": 1}], "targets[0].tau"),
+    "gpd_quantile_on_one_parameter": (
+        "targets", [{"kind": "gpd_quantile", "tau": 0.5}], "targets[0]"
+    ),
+    "coordinate_out_of_range": ("targets", [{**COORD, "index": 1}], "targets[0].index"),
+    "duplicate_name": ("targets", [COORD, COORD], "targets[1].name"),
+    "bad_model_param": ("model", {"name": "gaussian_location", "params": {"n": 0}}, "model"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_value_is_an_error_naming_its_path(tmp_path, capsys, case):
+    from semiabc.cli import main
+
+    key, value, path = MALFORMED[case]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**MINIMAL, key: value}))
+    code = main(["infer", "--full", "--config", str(config), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: '{path}' ")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+def test_target_named_like_its_default_hashes_like_an_unnamed_one():
+    unnamed = parse_config_dict(dict(MINIMAL))
+    named = parse_config_dict({**MINIMAL, "targets": [{**COORD, "name": "theta_0"}]})
+    renamed = parse_config_dict({**MINIMAL, "targets": [{**COORD, "name": "mu"}]})
+    assert named.targets == unnamed.targets
+    assert named.config_hash() == unnamed.config_hash() != renamed.config_hash()
+    assert renamed.targets[0].to_dict() == {**COORD, "name": "mu"}
 
 
 def sample_batch():
@@ -374,5 +438,5 @@ def test_config_dataclass_helpers():
     )
     assert config.with_seed(9).seed == 9
     assert config.with_seed(9).config_hash() != config.config_hash()
-    assert TargetSpec("coordinate", index=0, transform="log").label() == "log_theta_0"
+    assert TargetSpec("coordinate", index=0, transform="log").name == "log_theta_0"
     assert json.dumps(config.to_json_dict())

@@ -2,7 +2,7 @@ import pytest
 
 from semiabc import semiauto
 from semiabc.errors import ConfigError
-from semiabc.experiment import ExperimentPlan, _run_one, plan_from_config, run_experiment
+from semiabc.experiment import _run_one, plan_from_config, run_experiment
 from semiabc.semiauto import build_fixture
 from semiabc.runconfig import ExperimentConfig, RunConfig, TargetSpec
 
@@ -31,12 +31,13 @@ def lg_config(**over):
 
 class TestPlan:
     def test_groups_must_partition(self):
-        with pytest.raises(ConfigError, match="partition"):
-            ExperimentPlan(
-                strategies=("joint",), groups=((0,), (0, 1)), replications=1, seeds=(1,)
-            )
-        with pytest.raises(ConfigError, match="one seed per replicate"):
-            ExperimentPlan(strategies=("joint",), groups=((0,),), replications=2, seeds=(1,))
+        with pytest.raises(ConfigError, match="'groups' must partition"):
+            ExperimentConfig(groups=((0,), (0, 1)), replications=1, seeds=(1,))
+        with pytest.raises(ConfigError, match="'seeds' must list one .* seed per replicate"):
+            ExperimentConfig(groups=((0,),), replications=2, seeds=(1,))
+        # a partition of 0..1 does not cover three targets
+        with pytest.raises(ConfigError, match="'experiment.groups' must partition"):
+            plan_from_config(ExperimentConfig(groups=((0,), (1,))), n_targets=3, base_seed=1)
 
     def test_plan_from_config_defaults_to_singletons(self):
         plan = plan_from_config(ExperimentConfig(replications=3), n_targets=2, base_seed=9)
@@ -106,6 +107,30 @@ class TestRun:
         assert not report.rows
         assert "draws" in report.failures[0].message
 
+    def test_oracle_values_are_computed_once_per_target(self, monkeypatch):
+        config = lg_config()
+        fixture = build_fixture(config)
+        calls = []
+        target_mean = fixture.oracle.target_mean
+        monkeypatch.setattr(
+            fixture.oracle, "target_mean", lambda t: calls.append(t.name) or target_mean(t)
+        )
+        plan = ExperimentConfig(strategies=("joint", "separate"), replications=2)
+        report = run_experiment(plan, config, fixture)
+        assert len(report.rows) == 8 and not report.failures
+        assert calls == ["theta_0", "theta_1"]
+
+    def test_target_without_oracle_value_is_refused_before_any_cell(self, monkeypatch):
+        from semiabc import experiment
+
+        cells = []
+        monkeypatch.setattr(experiment, "_run_one", lambda *args: cells.append(args) or [])
+        log_target = TargetSpec("coordinate", index=1, transform="log")
+        config = lg_config(targets=(TargetSpec("coordinate", index=0), log_target))
+        with pytest.raises(ConfigError, match=r"'targets\[1\]' has no oracle value"):
+            run_experiment(ExperimentConfig(replications=1), config)
+        assert not cells
+
     def test_programming_errors_propagate(self, monkeypatch):
         from semiabc import experiment
 
@@ -170,12 +195,15 @@ class TestRun:
             ExperimentConfig(strategies=("joint", "separate"), replications=2), 2, config.seed
         )
         report = run_experiment(plan, config, fixture, threads=2)
+        oracle_values = {t.name: fixture.oracle.target_mean(t) for t in config.targets}
         alone = [
             row
             for strategy in plan.strategies
             for replicate, seed in enumerate(plan.seeds)
             for group in (((0, 1),) if strategy == "joint" else plan.groups)
-            for row in _run_one(config, fixture, strategy, replicate, seed, group, None)
+            for row in _run_one(
+                config, fixture, strategy, replicate, seed, group, None, oracle_values
+            )
         ]
         assert report.rows == alone
 

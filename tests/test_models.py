@@ -12,7 +12,6 @@ from semiabc.models import (
     gaussian_location_fixture,
     gpd_fixture,
     gpd_logpdf,
-    gpd_mean,
     gpd_quantile,
     linear_gaussian_fixture,
     linear_gaussian_moments,
@@ -20,7 +19,7 @@ from semiabc.models import (
     apply_prior_overrides,
     _gpd_stat_matrix,
 )
-from semiabc.semiauto import coordinate_target, gpd_quantile_target
+from semiabc.runconfig import TargetSpec
 
 
 class TestGaussianLocationFixture:
@@ -54,9 +53,8 @@ class TestGaussianLocationFixture:
 
     def test_oracle_quantiles(self):
         fixture = gaussian_location_fixture(0.0, 1.0, 1.0, 4, 1.0, 0)
-        med = fixture.oracle.marginal_quantile(0, 0.5)
-        assert med == pytest.approx(0.8)
-        assert fixture.oracle.marginal_cdf(0, med) == pytest.approx(0.5)
+        # the posterior is normal with mean 0.8, so 0.8 is its median
+        assert fixture.oracle.marginal_cdf(0, 0.8) == pytest.approx(0.5)
 
 
 class TestLinearGaussianFixture:
@@ -128,7 +126,7 @@ class TestGpdMath:
         sigma, xi = 1.0, 0.2
         sample = gpd_quantile(rng.random(100_000), sigma, xi)
         se = sample.std(ddof=1) / np.sqrt(sample.size)
-        assert abs(sample.mean() - gpd_mean(sigma, xi)) < 3 * se
+        assert abs(sample.mean() - sigma / (1.0 - xi)) < 3 * se  # the GPD mean for xi < 1
 
     def test_support_enforced(self):
         assert gpd_logpdf(10.0, 1.0, -0.3) == -np.inf  # beyond upper endpoint
@@ -137,7 +135,7 @@ class TestGpdMath:
 
 class TestGpdFixture:
     def test_fixture_shapes(self):
-        fixture = gpd_fixture(n_exceedances=50, tau_grid=(0.9, 0.99))
+        fixture = gpd_fixture(n_exceedances=50)
         assert fixture.simulator.stat_dim == 13
         assert fixture.s_obs.shape == (13,)
         assert fixture.observed_data.shape == (50,)
@@ -159,16 +157,23 @@ class TestGpdFixture:
         coarse = fixture.oracle
         fine = GpdGridOracle(fixture.observed_data, n_sigma=2000, n_xi=2000)
         for tau in (0.5, 0.9, 0.99):
-            target = gpd_quantile_target(tau)
+            target = TargetSpec("gpd_quantile", tau=tau)
             a = coarse.target_mean(target)
             b = fine.target_mean(target)
             assert abs(a - b) / abs(b) < 0.005
+
+    def test_grid_oracle_refuses_a_target_not_finite_on_the_grid(self):
+        fixture = gpd_fixture(n_exceedances=50, grid_shape=(20, 20))
+        log_sigma = fixture.oracle.target_mean(TargetSpec("coordinate", index=0, transform="log"))
+        assert np.isfinite(log_sigma)
+        with pytest.raises(NotImplementedError, match="log_theta_1"):  # xi < 0 on the grid
+            fixture.oracle.target_mean(TargetSpec("coordinate", index=1, transform="log"))
 
     def test_oracle_quantile_target_consistency(self):
         # posterior mean of the median functional should sit near the
         # median of the observed data for a well-specified model
         fixture = gpd_fixture(sigma_true=1.0, xi_true=0.2, n_exceedances=100)
-        q50 = fixture.oracle.target_mean(gpd_quantile_target(0.5))
+        q50 = fixture.oracle.target_mean(TargetSpec("gpd_quantile", tau=0.5))
         assert abs(q50 - np.median(fixture.observed_data)) < 0.3
 
 
@@ -214,9 +219,15 @@ class TestRegistry:
         with pytest.raises(ConfigError, match="out of range"):
             apply_prior_overrides(fixture, {3: {"kind": "uniform", "a": 0.0, "b": 1.0}})
 
-    def test_oracle_gauss_hermite_matches_coordinate(self):
-        fixture = make_fixture("gaussian_location")
-        target = coordinate_target(0)
-        assert fixture.oracle.target_mean(target) == pytest.approx(
-            fixture.oracle.post_mean, abs=1e-10
-        )
+    def test_gaussian_oracles_serve_raw_coordinates_only(self):
+        # E[log theta] is not log E[theta]: at xbar_obs=5 the posterior is
+        # N(4, 0.2), so the log target's mean is about 1.38, not 4.0
+        fixture = make_fixture("gaussian_location", {"xbar_obs": 5.0})
+        assert fixture.oracle.target_mean(TargetSpec("coordinate", index=0)) == 4.0
+        log_target = TargetSpec("coordinate", index=0, transform="log")
+        with pytest.raises(NotImplementedError, match="log_theta_0"):
+            fixture.oracle.target_mean(log_target)
+        linear = make_fixture("linear_gaussian")
+        assert linear.oracle.target_mean(TargetSpec("coordinate", index=1)) == linear.oracle.mean[1]
+        with pytest.raises(NotImplementedError, match="log_theta_1"):
+            linear.oracle.target_mean(TargetSpec("coordinate", index=1, transform="log"))

@@ -10,10 +10,7 @@ from semiabc.runconfig import RunConfig, TargetSpec
 from semiabc.semiauto import (
     SummaryProjector,
     construct_projector,
-    coordinate_target,
-    custom_target,
     evaluate_targets,
-    gpd_quantile_target,
     posterior_target_estimates,
     project,
     project_matrix,
@@ -33,33 +30,33 @@ def make_batch(thetas, stats, seed=0):
 
 
 class TestTargets:
-    def test_coordinate_target_is_identity_column(self):
+    def test_coordinate_spec_is_identity_column(self):
         rng = np.random.default_rng(0)
         thetas = rng.standard_normal((50, 3))
-        values = evaluate_targets(thetas, [coordinate_target(0)])
+        values = evaluate_targets(thetas, [TargetSpec("coordinate", index=0)])
         np.testing.assert_array_equal(values[:, 0], thetas[:, 0])
 
     def test_gpd_quantile_closed_form(self):
         thetas = np.array([[1.0, 0.5]])
-        values = evaluate_targets(thetas, [gpd_quantile_target(0.99)])
+        values = evaluate_targets(thetas, [TargetSpec("gpd_quantile", tau=0.99)])
         assert values[0, 0] == pytest.approx(18.0)
 
     def test_gpd_quantile_small_xi_branch(self):
         thetas = np.array([[1.0, 1e-9]])
-        values = evaluate_targets(thetas, [gpd_quantile_target(0.99)])
+        values = evaluate_targets(thetas, [TargetSpec("gpd_quantile", tau=0.99)])
         assert values[0, 0] == pytest.approx(4.60517, abs=1e-5)
 
     def test_column_order_matches_target_order(self):
         thetas = np.array([[1.0, 2.0]])
         values = evaluate_targets(
-            thetas, [coordinate_target(1), coordinate_target(0)]
+            thetas, [TargetSpec("coordinate", index=1), TargetSpec("coordinate", index=0)]
         )
         np.testing.assert_array_equal(values, [[2.0, 1.0]])
 
     def test_non_finite_target_raises_with_name(self):
         thetas = np.array([[-1.0, 0.5]])
         with pytest.raises(NumericalError, match="log_theta_0"):
-            evaluate_targets(thetas, [coordinate_target(0, transform="log")])
+            evaluate_targets(thetas, [TargetSpec("coordinate", index=0, transform="log")])
 
     def test_specs_to_targets(self):
         targets = targets_from_specs(
@@ -75,7 +72,7 @@ class TestProjector:
         rng = np.random.default_rng(1)
         thetas = rng.standard_normal((200, 1))
         batch = make_batch(thetas, thetas.copy())
-        projector = construct_projector(batch, [coordinate_target(0)], BasisSpec())
+        projector = construct_projector(batch, [TargetSpec("coordinate", index=0)], BasisSpec())
         assert projector.out_dim == 1
         assert projector.coef[0, 0] == pytest.approx(1.0, abs=1e-10)
         assert projector.intercept[0] == pytest.approx(0.0, abs=1e-10)
@@ -86,7 +83,10 @@ class TestProjector:
         thetas = rng.standard_normal((300, 2))
         stats = thetas @ rng.standard_normal((2, 3)) + 0.1 * rng.standard_normal((300, 3))
         batch = make_batch(thetas, stats)
-        targets = [coordinate_target(0, name="a"), coordinate_target(0, name="b")]
+        targets = [
+            TargetSpec("coordinate", index=0, name="a"),
+            TargetSpec("coordinate", index=0, name="b"),
+        ]
         projector = construct_projector(batch, targets, BasisSpec())
         out = project_matrix(projector, stats)
         assert np.max(np.abs(out[:, 0] - out[:, 1])) < 1e-8
@@ -95,8 +95,8 @@ class TestProjector:
         rng = np.random.default_rng(3)
         thetas = rng.standard_normal((100, 2))
         stats = rng.standard_normal((100, 4))
-        targets = [coordinate_target(0), coordinate_target(1),
-                   custom_target("sum", lambda t: t.sum(axis=1))]
+        targets = [TargetSpec("coordinate", index=0), TargetSpec("coordinate", index=1),
+                   TargetSpec("coordinate", index=0, name="theta_0_again")]
         projector = construct_projector(batch := make_batch(thetas, stats), targets, BasisSpec())
         assert projector.out_dim == 3
         assert project(projector, stats[0]).shape == (3,)
@@ -122,7 +122,7 @@ class TestProjector:
         noise = rng.standard_normal((m, 19))
         stats = np.column_stack([suff, noise])
         batch = make_batch(thetas, stats)
-        projector = construct_projector(batch, [coordinate_target(0)], BasisSpec())
+        projector = construct_projector(batch, [TargetSpec("coordinate", index=0)], BasisSpec())
 
         suff_only = fit_bayes_linear(make_batch(thetas, suff[:, None]))
         assert abs(projector.coef[0, 0] - suff_only.coef[0, 0]) < 0.02
@@ -157,7 +157,7 @@ class TestProjector:
         thetas = rng.standard_normal((500, 2))
         stats = thetas @ rng.standard_normal((2, 4)) + rng.standard_normal((500, 4))
         batch = make_batch(thetas, stats)
-        targets = [coordinate_target(0), coordinate_target(1)]
+        targets = [TargetSpec("coordinate", index=0), TargetSpec("coordinate", index=1)]
         projector = construct_projector(batch, targets, BasisSpec())
         projected_mean = project_matrix(projector, stats).mean(axis=0)
         target_mean = evaluate_targets(thetas, targets).mean(axis=0)
@@ -168,7 +168,9 @@ class TestProjector:
         thetas = rng.standard_normal((100, 1))
         stats = rng.standard_normal((100, 2))
         projector = construct_projector(
-            make_batch(thetas, stats), [coordinate_target(0)], BasisSpec("polynomial", degree=2)
+            make_batch(thetas, stats),
+            [TargetSpec("coordinate", index=0)],
+            BasisSpec("polynomial", degree=2),
         )
         clone = SummaryProjector.from_dict(projector.to_dict())
         s = rng.standard_normal(2)
