@@ -9,7 +9,6 @@ permutation and independent of any upstream parallel schedule.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SingularMatrixError
 
@@ -102,6 +101,10 @@ def solve_spd(a, b) -> np.ndarray:
     the solution's residual against the *original* A is poor, retries up
     the jitter ladder; raises SingularMatrixError once exhausted.
     """
+    # Imported here, not at module level: only the Bayes linear fit calls
+    # this, and no CLI stage should pay for loading scipy.linalg.
+    import scipy.linalg
+
     aa = as_matrix(a, "a")
     k = aa.shape[0]
     if aa.shape[1] != k:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -40,10 +41,18 @@ def gpd_quantile(u, sigma, xi):
     xi = np.asarray(xi, dtype=np.float64)
     small = np.abs(xi) < GPD_SMALL_XI
     xi_safe = np.where(small, 1.0, xi)
-    log1mu = np.log1p(-u)
-    general = (sigma / xi_safe) * np.expm1(-xi_safe * log1mu)
-    limit = -sigma * log1mu
-    return np.where(small, limit, general)
+    # One output array, transformed in place: a simulation chunk is (n, k)
+    # while sigma and xi are per row, so every full-size temporary counts.
+    out = np.empty(np.broadcast_shapes(u.shape, sigma.shape, xi.shape))
+    np.negative(u, out=out)
+    np.log1p(out, out=out)
+    limit = -sigma * out if small.any() else None
+    out *= -xi_safe
+    np.expm1(out, out=out)
+    out *= sigma / xi_safe
+    if limit is not None:
+        np.copyto(out, limit, where=small)
+    return out
 
 
 def gpd_logpdf(x, sigma, xi):
@@ -130,34 +139,41 @@ class GpdGridOracle:
     sigma is gridded log-uniformly and xi uniformly over the prior's
     0.1%-99.9% quantile box; normalization and functional means use
     trapezoidal weights (with the log-sigma Jacobian folded in). No ABC
-    machinery is involved anywhere.
+    machinery is involved anywhere. The posterior over the grid is
+    computed on first use of `weights`, so a run that never scores against
+    the oracle never pays for it.
     """
 
     def __init__(self, observed, n_sigma: int = 200, n_xi: int = 200,
                  xi_lo: float = -0.4, xi_hi: float = 0.9):
-        x = np.asarray(observed, dtype=np.float64)
+        self._observed = np.asarray(observed, dtype=np.float64)
         # prior box: lognormal(0,1) for sigma, uniform(xi_lo, xi_hi) for xi
         q = ndtri(0.001)
-        log_sigma = np.linspace(q, -q, n_sigma)
-        self.sigma_grid = np.exp(log_sigma)
+        self._log_sigma = np.linspace(q, -q, n_sigma)
+        self.sigma_grid = np.exp(self._log_sigma)
         span = xi_hi - xi_lo
         self.xi_grid = np.linspace(xi_lo + 0.001 * span, xi_hi - 0.001 * span, n_xi)
 
-        log_post = np.empty((n_sigma, n_xi))
-        log_prior_sigma = -0.5 * log_sigma**2 - log_sigma  # lognormal(0,1) log-pdf + const
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Normalized posterior weight of each (sigma, xi) grid point."""
+        log_post = np.empty((self.sigma_grid.size, self.xi_grid.size))
+        # lognormal(0,1) log-pdf + const
+        log_prior_sigma = -0.5 * self._log_sigma**2 - self._log_sigma
         for i, sigma in enumerate(self.sigma_grid):
-            ll = gpd_logpdf(x[None, :], sigma, self.xi_grid[:, None]).sum(axis=1)
+            ll = gpd_logpdf(self._observed[None, :], sigma, self.xi_grid[:, None]).sum(axis=1)
             log_post[i] = ll + log_prior_sigma[i]
         log_post -= log_post.max()
         density = np.exp(log_post)
 
-        w_sigma = _trapezoid_weights(log_sigma) * self.sigma_grid  # d sigma = sigma d log sigma
+        # d sigma = sigma d log sigma
+        w_sigma = _trapezoid_weights(self._log_sigma) * self.sigma_grid
         w_xi = _trapezoid_weights(self.xi_grid)
         weights = density * np.outer(w_sigma, w_xi)
         total = float(weights.sum())
         if not (np.isfinite(total) and total > 0):
             raise ValueError("grid posterior is degenerate; check the observed data")
-        self.weights = weights / total
+        return weights / total
 
     def grid_points(self) -> np.ndarray:
         ss, xx = np.meshgrid(self.sigma_grid, self.xi_grid, indexing="ij")
@@ -172,6 +188,26 @@ class GpdGridOracle:
 
     def coordinate_mean(self, i: int) -> float:
         return float(self.weights.ravel() @ self.grid_points()[:, i])
+
+
+class OverriddenPriorOracle:
+    """Stands in for a fixture's oracle once `prior_overrides` replaced its
+    prior: every oracle was derived for the default prior, so none holds."""
+
+    def __init__(self, overrides: dict):
+        self.message = (
+            f"the oracle holds for the default prior only, and prior_overrides "
+            f"replaced coordinates {sorted(int(k) for k in overrides)}"
+        )
+
+    def target_mean(self, target) -> float:
+        raise NotImplementedError(self.message)
+
+    def coordinate_mean(self, i: int) -> float:
+        raise NotImplementedError(self.message)
+
+    def marginal_cdf(self, i: int, x) -> np.ndarray:
+        raise NotImplementedError(self.message)
 
 
 def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
@@ -437,7 +473,9 @@ def apply_prior_overrides(fixture: ModelFixture, overrides: dict) -> ModelFixtur
     """Replace selected per-coordinate prior marginals.
 
     `overrides` maps coordinate index (as int or str) to a dict
-    {"kind": ..., "a": ..., "b": ...}.
+    {"kind": ..., "a": ..., "b": ...}. The returned fixture's oracle
+    refuses every query (NotImplementedError), because the fixture's own
+    oracle was computed for the default prior.
     """
     from .engine import MarginalPrior
 
@@ -460,6 +498,6 @@ def apply_prior_overrides(fixture: ModelFixture, overrides: dict) -> ModelFixtur
         prior=new_prior,
         observed_data=fixture.observed_data,
         s_obs=fixture.s_obs,
-        oracle=fixture.oracle,
+        oracle=OverriddenPriorOracle(overrides),
         params=fixture.params,
     )

@@ -201,9 +201,13 @@ def fit_linear(design, responses, ridge_lambda: float = 0.0, *, weights=None,
         y_mean = np.zeros(y.shape[1])
         xc = x
         yc = y
-    sqrt_w = np.sqrt(w)[:, None]
-    xw = xc * sqrt_w
-    yw = yc * sqrt_w
+    if weights is None:
+        # unit weights: scaling by sqrt(1) would only copy the design
+        xw, yw = xc, yc
+    else:
+        sqrt_w = np.sqrt(w)[:, None]
+        xw = xc * sqrt_w
+        yw = yc * sqrt_w
 
     # A wide design's null space, which the VIFs need, is only in the full V.
     u, sv, vt = np.linalg.svd(xw, full_matrices=m < q)

@@ -1,9 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
 from semiabc.cli import main
+
+REPO = Path(__file__).resolve().parent.parent
+# a normal prior three times wider than the fixture's default N(0, 1)
+WIDE_PRIOR = {"0": {"kind": "normal", "a": 0.0, "b": 3.0}}
 
 
 def write_config(tmp_path, name="config.json", **over):
@@ -103,6 +111,18 @@ class TestReport:
         assert main(["report", "--config", str(config), "--out", str(out)]) == 0
         row = capsys.readouterr().out.splitlines()[-1].split()
         assert row[0] == "log_theta_0" and row[2:4] == ["-", "-"]
+
+    def test_prior_override_leaves_the_oracle_cell_empty(self, tmp_path, capsys):
+        # the conjugate oracle was derived for the default prior
+        config = write_config(tmp_path, prior_overrides=WIDE_PRIOR)
+        out = tmp_path / "run"
+        assert main(["infer", "--full", "--config", str(config), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--config", str(config), "--out", str(out)]) == 0
+        row = capsys.readouterr().out.splitlines()[-1].split()
+        assert row[0] == "theta_0" and row[2:4] == ["-", "-"]
+        table = (out / "report_table.csv").read_text().splitlines()
+        assert table[1].split(",")[2:4] == ["", ""]
 
 
 class TestExitCodes:
@@ -258,6 +278,44 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("error: 'adjust.marginal' ")
 
+    def test_experiment_refuses_a_prior_override(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            prior_overrides=WIDE_PRIOR,
+            experiment={"strategies": ["joint"], "replications": 1},
+        )
+        assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: 'targets[0]' has no oracle value")
+        assert "prior_overrides" in err
+
     def test_experiment_without_plan_is_one(self, tmp_path):
         config = write_config(tmp_path)
         assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+
+
+def test_cli_path_leaves_scipy_linalg_unloaded():
+    # No CLI stage solves an SPD system, so parsing each committed config
+    # and building its fixture must not pay for importing scipy.linalg.
+    code = textwrap.dedent("""
+        import sys
+        from pathlib import Path
+
+        import semiabc.cli
+        from semiabc.runconfig import parse_config
+        from semiabc.semiauto import build_fixture
+
+        configs = sorted(Path(sys.argv[1]).glob("*.json"))
+        for path in configs:
+            build_fixture(parse_config(path))
+        print(len(configs), sorted(m for m in sys.modules if m.startswith("scipy.linalg")))
+    """)
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(REPO / "configs")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    count, loaded = result.stdout.split(" ", 1)
+    assert int(count) >= 2
+    assert loaded.strip() == "[]"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -133,6 +133,60 @@ class TestGpdMath:
         assert gpd_logpdf(-0.1, 1.0, 0.3) == -np.inf
 
 
+def five_array_gpd_quantile(u, sigma, xi):
+    """The GPD quantile as both branches in full, then a select: the
+    formula `gpd_quantile` computes in place."""
+    u, sigma, xi = (np.asarray(a, dtype=np.float64) for a in (u, sigma, xi))
+    small = np.abs(xi) < GPD_SMALL_XI
+    xi_safe = np.where(small, 1.0, xi)
+    log1mu = np.log1p(-u)
+    general = (sigma / xi_safe) * np.expm1(-xi_safe * log1mu)
+    limit = -sigma * log1mu
+    return np.where(small, limit, general)
+
+
+@st.composite
+def quantile_chunks(draw):
+    """A simulation chunk: (rows, k) uniforms with u = 0 mixed in, and a
+    (sigma, xi) per row with xi on both sides of GPD_SMALL_XI."""
+    rows, k = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    u = draw(arrays(np.float64, (rows, k), elements=st.one_of(
+        st.just(0.0), st.floats(0.0, 1.0, exclude_max=True))))
+    sigma = draw(arrays(np.float64, (rows, 1), elements=st.floats(1e-3, 1e3)))
+    xi = draw(arrays(np.float64, (rows, 1), elements=st.one_of(
+        st.sampled_from([0.0, 5e-7, -5e-7, GPD_SMALL_XI]), st.floats(-0.5, 1.0))))
+    return u, sigma, xi
+
+
+def bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestGpdQuantileInPlace:
+    @settings(max_examples=150, deadline=None)
+    @given(quantile_chunks())
+    @example((np.array([[0.0, 0.5, 0.99]] * 3), np.array([[1.0], [2.0], [0.5]]),
+              np.array([[0.0], [5e-7], [0.2]])))
+    def test_chunk_equals_five_array_formula_bitwise(self, chunk):
+        expected = five_array_gpd_quantile(*chunk)
+        got = gpd_quantile(*chunk)
+        assert got.shape == expected.shape
+        assert np.array_equal(bits(got), bits(expected))
+
+    @pytest.mark.parametrize("args", [
+        (0.99, 1.0, 0.5),
+        (0.99, 1.0, 0.0),
+        (np.float64(0.0), np.array(2.0), 5e-7),
+        (np.linspace(0.0, 0.9, 7), 1.5, -0.3),
+        (0.9, np.array([0.5, 1.0, 2.0]), np.array([0.0, 0.2, 5e-7])),
+    ], ids=["scalars", "scalar_limit", "zero_d", "u_vector", "grid_points"])
+    def test_scalar_and_broadcast_inputs(self, args):
+        expected = five_array_gpd_quantile(*args)
+        got = gpd_quantile(*args)
+        assert got.shape == expected.shape
+        assert np.array_equal(bits(got), bits(expected))
+
+
 class TestGpdFixture:
     def test_fixture_shapes(self):
         fixture = gpd_fixture(n_exceedances=50)
@@ -168,6 +222,16 @@ class TestGpdFixture:
         assert np.isfinite(log_sigma)
         with pytest.raises(NotImplementedError, match="log_theta_1"):  # xi < 0 on the grid
             fixture.oracle.target_mean(TargetSpec("coordinate", index=1, transform="log"))
+
+    def test_grid_posterior_is_computed_on_first_use(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("grid posterior computed")
+
+        monkeypatch.setattr("semiabc.models.gpd_logpdf", refuse)
+        fixture = make_fixture("gpd")
+        assert fixture.oracle.sigma_grid.shape == (200,)
+        with pytest.raises(RuntimeError, match="grid posterior computed"):
+            fixture.oracle.target_mean(TargetSpec("gpd_quantile", tau=0.5))
 
     def test_oracle_quantile_target_consistency(self):
         # posterior mean of the median functional should sit near the
@@ -216,6 +280,13 @@ class TestRegistry:
         fixture = make_fixture("gaussian_location")
         out = apply_prior_overrides(fixture, {0: {"kind": "uniform", "a": -2.0, "b": 2.0}})
         assert out.prior.marginals[0].kind == "uniform"
+        # the conjugate oracle was derived for the default prior
+        with pytest.raises(NotImplementedError, match="prior_overrides"):
+            out.oracle.target_mean(TargetSpec("coordinate", index=0))
+        with pytest.raises(NotImplementedError, match="prior_overrides"):
+            out.oracle.coordinate_mean(0)
+        with pytest.raises(NotImplementedError, match="prior_overrides"):
+            out.oracle.marginal_cdf(0, 0.5)
         with pytest.raises(ConfigError, match="out of range"):
             apply_prior_overrides(fixture, {3: {"kind": "uniform", "a": 0.0, "b": 1.0}})
 

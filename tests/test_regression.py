@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,6 +131,32 @@ class TestFitLinear:
         np.testing.assert_allclose(weighted.intercept, replicated.intercept, atol=1e-10)
         # the VIFs describe the weighted design that was fitted
         np.testing.assert_allclose(weighted.vifs, replicated.vifs, rtol=1e-10)
+
+    @pytest.mark.parametrize("intercept", [True, False])
+    def test_unweighted_fit_equals_unit_weights_bitwise(self, intercept):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((200, 6))
+        y = rng.standard_normal((200, 2))
+        plain = fit_linear(x, y, intercept=intercept)
+        unit = fit_linear(x, y, weights=np.ones(200), intercept=intercept)
+        for name in ("intercept", "coef", "residual_mss", "vifs", "condition_number"):
+            a, b = np.asarray(getattr(plain, name)), np.asarray(getattr(unit, name))
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
+
+    def test_unweighted_fit_holds_one_centered_copy(self):
+        # beyond the design it was given, the fit holds the centered copy
+        # and the SVD's U (2.24 designs); a sqrt(1)-scaled copy of the
+        # centered design would add one more
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((2000, 200))
+        y = rng.standard_normal((2000, 3))
+        tracemalloc.start()
+        try:
+            fit_linear(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * x.nbytes
 
     def test_no_intercept_mode(self):
         x = np.array([[1.0], [2.0], [3.0], [4.0]])
