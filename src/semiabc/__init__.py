@@ -28,7 +28,6 @@ from .engine import (
     regression_adjust,
     rejection_abc,
     simulate_batch,
-    systematic_resample,
     truncation_from_pilot,
     uniform,
 )

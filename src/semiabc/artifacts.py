@@ -153,15 +153,18 @@ def load_batch(directory, name: str, config_hash: str | None = None) -> Simulati
     )
 
 
+def _posterior_header(p: int) -> list[str]:
+    return ["draw_index", *(f"theta_{i + 1}" for i in range(p))]
+
+
 def save_posterior(
     directory, name: str, posterior: WeightedPosterior, config_hash: str, stage: str
 ) -> None:
     directory = Path(directory)
     p = posterior.thetas.shape[1]
-    header = ["draw_index"] + [f"theta_{i + 1}" for i in range(p)] + ["weight"]
     _write_table(
-        directory / f"{name}.csv", header, np.asarray(posterior.accepted_indices),
-        posterior.thetas, posterior.weights[:, None],
+        directory / f"{name}.csv", _posterior_header(p), np.asarray(posterior.accepted_indices),
+        posterior.thetas,
     )
     sidecar = {
         "kind": "posterior",
@@ -180,17 +183,12 @@ def load_posterior(directory, name: str, config_hash: str | None = None) -> Weig
     directory = Path(directory)
     sidecar = load_json(directory / f"{name}.json", "posterior", config_hash)
     p = sidecar["param_dim"]
-    header = ["draw_index"] + [f"theta_{i + 1}" for i in range(p)] + ["weight"]
-    data = _read_table(directory / f"{name}.csv", header, sidecar["n"])
+    data = _read_table(directory / f"{name}.csv", _posterior_header(p), sidecar["n"])
     idx = data[:, 0]
     if not (np.isfinite(idx).all() and (np.floor(idx) == idx).all()):
         raise ArtifactError(f"{name}.csv has a draw_index that is not an integer")
-    weights = data[:, -1]
-    if abs(float(weights.sum()) - 1.0) > 1e-12:
-        raise ArtifactError(f"{name}.csv weights sum to {weights.sum()!r}, expected 1")
     return WeightedPosterior(
-        thetas=data[:, 1 : p + 1],
-        weights=weights,
+        thetas=data[:, 1:],
         epsilon=float(sidecar["epsilon"]),
         distances=np.asarray(sidecar["distances"], dtype=np.float64),
         accepted_indices=idx.astype(np.intp),

@@ -35,7 +35,6 @@ CHUNK = 4096
 # Stream purpose tags (second element of the SeedSequence key).
 _TAG_PRIOR = 0
 _TAG_SIM = 1
-_TAG_RESAMPLE = 5
 
 # simulate_batch refuses a truncation box with less prior mass than this.
 MIN_TRUNCATION_MASS = 1e-4
@@ -258,10 +257,9 @@ class SimulationBatch:
 
 @dataclass(frozen=True)
 class WeightedPosterior:
-    """Accepted parameter draws with normalized weights and acceptance info."""
+    """Accepted parameter draws, equally weighted, with acceptance info."""
 
     thetas: np.ndarray  # (N, p)
-    weights: np.ndarray  # (N,)
     epsilon: float  # largest accepted distance
     distances: np.ndarray  # (N,) distances of accepted draws
     accepted_indices: np.ndarray  # (N,) indices into the source batch
@@ -269,27 +267,21 @@ class WeightedPosterior:
 
     def __post_init__(self):
         t = as_matrix(self.thetas, "thetas")
-        w = as_vector(self.weights, "weights")
         if t.shape[0] < 1:
             raise ValueError("posterior needs at least one draw")
-        if w.shape[0] != t.shape[0]:
-            raise ValueError("weights length mismatch")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
-        if abs(float(w.sum()) - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1 within 1e-12")
         object.__setattr__(self, "thetas", t)
-        object.__setattr__(self, "weights", w)
 
     @property
     def n(self) -> int:
         return self.thetas.shape[0]
 
-    def is_uniform(self) -> bool:
-        return bool(np.all(self.weights == self.weights[0]))
+    @property
+    def weights(self) -> np.ndarray:
+        """The weight 1/n of each draw."""
+        return np.full(self.n, 1.0 / self.n)
 
     def posterior_mean(self) -> np.ndarray:
-        return self.weights @ self.thetas
+        return self.thetas.mean(axis=0)
 
 
 def _sample_thetas_chunk(prior: PriorSpec, seed: int, chunk_index: int) -> np.ndarray:
@@ -416,8 +408,8 @@ def rejection_abc(
 
     Exactly one of `epsilon` (absolute distance threshold) or `fraction`
     (keep the ceil(fraction*M) smallest distances, ties broken by draw
-    index) must be given. Scales default to compute_scales(batch).
-    Accepted draws get uniform weights.
+    index) must be given. Scales default to compute_scales(batch). The
+    accepted draws, in draw order, form an equally weighted posterior.
     """
     if (epsilon is None) == (fraction is None):
         raise ValueError("give exactly one of epsilon or fraction")
@@ -435,8 +427,11 @@ def rejection_abc(
         if not 0.0 < fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")
         n_keep = math.ceil(fraction * batch.m)
-        order = np.argsort(distances, kind="stable")
-        accepted = np.sort(order[:n_keep])
+        # every distance below the n_keep-th smallest, then the ties at it
+        # in draw order: the first n_keep of a stable argsort, in O(M)
+        kth = np.partition(distances, n_keep - 1)[n_keep - 1]
+        mask = distances < kth
+        mask[np.flatnonzero(distances == kth)[: n_keep - np.count_nonzero(mask)]] = True
     else:
         mask = distances <= epsilon
         if not mask.any():
@@ -444,9 +439,8 @@ def rejection_abc(
                 f"no draws within epsilon={epsilon}; "
                 f"minimum observed distance {float(distances.min()):.6g}"
             )
-        accepted = np.nonzero(mask)[0]
+    accepted = np.flatnonzero(mask)
 
-    n = accepted.shape[0]
     realized = float(distances[accepted].max())
     info = {
         "seed": batch.seed,
@@ -454,14 +448,12 @@ def rejection_abc(
         "prior_hash": batch.prior_hash,
         "mode": "fraction" if fraction is not None else "epsilon",
         "requested": fraction if fraction is not None else epsilon,
-        "kernel": "uniform",
         "n_simulated": batch.m,
     }
     if provenance:
         info.update(provenance)
     return WeightedPosterior(
         thetas=batch.thetas[accepted],
-        weights=np.full(n, 1.0 / n),
         epsilon=realized,
         distances=distances[accepted],
         accepted_indices=accepted,
@@ -500,12 +492,13 @@ def regression_adjust(
 ) -> WeightedPosterior:
     """Linear post-hoc correction theta - B_hat (s - s_obs) of accepted draws.
 
-    Fits theta on s by weighted least squares under the posterior weights.
-    The fit's condition number and VIFs are attached to provenance so
-    over-adjustment risk under collinear or uninformative statistics stays
-    visible to downstream reports. They describe the design fitted: the
-    accepted statistics, centered and scaled by the square-root posterior
-    weights. VIFs above 1e12 report the sentinel 1e18.
+    Fits theta on s by affine least squares over the equally weighted
+    draws. The ridge penalty is `ridge_lambda * n`, which puts
+    `ridge_lambda` on the mean of the squared residuals rather than on
+    their sum. The fit's condition number and VIFs are attached to
+    provenance so over-adjustment risk under collinear or uninformative
+    statistics stays visible to downstream reports. They describe the
+    centered accepted statistics. VIFs above 1e12 report the sentinel 1e18.
     """
     stats = as_matrix(stats_of_accepted, "stats_of_accepted")
     s_obs = as_vector(s_obs, "s_obs")
@@ -523,7 +516,7 @@ def regression_adjust(
         info = dict(posterior.provenance)
         info["adjustment"] = {"kind": "linear_regression", "trivial": True}
         return replace(posterior, provenance=info)
-    fit = fit_linear(stats, posterior.thetas, ridge_lambda, weights=posterior.weights)
+    fit = fit_linear(stats, posterior.thetas, ridge_lambda * posterior.n)
     adjusted = posterior.thetas - (stats - s_obs) @ fit.coef.T
     info = dict(posterior.provenance)
     info["adjustment"] = {
@@ -532,31 +525,4 @@ def regression_adjust(
         "condition_number": fit.condition_number,
         "vifs": fit.vifs.tolist(),
     }
-    return WeightedPosterior(
-        thetas=adjusted,
-        weights=posterior.weights,
-        epsilon=posterior.epsilon,
-        distances=posterior.distances,
-        accepted_indices=posterior.accepted_indices,
-        provenance=info,
-    )
-
-
-def systematic_resample(posterior: WeightedPosterior, seed: int) -> WeightedPosterior:
-    """Deterministic (given seed) systematic resampling to uniform weights."""
-    n = posterior.n
-    rng = _generator(seed, _TAG_RESAMPLE)
-    positions = (np.arange(n) + rng.random()) / n
-    cumulative = np.cumsum(posterior.weights)
-    cumulative[-1] = 1.0
-    idx = np.searchsorted(cumulative, positions, side="left")
-    info = dict(posterior.provenance)
-    info["resampled"] = {"seed": int(seed), "method": "systematic"}
-    return WeightedPosterior(
-        thetas=posterior.thetas[idx],
-        weights=np.full(n, 1.0 / n),
-        epsilon=posterior.epsilon,
-        distances=posterior.distances[idx],
-        accepted_indices=posterior.accepted_indices[idx],
-        provenance=info,
-    )
+    return replace(posterior, thetas=adjusted, provenance=info)

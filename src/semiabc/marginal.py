@@ -118,12 +118,9 @@ def marginal_remap(
     For each covered coordinate, the draw holding rank r (ties broken by
     row index) receives the r-th of N evenly-spaced type-7 quantiles of
     the marginal sample; row pairing, and hence the joint rank structure,
-    is untouched. The joint sample must carry uniform weights (use
-    systematic_resample first if it does not); every coordinate must be
-    covered by a marginal or listed in `skip`.
+    is untouched, and the result stays equally weighted. Every coordinate
+    must be covered by a marginal or listed in `skip`.
     """
-    if not joint.is_uniform():
-        raise ValueError("joint posterior has non-uniform weights; resample joint first")
     p = joint.thetas.shape[1]
     covered = {m.coordinate for m in marginals}
     if len(covered) != len(marginals):
@@ -148,11 +145,4 @@ def marginal_remap(
         sources[str(i)] = dict(marginal.provenance)
     info = dict(joint.provenance)
     info["marginal_adjustment"] = {"sources": sources, "skipped": list(skip)}
-    return WeightedPosterior(
-        thetas=thetas,
-        weights=joint.weights,
-        epsilon=joint.epsilon,
-        distances=joint.distances,
-        accepted_indices=joint.accepted_indices,
-        provenance=info,
-    )
+    return replace(joint, thetas=thetas, provenance=info)

@@ -1,16 +1,17 @@
-"""Design-matrix construction, (ridge) least squares, and collinearity diagnostics.
+"""Design-matrix construction, affine (ridge) least squares, and collinearity diagnostics.
 
-The least squares path deliberately mirrors the optimal-affine-estimator
-fit in `bayes_linear`: with no penalty, regressing parameters on raw
-statistics reproduces that module's intercept and coefficient matrix,
-and this equivalence is property-tested rather than assumed.
+Every fit is the paper's affine estimator a + B s: an unpenalized
+intercept and an unweighted least squares coefficient matrix. With no
+penalty, regressing parameters on raw statistics reproduces the
+intercept and coefficient matrix of the optimal affine estimator in
+`bayes_linear`, and this equivalence is property-tested rather than
+assumed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Callable
 
 import numpy as np
 
@@ -22,10 +23,7 @@ from .linalg import as_matrix, solve_spd  # noqa: F401
 VIF_CUTOFF = 1e12
 VIF_SENTINEL = 1e18
 
-BASIS_KINDS = ("identity", "polynomial", "powers", "custom")
-
-# Registry for named custom basis maps: name -> callable (M, d) -> (M, q).
-CUSTOM_BASES: dict[str, Callable[[np.ndarray], np.ndarray]] = {}
+BASIS_KINDS = ("identity", "polynomial", "powers")
 
 
 @dataclass(frozen=True)
@@ -34,15 +32,12 @@ class BasisSpec:
 
     kind "identity" passes statistics through; "polynomial" emits all
     monomials of total degree 1..degree; "powers" emits the listed
-    exponent-vector monomials in the listed order; "custom" looks up a
-    registered map by name.
+    exponent-vector monomials in the listed order.
     """
 
     kind: str = "identity"
     degree: int | None = None
     exponents: tuple[tuple[int, ...], ...] | None = None
-    name: str | None = None
-    include_intercept: bool = True
 
     def __post_init__(self):
         if self.kind not in BASIS_KINDS:
@@ -58,13 +53,6 @@ class BasisSpec:
         ):
             raise ConfigError(f"must list nonnegative integer vectors, got {self.exponents!r}",
                               "exponents")
-        if (self.kind == "custom" or self.name is not None) and not (
-            isinstance(self.name, str) and self.name
-        ):
-            raise ConfigError(f"must name a registered custom basis, got {self.name!r}", "name")
-        if not isinstance(self.include_intercept, bool):
-            raise ConfigError(f"must be a boolean, got {self.include_intercept!r}",
-                              "include_intercept")
 
 
 def _is_int(value) -> bool:
@@ -94,15 +82,6 @@ def expand_design(stats, spec: BasisSpec) -> np.ndarray:
     s = as_matrix(stats, "stats")
     if spec.kind == "identity":
         return s.copy()
-    if spec.kind == "custom":
-        try:
-            fn = CUSTOM_BASES[spec.name]
-        except KeyError:
-            raise ConfigError(f"custom basis {spec.name!r} is not registered") from None
-        out = np.asarray(fn(s), dtype=np.float64)
-        if not np.all(np.isfinite(out)):
-            raise NumericalError(f"custom basis {spec.name!r} produced non-finite values")
-        return out
     if spec.kind == "polynomial":
         exponents = monomial_exponents(s.shape[1], spec.degree)
     else:
@@ -144,7 +123,6 @@ class LinearFit:
     condition_number: float  # extreme singular value ratio of the design fitted
     vifs: np.ndarray  # (q,) of the design fitted
     ridge_lambda: float = 0.0
-    weighted: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if np.any(self.residual_mss < 0):
@@ -153,24 +131,18 @@ class LinearFit:
             raise ValueError("condition_number must be >= 1")
 
 
-def _weighted_mean(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return (w[:, None] * x).sum(axis=0) / w.sum()
+def fit_linear(design, responses, ridge_lambda: float = 0.0) -> LinearFit:
+    """Affine least squares of (M, p) responses on an (M, q) design.
 
-
-def fit_linear(design, responses, ridge_lambda: float = 0.0, *, weights=None,
-               intercept: bool = True) -> LinearFit:
-    """Least squares of (M, p) responses on an (M, q) design.
-
-    Minimizes sum_m w_m ||y_m - a - B x_m||^2 + ridge_lambda ||B||_F^2 with
-    the intercept handled by centering and never penalized. Solved through
-    the SVD of the centered (and sqrt-weight scaled) design. With
-    ridge_lambda = 0 a rank-deficient design is an error rather than a
-    silent pseudo-inverse.
+    Minimizes sum_m ||y_m - a - B x_m||^2 + ridge_lambda ||B||_F^2 with
+    the intercept a handled by centering and never penalized. Solved
+    through the SVD of the centered design. With ridge_lambda = 0 a
+    rank-deficient design is an error rather than a silent pseudo-inverse.
 
     The condition number and the VIFs come from that same SVD, so they
-    describe the design fitted: sqrt-weight scaled, and centered only with
-    an intercept. VIFs above 1e12, of zero-variance columns and of columns
-    in an exact null direction report the sentinel 1e18.
+    describe the centered design. VIFs above 1e12, of zero-variance
+    columns and of columns in an exact null direction report the
+    sentinel 1e18.
     """
     x = as_matrix(design, "design")
     y = as_matrix(responses, "responses")
@@ -184,33 +156,13 @@ def fit_linear(design, responses, ridge_lambda: float = 0.0, *, weights=None,
     if m < 2:
         raise ValueError("need at least 2 rows")
 
-    if weights is not None:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (m,) or np.any(w < 0) or not np.all(np.isfinite(w)) or w.sum() <= 0:
-            raise ValueError("weights must be nonnegative, finite, with positive sum")
-    else:
-        w = np.ones(m)
-
-    if intercept:
-        x_mean = _weighted_mean(x, w)
-        y_mean = _weighted_mean(y, w)
-        xc = x - x_mean
-        yc = y - y_mean
-    else:
-        x_mean = np.zeros(q)
-        y_mean = np.zeros(y.shape[1])
-        xc = x
-        yc = y
-    if weights is None:
-        # unit weights: scaling by sqrt(1) would only copy the design
-        xw, yw = xc, yc
-    else:
-        sqrt_w = np.sqrt(w)[:, None]
-        xw = xc * sqrt_w
-        yw = yc * sqrt_w
+    x_mean = x.sum(axis=0) / m
+    y_mean = y.sum(axis=0) / m
+    xc = x - x_mean
+    yc = y - y_mean
 
     # A wide design's null space, which the VIFs need, is only in the full V.
-    u, sv, vt = np.linalg.svd(xw, full_matrices=m < q)
+    u, sv, vt = np.linalg.svd(xc, full_matrices=m < q)
     s_max = float(sv.max()) if sv.size else 0.0
     s_min = float(sv.min()) if sv.size else 0.0
     cond = np.inf if s_min == 0.0 else max(s_max / s_min, 1.0)
@@ -221,19 +173,18 @@ def fit_linear(design, responses, ridge_lambda: float = 0.0, *, weights=None,
         shrink = 1.0 / sv
     else:
         shrink = sv / (sv**2 + ridge_lambda)
-    coef = (vt[: sv.size].T @ (shrink[:, None] * (u.T @ yw))).T  # (p, q)
-    alpha = y_mean - coef @ x_mean if intercept else np.zeros(y.shape[1])
+    coef = (vt[: sv.size].T @ (shrink[:, None] * (u.T @ yc))).T  # (p, q)
+    alpha = y_mean - coef @ x_mean
 
     resid = y - alpha - x @ coef.T
-    residual_mss = (w[:, None] * resid**2).sum(axis=0) / w.sum()
+    residual_mss = (resid**2).sum(axis=0) / m
     return LinearFit(
         intercept=alpha,
         coef=coef,
         residual_mss=np.maximum(residual_mss, 0.0),
         condition_number=cond,
-        vifs=_vifs(xw, sv, vt, _zero_variance(xw, np.einsum("i,ij,ij->j", w, x, x))),
+        vifs=_vifs(xc, sv, vt, _zero_variance(xc, np.einsum("ij,ij->j", x, x))),
         ridge_lambda=float(ridge_lambda),
-        weighted=weights is not None,
     )
 
 

@@ -210,7 +210,7 @@ def _check_keys(data: dict, allowed: set[str], path: str):
         raise ConfigError(f"{path or 'config'} must be an object")
     for key in data:
         if key not in allowed:
-            raise ConfigError(f"unknown key {_join(path, key)!r}")
+            raise ConfigError("is not a known key", _join(path, key))
 
 
 def _is_number(value) -> bool:

@@ -164,7 +164,7 @@ def construct_projector(
             f"basis columns, got {batch.m}"
         )
     responses = evaluate_targets(batch.thetas, targets)
-    fit = fit_linear(design, responses, ridge_lambda, intercept=basis.include_intercept)
+    fit = fit_linear(design, responses, ridge_lambda)
     return SummaryProjector(
         basis=basis,
         intercept=fit.intercept,
@@ -357,13 +357,10 @@ def stage_infer(
 
 
 def posterior_target_estimates(posterior: WeightedPosterior, targets) -> dict:
-    """Weighted posterior-mean estimate and Monte Carlo sd per target."""
+    """Posterior-mean estimate and Monte Carlo sd per target."""
     values = evaluate_targets(posterior.thetas, targets)
-    w = posterior.weights
-    means = w @ values
-    ess = 1.0 / float(w @ w)
-    variances = w @ (values - means) ** 2
-    mc_sd = np.sqrt(np.maximum(variances, 0.0) / ess)
+    means = values.mean(axis=0)
+    mc_sd = np.sqrt(((values - means) ** 2).mean(axis=0) / posterior.n)
     return {
         t.name: {"estimate": float(means[j]), "mc_sd": float(mc_sd[j])}
         for j, t in enumerate(targets)

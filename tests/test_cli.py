@@ -234,6 +234,19 @@ class TestMalformedArtifacts:
         code = main(["report", "--config", str(config), "--out", str(out)])
         self.assert_rejected(code, capsys, "draw_index")
 
+    def test_posterior_with_a_weight_column(self, tmp_path, capsys):
+        # the posterior format from before every posterior was equally weighted
+        config = write_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["infer", "--full", "--config", str(config), "--out", str(out)]) == 0
+        path = out / "posterior_main.csv"
+        header, *rows = path.read_text().splitlines()
+        weight = repr(1.0 / len(rows))
+        path.write_text("\n".join([header + ",weight"] + [f"{r},{weight}" for r in rows]) + "\n")
+        capsys.readouterr()
+        code = main(["report", "--config", str(config), "--out", str(out)])
+        self.assert_rejected(code, capsys, "posterior_main.csv")
+
 
 class TestSeedOverride:
     def test_seed_flag_changes_results_consistently(self, tmp_path):

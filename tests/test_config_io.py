@@ -133,9 +133,8 @@ class TestParseConfig:
 # traceback.
 COORD = {"kind": "coordinate", "index": 0}
 MALFORMED = {
-    "include_intercept_string": (
-        "basis", {"include_intercept": "false"}, "basis.include_intercept"
-    ),
+    "include_intercept": ("basis", {"include_intercept": True}, "basis.include_intercept"),
+    "custom_basis_kind": ("basis", {"kind": "custom"}, "basis.kind"),
     "fractional_degree": ("basis", {"kind": "polynomial", "degree": 2.5}, "basis.degree"),
     "string_degree": ("basis", {"kind": "polynomial", "degree": "3"}, "basis.degree"),
     "fractional_exponent": (
@@ -209,7 +208,6 @@ def sample_posterior():
     n = 10
     return WeightedPosterior(
         thetas=rng.standard_normal((n, 2)),
-        weights=np.full(n, 1.0 / n),
         epsilon=0.25,
         distances=np.sort(rng.random(n)),
         accepted_indices=np.arange(0, 2 * n, 2),
@@ -258,17 +256,6 @@ class TestArtifacts:
         artifacts.save_batch(tmp_path, "b", sample_batch(), "hash1", "simulate")
         with pytest.raises(ArtifactError, match="refusing to mix runs"):
             artifacts.load_batch(tmp_path, "b", "other")
-
-    def test_corrupted_weights_rejected(self, tmp_path):
-        post = sample_posterior()
-        artifacts.save_posterior(tmp_path, "p", post, "h", "infer")
-        csv = (tmp_path / "p.csv").read_text().splitlines()
-        parts = csv[1].split(",")
-        parts[-1] = "0.5"
-        csv[1] = ",".join(parts)
-        (tmp_path / "p.csv").write_text("\n".join(csv) + "\n")
-        with pytest.raises(ArtifactError, match="weights sum"):
-            artifacts.load_posterior(tmp_path, "p", "h")
 
     def test_region_and_projector_roundtrip(self, tmp_path):
         region = TruncationRegion(lo=[0.1], hi=[0.9])
@@ -341,10 +328,9 @@ class TestTableBytes:
         thetas = data.draw(arrays(np.float64, (m, p), elements=FINITE_CELLS), label="thetas")
         stats = data.draw(arrays(np.float64, (m, d), elements=FINITE_CELLS), label="stats")
         cells = data.draw(arrays(np.float64, (m, 3), elements=ANY_CELLS), label="cells")
-        weights = np.arange(1.0, m + 1.0) / (m * (m + 1) / 2)
         batch = SimulationBatch(thetas=thetas, stats=stats, seed=3, model_name="t", prior_hash="h")
         post = WeightedPosterior(
-            thetas=thetas, weights=weights, epsilon=0.5, distances=np.zeros(m),
+            thetas=thetas, epsilon=0.5, distances=np.zeros(m),
             accepted_indices=3 * np.arange(m),
         )
         with tempfile.TemporaryDirectory() as tmp:
@@ -354,14 +340,12 @@ class TestTableBytes:
             assert (out / "b.csv").read_bytes() == per_cell_csv(
                 batch_header(p, d), range(m), np.hstack([thetas, stats])
             )
-            post_header = ["draw_index"] + [f"theta_{i + 1}" for i in range(p)] + ["weight"]
-            assert (out / "p.csv").read_bytes() == per_cell_csv(
-                post_header, 3 * np.arange(m), np.column_stack([thetas, weights])
-            )
+            post_header = ["draw_index"] + [f"theta_{i + 1}" for i in range(p)]
+            assert (out / "p.csv").read_bytes() == per_cell_csv(post_header, 3 * np.arange(m), thetas)
             loaded = artifacts.load_batch(out, "b", "h")
             assert bits_equal(loaded.thetas, thetas) and bits_equal(loaded.stats, stats)
             reloaded = artifacts.load_posterior(out, "p", "h")
-            assert bits_equal(reloaded.thetas, thetas) and bits_equal(reloaded.weights, weights)
+            assert bits_equal(reloaded.thetas, thetas)
             np.testing.assert_array_equal(reloaded.accepted_indices, post.accepted_indices)
             # the writer formats nan and the infinities like `fmt`; the
             # reader refuses them, as batches and posteriors must be finite

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -23,7 +24,6 @@ from semiabc.engine import (
     rejection_abc,
     scales_from_matrix,
     simulate_batch,
-    systematic_resample,
     truncation_from_pilot,
     uniform,
 )
@@ -298,6 +298,26 @@ class TestRejection:
         post = rejection_abc(batch, [0.0], fraction=0.75, scales=[1.0])
         np.testing.assert_array_equal(post.accepted_indices, [0, 1, 3])
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        stats=st.one_of(
+            # heavy ties: |stat| takes at most four values
+            arrays(np.float64, st.integers(1, 200), elements=st.integers(-3, 3).map(float)),
+            arrays(np.float64, st.integers(1, 200), elements=st.floats(-1e6, 1e6)),
+        ),
+        fraction=st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
+    )
+    @example(stats=np.array([2.0]), fraction=0.5)
+    @example(stats=np.zeros(7), fraction=0.3)
+    def test_selection_equals_stable_argsort(self, stats, fraction):
+        batch = make_batch(np.arange(stats.size, dtype=np.float64)[:, None], stats[:, None])
+        post = rejection_abc(batch, [0.0], fraction=fraction, scales=[1.0])
+        distances = _distance_matrix(batch.stats, np.zeros(1), np.ones(1))
+        order = np.argsort(distances, kind="stable")
+        expected = np.sort(order[: math.ceil(fraction * stats.size)])
+        np.testing.assert_array_equal(post.accepted_indices, expected)
+        np.testing.assert_array_equal(post.distances, distances[expected])
+
 
 class TestTruncationFromPilot:
     def make_posterior(self, values):
@@ -305,7 +325,6 @@ class TestTruncationFromPilot:
         n = len(values)
         return WeightedPosterior(
             thetas=values,
-            weights=np.full(n, 1.0 / n),
             epsilon=1.0,
             distances=np.zeros(n),
             accepted_indices=np.arange(n),
@@ -338,7 +357,6 @@ class TestRegressionAdjust:
         n = thetas.shape[0]
         return WeightedPosterior(
             thetas=thetas,
-            weights=np.full(n, 1.0 / n),
             epsilon=1.0,
             distances=np.zeros(n),
             accepted_indices=np.arange(n),
@@ -374,6 +392,30 @@ class TestRegressionAdjust:
         assert info["condition_number"] >= 1.0
         assert len(info["vifs"]) == 1
 
+    def test_ridge_is_on_the_mean_squared_residual(self):
+        # the ridge fit over 1/n-weighted draws: design and responses
+        # centered and scaled by sqrt(1/n), penalized by ridge_lambda
+        rng = np.random.default_rng(12)
+        n, lam = 60, 1e-2
+        stats = rng.standard_normal((n, 3)) * [1.0, 2.0, 0.5]
+        thetas = stats @ [[1.0, 0.5], [0.3, -1.0], [0.0, 2.0]] + 0.1 * rng.standard_normal((n, 2))
+        s_obs = np.array([0.2, -0.1, 0.4])
+        post = self.make_posterior(thetas)
+        adjusted = regression_adjust(post, stats, s_obs, ridge_lambda=lam)
+
+        xw = (stats - stats.mean(axis=0)) * np.sqrt(1.0 / n)
+        yw = (thetas - thetas.mean(axis=0)) * np.sqrt(1.0 / n)
+        coef = np.linalg.solve(xw.T @ xw + lam * np.eye(3), xw.T @ yw).T
+        expected = thetas - (stats - s_obs) @ coef.T
+        np.testing.assert_allclose(adjusted.thetas, expected, rtol=1e-10,
+                                   atol=1e-10 * np.abs(expected).max())
+        info = adjusted.provenance["adjustment"]
+        assert info["ridge_lambda"] == lam
+        sv = np.linalg.svd(xw, compute_uv=False)
+        assert info["condition_number"] == pytest.approx(sv.max() / sv.min(), rel=1e-10)
+        vifs = np.diag(np.linalg.inv(np.corrcoef(xw, rowvar=False)))
+        np.testing.assert_allclose(info["vifs"], vifs, rtol=1e-10)
+
     def test_linear_gaussian_adjustment_moves_toward_oracle(self):
         # loose acceptance, draws from prior; adjusted mean should usually
         # land nearer the true posterior mean (full check in acceptance)
@@ -394,24 +436,3 @@ class TestRegressionAdjust:
             after = np.linalg.norm(adjusted.posterior_mean() - oracle)
             wins += after < before
         assert wins >= 8
-
-
-class TestResample:
-    def test_deterministic_and_uniform(self):
-        rng = np.random.default_rng(11)
-        n = 100
-        w = rng.random(n)
-        w /= w.sum()
-        post = WeightedPosterior(
-            thetas=rng.standard_normal((n, 2)),
-            weights=w,
-            epsilon=1.0,
-            distances=np.zeros(n),
-            accepted_indices=np.arange(n),
-        )
-        a = systematic_resample(post, seed=3)
-        b = systematic_resample(post, seed=3)
-        np.testing.assert_array_equal(a.thetas, b.thetas)
-        assert a.is_uniform()
-        # resampled mean stays close to the weighted mean
-        np.testing.assert_allclose(a.posterior_mean(), post.posterior_mean(), atol=0.3)

@@ -1,6 +1,10 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from semiabc import semiauto
+from semiabc.engine import regression_adjust
 from semiabc.errors import ConfigError
 from semiabc.experiment import _run_one, plan_from_config, run_experiment
 from semiabc.semiauto import build_fixture
@@ -144,6 +148,27 @@ class TestRun:
         )
         with pytest.raises(TypeError, match="a bug"):
             run_experiment(plan, config)
+
+    def test_trivial_adjustment_records_no_condition(self, monkeypatch):
+        from semiabc import experiment
+
+        def trivially_adjusted(config, fixture, **kwargs):
+            # statistics equal to the observation: zero innovation, nothing fitted
+            result = semiauto.run_semiauto(config, fixture, **kwargs)
+            post = result.posterior
+            d = result.projector.out_dim
+            adjusted = regression_adjust(post, np.zeros((post.n, d)), np.zeros(d))
+            assert adjusted.provenance["adjustment"]["trivial"]
+            return replace(result, posterior=adjusted)
+
+        monkeypatch.setattr(experiment, "run_semiauto", trivially_adjusted)
+        config = lg_config()
+        plan = plan_from_config(
+            ExperimentConfig(strategies=("joint",), replications=2), 2, config.seed
+        )
+        report = run_experiment(plan, config)
+        assert len(report.rows) == 4 and not report.failures
+        assert all(r.adjustment_condition is None for r in report.rows)
 
     def test_cross_strategy_discrepancy_table(self):
         config = lg_config()

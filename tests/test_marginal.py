@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from semiabc.engine import WeightedPosterior, systematic_resample
+from semiabc.engine import WeightedPosterior
 from semiabc.marginal import MarginalEstimate, estimate_marginal, marginal_remap
 from semiabc.runconfig import RunConfig, TargetSpec
 
@@ -14,7 +14,6 @@ def uniform_posterior(thetas):
     n = thetas.shape[0]
     return WeightedPosterior(
         thetas=thetas,
-        weights=np.full(n, 1.0 / n),
         epsilon=1.0,
         distances=np.zeros(n),
         accepted_indices=np.arange(n),
@@ -103,26 +102,6 @@ class TestRemap:
         joint = uniform_posterior(rng.standard_normal((30, 2)))
         with pytest.raises(ValueError, match=r"\[1\] are neither covered"):
             marginal_remap(joint, [MarginalEstimate(0, rng.standard_normal(50))])
-
-    def test_non_uniform_weights_rejected(self):
-        rng = np.random.default_rng(6)
-        w = rng.random(20)
-        w /= w.sum()
-        joint = WeightedPosterior(
-            thetas=rng.standard_normal((20, 1)),
-            weights=w,
-            epsilon=1.0,
-            distances=np.zeros(20),
-            accepted_indices=np.arange(20),
-        )
-        with pytest.raises(ValueError, match="resample joint first"):
-            marginal_remap(joint, [MarginalEstimate(0, rng.standard_normal(30))])
-        # the documented remedy works
-        out = marginal_remap(
-            systematic_resample(joint, seed=1),
-            [MarginalEstimate(0, rng.standard_normal(30))],
-        )
-        assert out.n == 20
 
     def test_marginal_smaller_than_joint_rejected(self):
         rng = np.random.default_rng(7)
