@@ -4,7 +4,9 @@ For each target count p' the joint strategy regresses all p' posterior
 quantile functionals at once and runs ABC in the resulting p'-dimensional
 constructed-summary space; errors are measured against the grid-posterior
 oracle. The sweep prints the error-vs-p' and condition-number-vs-p'
-tables and writes one experiment report per level.
+tables and writes one experiment report per level. A level whose every
+cell failed prints its failure count and first failure, and the script
+then exits 2 after the last level; an invalid argument exits 1.
 
 Usage: python scripts/run_gpd_dimension_sweep.py [--levels 1 10 50]
        [--replications 20] [--out runs/gpd_sweep] [--seed 4242]
@@ -15,6 +17,7 @@ import sys
 
 from semiabc import artifacts
 from semiabc.engine import derive_seed
+from semiabc.errors import ConfigError
 from semiabc.experiment import plan_from_config, run_experiment
 from semiabc.models import gpd_fixture
 from semiabc.runconfig import ExperimentConfig, RunConfig, TargetSpec
@@ -44,6 +47,7 @@ def main() -> int:
         derive_seed(args.seed, TAG_EXPERIMENT, r) for r in range(args.replications)
     )
 
+    code = 0
     for level in args.levels:
         taus = tau_ladder(level)
         config = RunConfig(
@@ -69,6 +73,13 @@ def main() -> int:
         report = run_experiment(plan, config, fixture, threads=args.threads)
         out = f"{args.out}/p{level}"
         artifacts.save_experiment_report(out, report, config.config_hash())
+        if not report.rows:
+            print(
+                f"p'={level:3d}: no rows, {len(report.failures)} failures, "
+                f"first: {report.failures[0].message} -> {out}"
+            )
+            code = 2
+            continue
 
         errors = report.error_by_p_prime()[("joint", level)]
         conditions = report.condition_by_p_prime()[("joint", level)]
@@ -78,8 +89,12 @@ def main() -> int:
             f"median construction condition {conditions['median']:.3g}, "
             f"{len(report.failures)} failures -> {out}"
         )
-    return 0
+    return code
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(1)

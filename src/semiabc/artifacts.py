@@ -45,10 +45,24 @@ def dump_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(_sanitize(payload), sort_keys=True, indent=2) + "\n")
 
 
+class _Sidecar(dict):
+    """A JSON object of the sidecar `path`; a key it lacks is an ArtifactError."""
+
+    def __init__(self, path: Path, items):
+        super().__init__(items)
+        self.path = path
+
+    def __missing__(self, key):
+        raise ArtifactError(f"{self.path} has no {key!r} entry")
+
+
 def load_json(path: Path, kind: str, config_hash: str | None) -> dict:
     if not path.exists():
         raise ArtifactError(f"expected artifact {path} is missing; run the earlier stage first")
-    data = json.loads(path.read_text())
+    try:
+        data = json.loads(path.read_text(), object_hook=lambda items: _Sidecar(path, items))
+    except json.JSONDecodeError as exc:
+        raise ArtifactError(f"{path} is not valid JSON: {exc}") from None
     if data.get("kind") != kind:
         raise ArtifactError(f"{path} holds kind {data.get('kind')!r}, expected {kind!r}")
     if config_hash is not None and data.get("config_hash") != config_hash:
@@ -187,13 +201,16 @@ def load_posterior(directory, name: str, config_hash: str | None = None) -> Weig
     idx = data[:, 0]
     if not (np.isfinite(idx).all() and (np.floor(idx) == idx).all()):
         raise ArtifactError(f"{name}.csv has a draw_index that is not an integer")
-    return WeightedPosterior(
-        thetas=data[:, 1:],
-        epsilon=float(sidecar["epsilon"]),
-        distances=np.asarray(sidecar["distances"], dtype=np.float64),
-        accepted_indices=idx.astype(np.intp),
-        provenance=sidecar.get("provenance", {}),
-    )
+    try:
+        return WeightedPosterior(
+            thetas=data[:, 1:],
+            epsilon=float(sidecar["epsilon"]),
+            distances=np.asarray(sidecar["distances"], dtype=np.float64),
+            accepted_indices=idx.astype(np.intp),
+            provenance=sidecar.get("provenance", {}),
+        )
+    except ValueError as exc:
+        raise ArtifactError(f"{directory / name}.json is malformed: {exc}") from None
 
 
 def save_region(directory, region: TruncationRegion, config_hash: str, seed: int = 0) -> None:

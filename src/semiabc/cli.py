@@ -60,8 +60,6 @@ def _build_parser() -> _Parser:
 def _resolve(args) -> tuple[RunConfig, Path]:
     config = parse_config(args.config)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed must be nonnegative")
         config = config.with_seed(args.seed)
     out = args.out if args.out is not None else config.output_dir
     if out is None:

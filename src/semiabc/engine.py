@@ -269,6 +269,9 @@ class WeightedPosterior:
         t = as_matrix(self.thetas, "thetas")
         if t.shape[0] < 1:
             raise ValueError("posterior needs at least one draw")
+        for name in ("distances", "accepted_indices"):
+            if (shape := np.shape(getattr(self, name))) != t.shape[:1]:
+                raise ValueError(f"'{name}' has shape {shape}, expected {t.shape[:1]}")
         object.__setattr__(self, "thetas", t)
 
     @property

@@ -1,10 +1,14 @@
 """Run configuration: strict JSON parsing, defaults, canonical hashing.
 
-Unknown keys are fatal and every validation error names the offending
-dotted path; silent typos in experiment sweeps are the main operational
-hazard this module exists to prevent. The config hash covers every field
-that can influence computed values (seed included) but not the output
-directory, so moving a run never changes its identity.
+Every config type checks its own values on construction, so a config
+built in code or derived with `dataclasses.replace` obeys the same rules
+as a parsed one. `_LAYOUT` maps each `RunConfig` field to the dotted path
+of its JSON key: the parser reads the document through it, `to_json_dict`
+writes through it, and every validation error names that path. Unknown
+keys are fatal; silent typos in experiment sweeps are the main
+operational hazard this module exists to prevent. The config hash covers
+every field that can influence computed values (seed included) but not
+the output directory, so moving a run never changes its identity.
 """
 
 from __future__ import annotations
@@ -19,15 +23,6 @@ import numpy as np
 from .errors import ConfigError
 from .models import gpd_quantile
 from .regression import BasisSpec, _is_int
-
-PILOT_DEFAULTS = {"m": 10_000, "accept_fraction": 0.05, "statistics": "raw", "expand": 0.0}
-MAIN_DEFAULTS = {"m": 100_000, "accept_fraction": 0.01}
-
-_TOP_KEYS = {
-    "model", "prior_overrides", "pilot", "construct", "main", "basis",
-    "ridge_lambda", "targets", "adjust", "experiment", "seed", "output_dir",
-}
-
 
 @dataclass(frozen=True)
 class TargetSpec:
@@ -125,57 +120,87 @@ class ExperimentConfig:
         return _changed_fields(self, "strategies", "replications")
 
 
+# Checks that several fields share: (test, rule the error states).
+_COUNT = (lambda v: _is_int(v) and v >= 1, "must be a positive integer")
+_FRACTION = (lambda v: _is_number(v) and 0.0 < v <= 1.0, "must lie in (0, 1]")
+_NONNEG = (lambda v: _is_number(v) and v >= 0, "must be a number >= 0")
+_FLAG = (lambda v: isinstance(v, bool), "must be a boolean")
+
+# Each RunConfig field: the dotted path of its JSON key, then the test its
+# value must pass and the rule that test states.
+_LAYOUT = {
+    "model": ("model.name", lambda v: isinstance(v, str), "must be a string"),
+    "targets": ("targets", lambda v: isinstance(v, (tuple, list)) and v and all(
+        isinstance(t, TargetSpec) for t in v), "must list at least one target"),
+    "model_params": ("model.params", lambda v: isinstance(v, dict), "must be an object"),
+    "prior_overrides": ("prior_overrides", lambda v: isinstance(v, dict),
+                        "must be an object keyed by coordinate"),
+    "pilot_m": ("pilot.m", *_COUNT),
+    "pilot_accept_fraction": ("pilot.accept_fraction", *_FRACTION),
+    "pilot_statistics": ("pilot.statistics", lambda v: v in ("raw", "projected"),
+                         "must be 'raw' or 'projected'"),
+    "pilot_expand": ("pilot.expand", *_NONNEG),
+    "construct_m": ("construct.m", lambda v: v is None or _COUNT[0](v), _COUNT[1]),
+    "main_m": ("main.m", *_COUNT),
+    "main_accept_fraction": ("main.accept_fraction", *_FRACTION),
+    "basis": ("basis", lambda v: isinstance(v, BasisSpec), "must be a BasisSpec"),
+    "ridge_lambda": ("ridge_lambda", *_NONNEG),
+    "regression_adjust": ("adjust.regression", *_FLAG),
+    "marginal_adjust": ("adjust.marginal", *_FLAG),
+    "experiment": ("experiment", lambda v: v is None or isinstance(v, ExperimentConfig),
+                   "must be an ExperimentConfig"),
+    "seed": ("seed", lambda v: _is_int(v) and v >= 0, "must be a nonnegative integer"),
+    "output_dir": ("output_dir", lambda v: v is None or isinstance(v, str), "must be a string"),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     model: str
+    targets: tuple[TargetSpec, ...]
     model_params: dict = field(default_factory=dict)
     prior_overrides: dict = field(default_factory=dict)
-    pilot_m: int = PILOT_DEFAULTS["m"]
-    pilot_accept_fraction: float = PILOT_DEFAULTS["accept_fraction"]
-    pilot_statistics: str = PILOT_DEFAULTS["statistics"]
-    pilot_expand: float = PILOT_DEFAULTS["expand"]
+    pilot_m: int = 10_000
+    pilot_accept_fraction: float = 0.05
+    pilot_statistics: str = "raw"
+    pilot_expand: float = 0.0
     construct_m: int | None = None  # None -> pilot_m
-    main_m: int = MAIN_DEFAULTS["m"]
-    main_accept_fraction: float = MAIN_DEFAULTS["accept_fraction"]
+    main_m: int = 100_000
+    main_accept_fraction: float = 0.01
     basis: BasisSpec = field(default_factory=BasisSpec)
     ridge_lambda: float = 0.0
-    targets: tuple[TargetSpec, ...] = ()
     regression_adjust: bool = False
     marginal_adjust: bool = False
     experiment: ExperimentConfig | None = None
     seed: int = 0
     output_dir: str | None = None
 
+    def __post_init__(self):
+        for f in fields(self):
+            path, test, rule = _LAYOUT[f.name]
+            value = getattr(self, f.name)
+            if not test(value):
+                raise ConfigError(f"{rule}, got {value!r}", path)
+            # so that JSON 1 and 1.0 hash alike
+            if f.type == "float":
+                object.__setattr__(self, f.name, float(value))
+        object.__setattr__(self, "targets", tuple(self.targets))
+        object.__setattr__(self, "prior_overrides", _coordinate_priors(self.prior_overrides))
+
     @property
     def effective_construct_m(self) -> int:
         return self.pilot_m if self.construct_m is None else self.construct_m
 
     def with_seed(self, seed: int) -> "RunConfig":
-        return replace(self, seed=int(seed))
+        return replace(self, seed=seed)
 
     def to_json_dict(self) -> dict:
-        d = {
-            "model": {"name": self.model, "params": self.model_params},
-            "pilot": {
-                "m": self.pilot_m,
-                "accept_fraction": self.pilot_accept_fraction,
-                "statistics": self.pilot_statistics,
-                "expand": self.pilot_expand,
-            },
-            "construct": {"m": self.effective_construct_m},
-            "main": {"m": self.main_m, "accept_fraction": self.main_accept_fraction},
-            "basis": _changed_fields(self.basis, "kind"),
-            "ridge_lambda": self.ridge_lambda,
-            "targets": [t.to_dict() for t in self.targets],
-            "adjust": {"regression": self.regression_adjust, "marginal": self.marginal_adjust},
-            "seed": self.seed,
-        }
-        if self.prior_overrides:
-            d["prior_overrides"] = {str(k): v for k, v in self.prior_overrides.items()}
-        if self.experiment is not None:
-            d["experiment"] = self.experiment.to_dict()
-        if self.output_dir is not None:
-            d["output_dir"] = self.output_dir
+        d = {}
+        for name, (path, _, _) in _LAYOUT.items():
+            value = _WRITE[name](self) if name in _WRITE else getattr(self, name)
+            if value is not None:
+                section, _, key = path.partition(".")
+                (d.setdefault(section, {}) if key else d)[key or section] = value
         return d
 
     def config_hash(self) -> str:
@@ -183,6 +208,35 @@ class RunConfig:
         payload.pop("output_dir", None)
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
+
+
+# The JSON form of the fields not written as they are held; None leaves
+# the key out.
+_WRITE = {
+    "targets": lambda c: [t.to_dict() for t in c.targets],
+    "prior_overrides": lambda c: {str(k): v for k, v in c.prior_overrides.items()} or None,
+    "construct_m": lambda c: c.effective_construct_m,
+    "basis": lambda c: _changed_fields(c.basis, "kind"),
+    "experiment": lambda c: c.experiment and c.experiment.to_dict(),
+}
+
+
+def _coordinate_priors(overrides: dict) -> dict:
+    """`prior_overrides` keyed by int coordinate, each {"kind", "a", "b"}
+    with float bounds; the model checks the kind and the bounds."""
+    priors = {}
+    for key, spec in overrides.items():
+        where = f"prior_overrides.{key}"
+        _check_keys(spec, {"kind", "a", "b"}, where)
+        coord = int(key) if isinstance(key, str) and key.isdigit() else key
+        if not _is_int(coord):
+            raise ConfigError(f"key {key!r} is not a coordinate index", "prior_overrides")
+        prior = priors[coord] = {k: _require(spec, k, where) for k in ("kind", "a", "b")}
+        for k in ("a", "b"):
+            if not _is_number(prior[k]):
+                raise ConfigError(f"must be a number, got {prior[k]!r}", f"{where}.{k}")
+            prior[k] = float(prior[k])
+    return priors
 
 
 def _changed_fields(obj, *always: str) -> dict:
@@ -197,12 +251,8 @@ def _changed_fields(obj, *always: str) -> dict:
 
 def _require(data: dict, key: str, path: str):
     if key not in data:
-        raise ConfigError(f"missing required key {_join(path, key)!r}")
+        raise ConfigError(f"missing required key {f'{path}.{key}' if path else key!r}")
     return data[key]
-
-
-def _join(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
 
 
 def _check_keys(data: dict, allowed: set[str], path: str):
@@ -210,37 +260,11 @@ def _check_keys(data: dict, allowed: set[str], path: str):
         raise ConfigError(f"{path or 'config'} must be an object")
     for key in data:
         if key not in allowed:
-            raise ConfigError("is not a known key", _join(path, key))
+            raise ConfigError("is not a known key", f"{path}.{key}" if path else key)
 
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _as_count(value, path: str) -> int:
-    if not _is_int(value) or value < 1:
-        raise ConfigError(f"must be a positive integer, got {value!r}", path)
-    return value
-
-
-def _as_number(value, path: str) -> float:
-    if not _is_number(value):
-        raise ConfigError(f"must be a number, got {value!r}", path)
-    return float(value)
-
-
-def _as_fraction(value, path: str) -> float:
-    v = _as_number(value, path)
-    if not 0.0 < v <= 1.0:
-        raise ConfigError(f"must lie in (0, 1], got {value!r}", path)
-    return v
-
-
-def _as_nonneg(value, path: str) -> float:
-    v = _as_number(value, path)
-    if v < 0:
-        raise ConfigError(f"must be >= 0, got {value!r}", path)
-    return v
 
 
 def _as_tuple(value, path: str) -> tuple | None:
@@ -266,111 +290,34 @@ def _parse_typed(cls, data: dict, path: str, lists: tuple[str, ...] = ()):
         raise exc.under(path) from None
 
 
+# The field value of the JSON value, for the fields that hold typed objects.
+_READ = {
+    "targets": lambda v: tuple(_parse_typed(TargetSpec, t, f"targets[{i}]")
+                               for i, t in enumerate(_as_tuple(v, "targets") or ())),
+    "basis": lambda v: _parse_typed(BasisSpec, v, "basis", ("exponents",)),
+    "experiment": lambda v: _parse_typed(
+        ExperimentConfig, v, "experiment", ("strategies", "groups", "seeds")
+    ),
+}
+
+
 def parse_config_dict(data: dict) -> RunConfig:
-    """Validate a parsed JSON document and fill defaults."""
-    _check_keys(data, _TOP_KEYS, "")
-
-    model = _require(data, "model", "")
-    _check_keys(model, {"name", "params"}, "model")
-    model_name = _require(model, "name", "model")
-    if not isinstance(model_name, str):
-        raise ConfigError("'model.name' must be a string")
-    model_params = model.get("params", {})
-    if not isinstance(model_params, dict):
-        raise ConfigError("'model.params' must be an object")
-
-    seed = _require(data, "seed", "")
-    if not _is_int(seed) or seed < 0:
-        raise ConfigError(f"'seed' must be a nonnegative integer, got {seed!r}")
-
-    pilot = dict(PILOT_DEFAULTS)
-    if "pilot" in data:
-        _check_keys(data["pilot"], set(PILOT_DEFAULTS), "pilot")
-        pilot.update(data["pilot"])
-    pilot_m = _as_count(pilot["m"], "pilot.m")
-    pilot_fraction = _as_fraction(pilot["accept_fraction"], "pilot.accept_fraction")
-    if pilot["statistics"] not in ("raw", "projected"):
-        raise ConfigError("'pilot.statistics' must be 'raw' or 'projected'")
-    pilot_expand = _as_nonneg(pilot["expand"], "pilot.expand")
-
-    construct_m = None
-    if "construct" in data:
-        _check_keys(data["construct"], {"m"}, "construct")
-        if "m" in data["construct"]:
-            construct_m = _as_count(data["construct"]["m"], "construct.m")
-
-    main = dict(MAIN_DEFAULTS)
-    if "main" in data:
-        _check_keys(data["main"], set(MAIN_DEFAULTS), "main")
-        main.update(data["main"])
-    main_m = _as_count(main["m"], "main.m")
-    main_fraction = _as_fraction(main["accept_fraction"], "main.accept_fraction")
-
-    basis = _parse_typed(BasisSpec, data.get("basis", {}), "basis", ("exponents",))
-    ridge = _as_nonneg(data.get("ridge_lambda", 0.0), "ridge_lambda")
-
-    raw_targets = _require(data, "targets", "")
-    if not isinstance(raw_targets, list) or not raw_targets:
-        raise ConfigError("'targets' must be a nonempty list")
-    targets = tuple(_parse_typed(TargetSpec, t, f"targets[{i}]") for i, t in enumerate(raw_targets))
-
-    adjust = {"regression": False, "marginal": False}
-    if "adjust" in data:
-        _check_keys(data["adjust"], set(adjust), "adjust")
-        adjust.update(data["adjust"])
-    for key, value in adjust.items():
-        if not isinstance(value, bool):
-            raise ConfigError(f"'adjust.{key}' must be a boolean")
-
-    prior_overrides = {}
-    if "prior_overrides" in data:
-        raw = data["prior_overrides"]
-        if not isinstance(raw, dict):
-            raise ConfigError("'prior_overrides' must be an object keyed by coordinate")
-        for key, spec in raw.items():
-            where = f"prior_overrides.{key}"
-            _check_keys(spec, {"kind", "a", "b"}, where)
-            try:
-                coord = int(key)
-            except ValueError:
-                raise ConfigError(
-                    f"'prior_overrides' key {key!r} is not a coordinate index"
-                ) from None
-            prior_overrides[coord] = {
-                "kind": _require(spec, "kind", where),
-                **{k: _as_number(_require(spec, k, where), f"{where}.{k}") for k in ("a", "b")},
-            }
-
-    experiment = None
-    if "experiment" in data:
-        experiment = _parse_typed(
-            ExperimentConfig, data["experiment"], "experiment", ("strategies", "groups", "seeds")
-        )
-
-    output_dir = data.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        raise ConfigError("'output_dir' must be a string")
-
-    return RunConfig(
-        model=model_name,
-        model_params=model_params,
-        prior_overrides=prior_overrides,
-        pilot_m=pilot_m,
-        pilot_accept_fraction=pilot_fraction,
-        pilot_statistics=pilot["statistics"],
-        pilot_expand=pilot_expand,
-        construct_m=construct_m,
-        main_m=main_m,
-        main_accept_fraction=main_fraction,
-        basis=basis,
-        ridge_lambda=ridge,
-        targets=targets,
-        regression_adjust=adjust["regression"],
-        marginal_adjust=adjust["marginal"],
-        experiment=experiment,
-        seed=seed,
-        output_dir=output_dir,
-    )
+    """Read a parsed JSON document through `_LAYOUT`; RunConfig checks the
+    values and fills the defaults."""
+    where = {name: path.partition(".")[::2] for name, (path, _, _) in _LAYOUT.items()}
+    _check_keys(data, {section for section, _ in where.values()}, "")
+    for section, value in data.items():
+        if keys := {key for s, key in where.values() if s == section and key}:
+            _check_keys(value, keys, section)
+    for key in ("model", "targets", "seed"):
+        _require(data, key, "")
+    _require(data["model"], "name", "model")
+    values = {}
+    for name, (section, key) in where.items():
+        holder, key = (data.get(section, {}), key) if key else (data, section)
+        if key in holder:
+            values[name] = _READ[name](holder[key]) if name in _READ else holder[key]
+    return RunConfig(**values)
 
 
 def parse_config(path) -> RunConfig:

@@ -248,7 +248,57 @@ class TestMalformedArtifacts:
         self.assert_rejected(code, capsys, "posterior_main.csv")
 
 
+    def test_posterior_with_truncated_distances(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["infer", "--full", "--config", str(config), "--out", str(out)]) == 0
+        sidecar = json.loads((out / "posterior_main.json").read_text())
+        sidecar["distances"] = sidecar["distances"][:2]
+        (out / "posterior_main.json").write_text(json.dumps(sidecar))
+        capsys.readouterr()
+        code = main(["report", "--config", str(config), "--out", str(out)])
+        err = self.assert_rejected(code, capsys, "posterior_main.json")
+        assert "'distances'" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "sidecar, key, stages",
+        [
+            ("projector.json", "coef", ("simulate", "pilot", "construct", "infer")),
+            ("batch_pilot.json", "stat_dim", ("simulate", "pilot")),
+            ("region.json", "lo", ("simulate", "pilot", "construct")),
+        ],
+    )
+    def test_sidecar_missing_a_key(self, tmp_path, capsys, sidecar, key, stages):
+        config = write_config(tmp_path)
+        out = tmp_path / "o"
+        args = ["--config", str(config), "--out", str(out)]
+        for stage in stages[:-1]:
+            assert main([stage] + args) == 0
+        data = json.loads((out / sidecar).read_text())
+        del data[key]
+        (out / sidecar).write_text(json.dumps(data))
+        capsys.readouterr()
+        err = self.assert_rejected(main([stages[-1]] + args), capsys, sidecar)
+        assert f"{key!r}" in err and len(err.splitlines()) == 1
+
+    def test_sidecar_that_is_not_json(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        out = tmp_path / "o"
+        args = ["--config", str(config), "--out", str(out)]
+        assert main(["simulate"] + args) == 0
+        assert main(["pilot"] + args) == 0
+        (out / "region.json").write_text("{nope")
+        capsys.readouterr()
+        self.assert_rejected(main(["construct"] + args), capsys, "region.json")
+
+
 class TestSeedOverride:
+    def test_negative_seed_is_one(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        args = ["simulate", "--config", str(config), "--seed", "-1", "--out", str(tmp_path / "o")]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith("error: 'seed' ")
+
     def test_seed_flag_changes_results_consistently(self, tmp_path):
         config = write_config(tmp_path)
         a = tmp_path / "a"

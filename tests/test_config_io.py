@@ -1,6 +1,9 @@
+import hashlib
 import json
+import re
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +21,7 @@ from semiabc.engine import (
 from semiabc.errors import ArtifactError, ConfigError
 from semiabc.regression import BasisSpec
 from semiabc.runconfig import (
+    _LAYOUT,
     RunConfig,
     TargetSpec,
     parse_config,
@@ -167,6 +171,34 @@ MALFORMED = {
     "bad_model_param": ("model", {"name": "gaussian_location", "params": {"n": 0}}, "model"),
 }
 
+# One bad value per flat RunConfig field: (field, value, dotted path). Each
+# is also a MALFORMED case, written at its path in the JSON document.
+FLAT_MALFORMED = {
+    "fractional_pilot_m": ("pilot_m", 2000.5, "pilot.m"),
+    "string_pilot_fraction": ("pilot_accept_fraction", "0.05", "pilot.accept_fraction"),
+    "misspelt_pilot_statistics": ("pilot_statistics", "projectd", "pilot.statistics"),
+    "negative_pilot_expand": ("pilot_expand", -0.5, "pilot.expand"),
+    "zero_construct_m": ("construct_m", 0, "construct.m"),
+    "boolean_main_m": ("main_m", True, "main.m"),
+    "zero_main_fraction": ("main_accept_fraction", 0, "main.accept_fraction"),
+    "string_ridge_lambda": ("ridge_lambda", "0", "ridge_lambda"),
+    "string_regression_adjust": ("regression_adjust", "no", "adjust.regression"),
+    "string_marginal_adjust": ("marginal_adjust", "false", "adjust.marginal"),
+    "negative_seed": ("seed", -1, "seed"),
+    "numeric_output_dir": ("output_dir", 5, "output_dir"),
+}
+
+
+def json_at(path: str, value) -> tuple:
+    """The top-level key and its JSON value that put `value` at `path`."""
+    section, _, key = path.partition(".")
+    return section, {key: value} if key else value
+
+
+MALFORMED.update(
+    {case: (*json_at(path, value), path) for case, (_, value, path) in FLAT_MALFORMED.items()}
+)
+
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_value_is_an_error_naming_its_path(tmp_path, capsys, case):
@@ -180,6 +212,99 @@ def test_malformed_value_is_an_error_naming_its_path(tmp_path, capsys, case):
     assert code == 1
     assert err.startswith(f"error: '{path}' ")
     assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("case", sorted(FLAT_MALFORMED))
+def test_library_config_refuses_what_the_parser_refuses(case):
+    # built in code or derived with replace, a config obeys the parser's rules
+    name, value, path = FLAT_MALFORMED[case]
+    config = RunConfig(model="gaussian_location", targets=(TargetSpec("coordinate", index=0),))
+    with pytest.raises(ConfigError) as direct:
+        RunConfig(model="gaussian_location", targets=config.targets, **{name: value})
+    with pytest.raises(ConfigError) as replaced:
+        replace(config, **{name: value})
+    assert direct.value.key == replaced.value.key == path
+
+
+def test_library_config_normalises_like_the_parser():
+    config = RunConfig(
+        model="gaussian_location",
+        targets=[TargetSpec("coordinate", index=0)],
+        prior_overrides={"0": {"kind": "normal", "a": 0, "b": 3}},
+        ridge_lambda=1,
+        seed=1,
+    )
+    parsed = parse_config_dict({
+        **MINIMAL,
+        "ridge_lambda": 1.0,
+        "prior_overrides": {"0": {"kind": "normal", "a": 0.0, "b": 3.0}},
+    })
+    assert config == parsed and config.config_hash() == parsed.config_hash()
+    assert config.targets == parsed.targets and isinstance(config.targets, tuple)
+    assert config.prior_overrides == {0: {"kind": "normal", "a": 0.0, "b": 3.0}}
+    assert type(config.ridge_lambda) is float
+    with pytest.raises(ConfigError) as exc:
+        config.with_seed(-1)
+    assert exc.value.key == "seed"
+    with pytest.raises(ConfigError) as exc:
+        replace(config, targets=())
+    assert exc.value.key == "targets"
+
+
+# Every section set, with integer values where floats are stored; the
+# literals are the config hash and the SHA-256 of serialize_config.
+EVERY_SECTION = {
+    "model": {"name": "gpd", "params": {"sigma_true": 1.0, "xi_true": 0.2, "n_exceedances": 100}},
+    "prior_overrides": {"1": {"kind": "uniform", "a": 0, "b": 0.5}},
+    "pilot": {"m": 3000, "accept_fraction": 1, "statistics": "projected", "expand": 0},
+    "construct": {"m": 4000},
+    "main": {"m": 5000, "accept_fraction": 0.05},
+    "basis": {"kind": "powers", "exponents": [[1, 0], [0, 2]]},
+    "ridge_lambda": 1,
+    "targets": [
+        {"kind": "gpd_quantile", "tau": 0.9, "name": "q90"},
+        {"kind": "coordinate", "index": 1, "transform": "log"},
+    ],
+    "adjust": {"regression": True, "marginal": False},
+    "experiment": {
+        "strategies": ["separate"], "groups": [[1], [0]], "replications": 2, "seeds": [5, 6]
+    },
+    "seed": 11,
+    "output_dir": "runs/every",
+}
+PINNED = {
+    "gaussian_location.json": (
+        "6a64eb16e18543f7", "f36b33fd51e4a92c72872293dc34ee4ec4a3f2c53635ac2552d588349a9ff820"
+    ),
+    "gpd_quantiles.json": (
+        "36afa72254b0b3ed", "2d9ca299327901bea64321e13d406b23bb6c403521d95174686e274c32d1f4f8"
+    ),
+    "every_section": (
+        "bda23f88826fa8fe", "92bb1e4194654d18ae096e0ccf8bbc97eefdc9e84d09fe74d8f7f16642226c19"
+    ),
+}
+REPO = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_config_hash_and_serialization_are_pinned(name):
+    if name == "every_section":
+        config = parse_config_dict(EVERY_SECTION)
+    else:
+        config = parse_config(REPO / "configs" / name)
+    text = serialize_config(config)
+    assert (config.config_hash(), hashlib.sha256(text.encode()).hexdigest()) == PINNED[name]
+    assert parse_config_dict(json.loads(text)) == config
+
+
+def test_readme_configuration_block_parses_and_names_every_path():
+    readme = (REPO / "README.md").read_text()
+    block = readme.split("## Configuration", 1)[1].split("```jsonc\n", 1)[1].split("```", 1)[0]
+    document = json.loads(re.sub(r"//.*", "", block))
+    parse_config_dict(document)
+    for path, _, _ in _LAYOUT.values():
+        section, _, key = path.partition(".")
+        assert section in document and (not key or key in document[section]), path
 
 
 def test_target_named_like_its_default_hashes_like_an_unnamed_one():

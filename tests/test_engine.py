@@ -351,6 +351,14 @@ class TestTruncationFromPilot:
         assert np.all((region.lo <= post.thetas) & (post.thetas <= region.hi))
 
 
+@pytest.mark.parametrize("field", ["distances", "accepted_indices"])
+def test_posterior_refuses_a_column_that_is_not_n_long(field):
+    columns = {"distances": np.zeros(3), "accepted_indices": np.arange(3)}
+    columns[field] = columns[field][:2]
+    with pytest.raises(ValueError, match=f"'{field}'"):
+        WeightedPosterior(thetas=np.zeros((3, 1)), epsilon=1.0, **columns)
+
+
 class TestRegressionAdjust:
     def make_posterior(self, thetas):
         thetas = np.asarray(thetas, dtype=np.float64)
