@@ -12,12 +12,14 @@ provenance does not match the requesting run, or a malformed table.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .engine import SimulationBatch, TruncationRegion, WeightedPosterior
 from .errors import ArtifactError
+from .regression import expand_basis
 from .semiauto import SummaryProjector
 
 
@@ -71,6 +73,19 @@ def load_json(path: Path, kind: str, config_hash: str | None) -> dict:
             f"this run has {config_hash}; refusing to mix runs"
         )
     return data
+
+
+@contextmanager
+def _sidecar_values(path: Path):
+    """The block builds an object from the sidecar `path`: a TypeError or
+    ValueError raised by a value of the wrong type or shape becomes an
+    ArtifactError naming the file."""
+    try:
+        yield
+    except ArtifactError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ArtifactError(f"{path} is malformed: {exc}") from None
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -153,18 +168,20 @@ def save_batch(
 
 def load_batch(directory, name: str, config_hash: str | None = None) -> SimulationBatch:
     directory = Path(directory)
-    sidecar = load_json(directory / f"{name}.json", "simulation_batch", config_hash)
-    p, d = sidecar["param_dim"], sidecar["stat_dim"]
-    data = _read_table(directory / f"{name}.csv", _batch_header(p, d), sidecar["m"])
-    region = sidecar.get("region")
-    return SimulationBatch(
-        thetas=data[:, 1 : p + 1],
-        stats=data[:, p + 1 :],
-        seed=sidecar["seed"],
-        model_name=sidecar["model"],
-        prior_hash=sidecar["prior_hash"],
-        region=TruncationRegion.from_dict(region) if region else None,
-    )
+    path = directory / f"{name}.json"
+    sidecar = load_json(path, "simulation_batch", config_hash)
+    with _sidecar_values(path):
+        p, d = sidecar["param_dim"], sidecar["stat_dim"]
+        data = _read_table(directory / f"{name}.csv", _batch_header(p, d), sidecar["m"])
+        region = sidecar.get("region")
+        return SimulationBatch(
+            thetas=data[:, 1 : p + 1],
+            stats=data[:, p + 1 :],
+            seed=sidecar["seed"],
+            model_name=sidecar["model"],
+            prior_hash=sidecar["prior_hash"],
+            region=TruncationRegion.from_dict(region) if region else None,
+        )
 
 
 def _posterior_header(p: int) -> list[str]:
@@ -195,13 +212,14 @@ def save_posterior(
 
 def load_posterior(directory, name: str, config_hash: str | None = None) -> WeightedPosterior:
     directory = Path(directory)
-    sidecar = load_json(directory / f"{name}.json", "posterior", config_hash)
-    p = sidecar["param_dim"]
-    data = _read_table(directory / f"{name}.csv", _posterior_header(p), sidecar["n"])
-    idx = data[:, 0]
-    if not (np.isfinite(idx).all() and (np.floor(idx) == idx).all()):
-        raise ArtifactError(f"{name}.csv has a draw_index that is not an integer")
-    try:
+    path = directory / f"{name}.json"
+    sidecar = load_json(path, "posterior", config_hash)
+    with _sidecar_values(path):
+        p = sidecar["param_dim"]
+        data = _read_table(directory / f"{name}.csv", _posterior_header(p), sidecar["n"])
+        idx = data[:, 0]
+        if not (np.isfinite(idx).all() and (np.floor(idx) == idx).all()):
+            raise ArtifactError(f"{name}.csv has a draw_index that is not an integer")
         return WeightedPosterior(
             thetas=data[:, 1:],
             epsilon=float(sidecar["epsilon"]),
@@ -209,8 +227,6 @@ def load_posterior(directory, name: str, config_hash: str | None = None) -> Weig
             accepted_indices=idx.astype(np.intp),
             provenance=sidecar.get("provenance", {}),
         )
-    except ValueError as exc:
-        raise ArtifactError(f"{directory / name}.json is malformed: {exc}") from None
 
 
 def save_region(directory, region: TruncationRegion, config_hash: str, seed: int = 0) -> None:
@@ -228,7 +244,8 @@ def save_region(directory, region: TruncationRegion, config_hash: str, seed: int
 def load_region(directory, config_hash: str | None = None) -> TruncationRegion:
     path = Path(directory) / "region.json"
     data = load_json(path, "truncation_region", config_hash)
-    return TruncationRegion.from_dict(data)
+    with _sidecar_values(path):
+        return TruncationRegion.from_dict(data)
 
 
 def save_projector(
@@ -244,10 +261,22 @@ def save_projector(
     dump_json(Path(directory) / "projector.json", payload)
 
 
-def load_projector(directory, config_hash: str | None = None) -> SummaryProjector:
+def load_projector(
+    directory, config_hash: str | None = None, *, stat_dim: int
+) -> SummaryProjector:
+    """The persisted projector for statistics of dimension `stat_dim`; one
+    whose coef does not have a column per basis feature of them is refused."""
     path = Path(directory) / "projector.json"
     data = load_json(path, "summary_projector", config_hash)
-    return SummaryProjector.from_dict(data)
+    with _sidecar_values(path):
+        projector = SummaryProjector.from_dict(data)
+        width = projector.coef.shape[1]
+        if width != expand_basis(np.zeros(stat_dim), projector.basis).size:
+            raise ArtifactError(
+                f"{path} has a coef of {width} columns, not one per "
+                f"{projector.basis.kind} basis feature of {stat_dim} statistics"
+            )
+    return projector
 
 
 def save_marginal(directory, name: str, marginal, config_hash: str) -> None:

@@ -111,7 +111,7 @@ def _cmd_infer(config, fixture, out, threads, held):
     h = config.config_hash()
     if "posterior" not in held:
         region = artifacts.load_region(out, h)
-        projector = artifacts.load_projector(out, h)
+        projector = artifacts.load_projector(out, h, stat_dim=fixture.simulator.stat_dim)
         held["main_batch"], held["posterior"] = stage_infer(
             config, fixture, region, projector, threads=threads
         )

@@ -11,8 +11,8 @@ asserted.
 The study runs replicate by replicate. Each replicate's stage batches that
 do not depend on the targets (pilot, construct and main with raw pilot
 statistics; the pilot alone with projected ones) are simulated once and
-shared by all of its cells, and only one replicate's batches are held at a
-time.
+shared by all of its cells, as is its raw-statistic pilot rejection, and
+only one replicate's batches are held at a time.
 """
 
 from __future__ import annotations
@@ -205,8 +205,9 @@ def run_experiment(
     ConfigError.
 
     Replicates are independent deterministic units keyed by their seed,
-    run one after another: a replicate's target-free stage batches are
-    simulated once (spread over `threads`) and shared by its cells, which
+    run one after another: a replicate's target-free stage batches, and
+    with raw pilot statistics its pilot rejection, are computed once (the
+    simulations spread over `threads`) and shared by its cells, which
     then run on `threads` workers. Rows keep the strategy-major cell order.
     Numerical and validation failures (NumericalError, ValueError) are
     recorded in the report instead of aborting the study; any other

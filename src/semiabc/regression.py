@@ -119,19 +119,18 @@ class LinearFit:
 
     intercept: np.ndarray  # (p,)
     coef: np.ndarray  # (p, q)
-    residual_mss: np.ndarray  # (p,) mean squared residual per response
     condition_number: float  # extreme singular value ratio of the design fitted
     vifs: np.ndarray  # (q,) of the design fitted
     ridge_lambda: float = 0.0
 
     def __post_init__(self):
-        if np.any(self.residual_mss < 0):
-            raise ValueError("residual_mss must be nonnegative")
         if self.condition_number < 1.0:
             raise ValueError("condition_number must be >= 1")
 
 
-def fit_linear(design, responses, ridge_lambda: float = 0.0) -> LinearFit:
+def fit_linear(
+    design, responses, ridge_lambda: float = 0.0, overwrite_design: bool = False
+) -> LinearFit:
     """Affine least squares of (M, p) responses on an (M, q) design.
 
     Minimizes sum_m ||y_m - a - B x_m||^2 + ridge_lambda ||B||_F^2 with
@@ -143,6 +142,10 @@ def fit_linear(design, responses, ridge_lambda: float = 0.0) -> LinearFit:
     describe the centered design. VIFs above 1e12, of zero-variance
     columns and of columns in an exact null direction report the
     sentinel 1e18.
+
+    With `overwrite_design` a float64 `design` array is centred in place
+    rather than copied, and holds the centred design afterwards. The fit
+    does not score itself: it computes no residuals.
     """
     x = as_matrix(design, "design")
     y = as_matrix(responses, "responses")
@@ -156,9 +159,10 @@ def fit_linear(design, responses, ridge_lambda: float = 0.0) -> LinearFit:
     if m < 2:
         raise ValueError("need at least 2 rows")
 
+    raw_sq_norms = np.einsum("ij,ij->j", x, x)
     x_mean = x.sum(axis=0) / m
     y_mean = y.sum(axis=0) / m
-    xc = x - x_mean
+    xc = np.subtract(x, x_mean, out=x if overwrite_design else None)
     yc = y - y_mean
 
     # A wide design's null space, which the VIFs need, is only in the full V.
@@ -174,16 +178,11 @@ def fit_linear(design, responses, ridge_lambda: float = 0.0) -> LinearFit:
     else:
         shrink = sv / (sv**2 + ridge_lambda)
     coef = (vt[: sv.size].T @ (shrink[:, None] * (u.T @ yc))).T  # (p, q)
-    alpha = y_mean - coef @ x_mean
-
-    resid = y - alpha - x @ coef.T
-    residual_mss = (resid**2).sum(axis=0) / m
     return LinearFit(
-        intercept=alpha,
+        intercept=y_mean - coef @ x_mean,
         coef=coef,
-        residual_mss=np.maximum(residual_mss, 0.0),
         condition_number=cond,
-        vifs=_vifs(xc, sv, vt, _zero_variance(xc, np.einsum("ij,ij->j", x, x))),
+        vifs=_vifs(xc, sv, vt, _zero_variance(xc, raw_sq_norms)),
         ridge_lambda=float(ridge_lambda),
     )
 

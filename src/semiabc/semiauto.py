@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .engine import (
+    CHUNK,
     SimulationBatch,
     TruncationRegion,
     WeightedPosterior,
@@ -99,10 +100,20 @@ class SummaryProjector:
     n_fit: int = 0
 
     def __post_init__(self):
+        if self.coef.ndim != 2:
+            raise ValueError(f"coef must be 2-dimensional, got shape {self.coef.shape}")
+        # Column-major, as the fit returns it: a BLAS product rounds by the
+        # layout of its operands, and a reloaded projector must project
+        # bit for bit as the one fitted in memory.
+        object.__setattr__(self, "coef", np.asfortranarray(self.coef))
         if self.coef.shape[0] != len(self.target_names):
             raise ValueError("projector must emit exactly one statistic per target")
         if self.intercept.shape != (self.coef.shape[0],):
             raise ValueError("intercept length mismatch")
+        if self.residual_mss.shape != (self.coef.shape[0],):
+            raise ValueError("residual_mss length mismatch")
+        if self.vifs.shape != (self.coef.shape[1],):
+            raise ValueError("vifs length mismatch")
 
     @property
     def out_dim(self) -> int:
@@ -156,6 +167,11 @@ def construct_projector(
     The batch should come from the restricted (truncated) prior recorded
     in its provenance; the projector keeps that region for downstream
     stages and reporting.
+
+    The fit centres the one design it is given in place; its residuals
+    are then scored on `_design_blocks` with that design dropped, and
+    summed over all rows at once, which gives the bits of the
+    whole-matrix sum.
     """
     design = expand_design(batch.stats, basis)
     if batch.m < design.shape[1] + 2:
@@ -164,7 +180,12 @@ def construct_projector(
             f"basis columns, got {batch.m}"
         )
     responses = evaluate_targets(batch.thetas, targets)
-    fit = fit_linear(design, responses, ridge_lambda)
+    fit = fit_linear(design, responses, ridge_lambda, overwrite_design=True)
+    del design
+    resid = np.empty_like(responses)
+    for rows, block in _design_blocks(batch.stats, basis):
+        resid[rows] = responses[rows] - fit.intercept - block @ fit.coef.T
+        del block
     return SummaryProjector(
         basis=basis,
         intercept=fit.intercept,
@@ -172,10 +193,22 @@ def construct_projector(
         target_names=tuple(t.name for t in targets),
         condition_number=fit.condition_number,
         vifs=fit.vifs,
-        residual_mss=fit.residual_mss,
+        residual_mss=np.maximum((resid**2).sum(axis=0) / batch.m, 0.0),
         region=batch.region,
         n_fit=batch.m,
     )
+
+
+def _design_blocks(stats: np.ndarray, basis: BasisSpec):
+    """Yield (rows, `expand_design` of those rows) for `CHUNK`-row slices
+    of an (N, d) statistic array, so no caller holds an (N, q) design; a
+    caller that deletes each block before asking for the next holds one.
+    A design row depends only on its statistic row, and a product row
+    only on its design row, so blockwise results equal whole-matrix ones
+    bit for bit."""
+    for start in range(0, stats.shape[0], CHUNK):
+        rows = slice(start, start + CHUNK)
+        yield rows, expand_design(stats[rows], basis)
 
 
 def project(projector: SummaryProjector, s) -> np.ndarray:
@@ -186,8 +219,12 @@ def project(projector: SummaryProjector, s) -> np.ndarray:
 
 def project_matrix(projector: SummaryProjector, stats) -> np.ndarray:
     """Constructed summaries for each row of an (N, d) statistic matrix."""
-    design = expand_design(stats, projector.basis)
-    return projector.intercept + design @ projector.coef.T
+    s = as_matrix(stats, "stats")
+    out = np.empty((s.shape[0], projector.out_dim))
+    for rows, block in _design_blocks(s, projector.basis):
+        out[rows] = projector.intercept + block @ projector.coef.T
+        del block
+    return out
 
 
 def _projected_batch(batch: SimulationBatch, projector: SummaryProjector) -> SimulationBatch:
@@ -253,12 +290,13 @@ def _stage_batch(
 def shared_stage_batches(config: RunConfig, fixture: ModelFixture, *, threads: int = 1) -> dict:
     """The stage batches of `config` that do not depend on its targets.
 
-    The pilot batch never does; with raw pilot statistics neither does the
-    truncation region, so the construct and main batches are included too.
-    The dict is keyed for `run_semiauto(..., batches=...)`, which lets runs
-    that differ only in their targets simulate each batch once. A numerical
-    or validation failure stops the filling: a run given the partial dict
-    simulates the rest and meets the same failure itself.
+    The pilot batch never does; with raw pilot statistics neither do the
+    pilot rejection and its truncation region, so the pilot stage's result
+    and the construct and main batches are included too. The dict is keyed
+    for `run_semiauto(..., batches=...)`, which lets runs that differ only
+    in their targets simulate each batch and reject on the pilot once. A
+    numerical or validation failure stops the filling: a run given the
+    partial dict computes the rest and meets the same failure itself.
     """
     batches: dict = {}
 
@@ -269,12 +307,24 @@ def shared_stage_batches(config: RunConfig, fixture: ModelFixture, *, threads: i
     try:
         pilot = keep(_stage_batch(config, fixture, TAG_PILOT, None, threads, None))
         if config.pilot_statistics == "raw":
-            _, region = stage_pilot(config, fixture, pilot)
+            batches[_pilot_key(config, pilot)] = stage_pilot(config, fixture, pilot)
+            _, region = batches[_pilot_key(config, pilot)]
             keep(_stage_batch(config, fixture, TAG_CONSTRUCT, region, threads, None))
             keep(_stage_batch(config, fixture, TAG_MAIN, region, threads, None))
     except (NumericalError, ValueError):
         pass
     return batches
+
+
+def _pilot_key(config: RunConfig, pilot_batch: SimulationBatch) -> tuple:
+    """The `batches` key of `stage_pilot`'s result on raw statistics: the
+    pilot batch's key and the knobs of the rejection and the box. Only
+    `shared_stage_batches` stores it, and only for raw statistics, where
+    the targets play no part."""
+    return (
+        TAG_PILOT, pilot_batch.prior_hash, pilot_batch.m, pilot_batch.seed,
+        config.pilot_statistics, config.pilot_accept_fraction, config.pilot_expand,
+    )
 
 
 def stage_pilot_batch(
@@ -378,14 +428,15 @@ def run_semiauto(
 
     Deterministic: (config, seed) fully determines every stage; `threads`
     never changes values. `batches` (see `shared_stage_batches`) is only
-    read: a stage batch it holds is used instead of simulated, which gives
-    the same values. Nothing is written to disk, whatever
-    `config.output_dir` holds; the CLI is the persisted path.
+    read: a stage batch or pilot result it holds is used instead of
+    computed, which gives the same values. Nothing is written to disk,
+    whatever `config.output_dir` holds; the CLI is the persisted path.
     """
     fixture = fixture if fixture is not None else build_fixture(config)
     targets = targets_from_specs(config.targets, fixture.simulator.param_dim)
     pilot_batch = stage_pilot_batch(config, fixture, threads=threads, batches=batches)
-    pilot_posterior, region = stage_pilot(config, fixture, pilot_batch)
+    shared = batches.get(_pilot_key(config, pilot_batch)) if batches is not None else None
+    pilot_posterior, region = shared or stage_pilot(config, fixture, pilot_batch)
     construct_batch, projector = stage_construct(
         config, fixture, region, threads=threads, batches=batches
     )

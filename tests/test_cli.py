@@ -29,6 +29,20 @@ def write_config(tmp_path, name="config.json", **over):
     return path
 
 
+# GPD with a degree-2 basis (104 columns of 13 statistics): the construct
+# fit and the main projection both cross CHUNK (4096-row) block boundaries
+GPD_BLOCKS = dict(
+    model={"name": "gpd", "params": {"sigma_true": 1.0, "xi_true": 0.2, "n_exceedances": 100}},
+    pilot={"m": 2000, "accept_fraction": 0.05},
+    construct={"m": 4500},
+    main={"m": 9000, "accept_fraction": 0.02},
+    basis={"kind": "polynomial", "degree": 2},
+    targets=[{"kind": "gpd_quantile", "tau": 0.9}, {"kind": "gpd_quantile", "tau": 0.99}],
+    adjust={"regression": True, "marginal": False},
+    ridge_lambda=1e-8,
+)
+
+
 def tree_bytes(directory: Path) -> dict:
     return {
         p.relative_to(directory).as_posix(): p.read_bytes()
@@ -39,7 +53,13 @@ def tree_bytes(directory: Path) -> dict:
 
 class TestStageEquivalence:
     def test_chained_subcommands_match_infer_full_bitwise(self, tmp_path):
-        config = write_config(tmp_path)
+        self.assert_chained_matches_full(tmp_path)
+
+    def test_chained_matches_full_across_design_blocks(self, tmp_path):
+        self.assert_chained_matches_full(tmp_path, **GPD_BLOCKS)
+
+    def assert_chained_matches_full(self, tmp_path, **over):
+        config = write_config(tmp_path, **over)
         chained = tmp_path / "chained"
         full = tmp_path / "full"
 
@@ -66,7 +86,13 @@ class TestStageEquivalence:
         assert tree_bytes(chained) == tree_bytes(full)
 
     def test_rerun_is_byte_identical_across_threads(self, tmp_path):
-        config = write_config(tmp_path)
+        self.assert_identical_across_threads(tmp_path)
+
+    def test_identical_across_threads_and_design_blocks(self, tmp_path):
+        self.assert_identical_across_threads(tmp_path, **GPD_BLOCKS)
+
+    def assert_identical_across_threads(self, tmp_path, **over):
+        config = write_config(tmp_path, **over)
         one = tmp_path / "one"
         eight = tmp_path / "eight"
         args = ["infer", "--full", "--config", str(config)]
@@ -280,6 +306,32 @@ class TestMalformedArtifacts:
         capsys.readouterr()
         err = self.assert_rejected(main([stages[-1]] + args), capsys, sidecar)
         assert f"{key!r}" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "sidecar, key, value, stages",
+        [
+            ("projector.json", "coef", "abc", ("simulate", "pilot", "construct", "infer")),
+            ("projector.json", "coef", [[0.5]], ("simulate", "pilot", "construct", "infer")),
+            ("projector.json", "vifs", [1.0], ("simulate", "pilot", "construct", "infer")),
+            ("batch_pilot.json", "param_dim", "1", ("simulate", "pilot")),
+            ("region.json", "lo", ["abc"], ("simulate", "pilot", "construct")),
+        ],
+        ids=["coef_string", "coef_width", "vifs_length", "param_dim_string", "lo_string"],
+    )
+    def test_sidecar_value_of_the_wrong_type_or_shape(
+        self, tmp_path, capsys, sidecar, key, value, stages
+    ):
+        config = write_config(tmp_path)
+        out = tmp_path / "o"
+        args = ["--config", str(config), "--out", str(out)]
+        for stage in stages[:-1]:
+            assert main([stage] + args) == 0
+        data = json.loads((out / sidecar).read_text())
+        data[key] = value
+        (out / sidecar).write_text(json.dumps(data))
+        capsys.readouterr()
+        err = self.assert_rejected(main([stages[-1]] + args), capsys, sidecar)
+        assert len(err.splitlines()) == 1
 
     def test_sidecar_that_is_not_json(self, tmp_path, capsys):
         config = write_config(tmp_path)

@@ -389,7 +389,7 @@ class TestArtifacts:
         np.testing.assert_array_equal(loaded.lo, region.lo)
 
         projector = SummaryProjector(
-            basis=BasisSpec("polynomial", degree=2),
+            basis=BasisSpec("polynomial", degree=3),
             intercept=np.array([0.5]),
             coef=np.array([[1.0, -0.25, 1e-17]]),
             target_names=("t",),
@@ -399,7 +399,7 @@ class TestArtifacts:
             region=region,
         )
         artifacts.save_projector(tmp_path, projector, "h")
-        clone = artifacts.load_projector(tmp_path, "h")
+        clone = artifacts.load_projector(tmp_path, "h", stat_dim=1)
         np.testing.assert_array_equal(clone.coef, projector.coef)
         assert clone.projector_id() == projector.projector_id()
         # byte-identical resave
@@ -411,7 +411,7 @@ class TestArtifacts:
         artifacts.save_region(tmp_path, TruncationRegion(lo=[0.0], hi=[1.0]), "h")
         (tmp_path / "projector.json").write_text((tmp_path / "region.json").read_text())
         with pytest.raises(ArtifactError, match="kind"):
-            artifacts.load_projector(tmp_path, "h")
+            artifacts.load_projector(tmp_path, "h", stat_dim=1)
 
 
 # Values whose shortest decimal is easy to get wrong: signed zeros, the

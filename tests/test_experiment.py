@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from semiabc import semiauto
+from semiabc import artifacts, experiment, semiauto
 from semiabc.engine import regression_adjust
 from semiabc.errors import ConfigError
 from semiabc.experiment import _run_one, plan_from_config, run_experiment
@@ -208,6 +208,44 @@ class TestRun:
         # pilot, construct and main per replicate, shared by its 1 + 2 cells
         assert len(calls) == 3 * plan.replications
         assert len(set(calls)) == len(calls)
+
+    @pytest.mark.parametrize("statistics, per_replicate", [("raw", 1), ("projected", 3)])
+    def test_each_replicate_rejects_on_its_pilot_once(
+        self, monkeypatch, statistics, per_replicate
+    ):
+        # raw statistics: the shared batches carry the pilot rejection to
+        # all 1 + 2 cells; projected ones: each cell rejects on its own
+        # projection of the pilot batch
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].seed)
+            return stage_pilot(*args, **kwargs)
+
+        stage_pilot = semiauto.stage_pilot
+        monkeypatch.setattr(semiauto, "stage_pilot", counting)
+        config = lg_config(pilot_statistics=statistics)
+        plan = plan_from_config(
+            ExperimentConfig(strategies=("joint", "separate"), replications=2), 2, config.seed
+        )
+        report = run_experiment(plan, config, threads=2)
+        assert len(report.rows) == 8 and not report.failures
+        assert sorted(calls) == sorted(per_replicate * plan.seeds)
+
+    def test_shared_stages_leave_the_report_bytes_unchanged(self, tmp_path, monkeypatch):
+        config = lg_config()
+        plan = plan_from_config(
+            ExperimentConfig(strategies=("joint", "separate"), replications=2), 2, config.seed
+        )
+        report = run_experiment(plan, config, threads=2)
+        artifacts.save_experiment_report(tmp_path / "shared", report, config.config_hash())
+        # every cell simulates its batches and rejects on its pilot itself
+        monkeypatch.setattr(experiment, "shared_stage_batches", lambda *args, **kwargs: {})
+        report = run_experiment(plan, config, threads=2)
+        artifacts.save_experiment_report(tmp_path / "alone", report, config.config_hash())
+        for name in ("experiment_report.json", "experiment_rows.csv"):
+            shared, alone = (tmp_path / run / name for run in ("shared", "alone"))
+            assert shared.read_bytes() == alone.read_bytes()
 
     @pytest.mark.parametrize("statistics", ["raw", "projected"])
     def test_rows_equal_cells_run_alone(self, statistics):

@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from semiabc.bayes_linear import fit_bayes_linear
-from semiabc.engine import SimulationBatch, SimulatorContract
+from semiabc.engine import CHUNK, SimulationBatch, SimulatorContract
 from semiabc.errors import ConfigError, NumericalError
 from semiabc.models import ModelFixture, gaussian_location_fixture
-from semiabc.regression import BasisSpec
+from semiabc.regression import BasisSpec, expand_design
 from semiabc.runconfig import RunConfig, TargetSpec
 from semiabc.semiauto import (
     SummaryProjector,
@@ -77,6 +83,17 @@ class TestProjector:
         assert projector.coef[0, 0] == pytest.approx(1.0, abs=1e-10)
         assert projector.intercept[0] == pytest.approx(0.0, abs=1e-10)
         assert projector.residual_mss[0] < 1e-20
+
+    def test_exact_affine_fit_scores_zero_residual(self):
+        rng = np.random.default_rng(0)
+        stats = rng.standard_normal((60, 3))
+        coef = np.array([[1.5, -2.0, 0.5], [0.0, 1.0, 3.0]])
+        intercept = np.array([0.7, -1.2])
+        thetas = intercept + stats @ coef.T
+        targets = [TargetSpec("coordinate", index=0), TargetSpec("coordinate", index=1)]
+        projector = construct_projector(make_batch(thetas, stats), targets, BasisSpec())
+        scale = np.mean(thetas**2, axis=0)
+        assert np.all(projector.residual_mss <= 1e-16 * scale)
 
     def test_duplicated_targets_give_identical_summaries(self):
         rng = np.random.default_rng(2)
@@ -176,6 +193,70 @@ class TestProjector:
         s = rng.standard_normal(2)
         np.testing.assert_array_equal(project(clone, s), project(projector, s))
         assert clone.projector_id() == projector.projector_id()
+
+
+def assert_blockwise_matches_whole_matrix():
+    """`project_matrix` and the construct fit's residual, computed on
+    CHUNK-row design blocks, equal the whole-matrix formulas bit for bit
+    on m = 2 CHUNK + 17 rows, so the last block is partial. One target
+    projects by a matrix-vector product, two by a matrix product."""
+    rng = np.random.default_rng(12)
+    m = 2 * CHUNK + 17
+    thetas = rng.uniform(0.5, 2.0, (m, 2))
+    stats = thetas @ rng.standard_normal((2, 4)) + 0.3 * rng.standard_normal((m, 4))
+    basis = BasisSpec("polynomial", degree=2)
+    design = expand_design(stats, basis)
+    log_theta_1 = TargetSpec("coordinate", index=1, transform="log")
+    for targets in ([log_theta_1], [TargetSpec("coordinate", index=0), log_theta_1]):
+        projector = construct_projector(make_batch(thetas, stats), targets, basis)
+
+        whole = projector.intercept + design @ projector.coef.T
+        assert project_matrix(projector, stats).tobytes() == whole.tobytes()
+
+        resid = evaluate_targets(thetas, targets) - projector.intercept - design @ projector.coef.T
+        residual_mss = np.maximum((resid**2).sum(axis=0) / m, 0.0)
+        assert projector.residual_mss.tobytes() == residual_mss.tobytes()
+
+
+class TestBlockwiseDesign:
+    def test_matches_whole_matrix_bitwise(self):
+        assert_blockwise_matches_whole_matrix()
+
+    def test_matches_whole_matrix_bitwise_on_one_blas_thread(self):
+        code = "import test_semiauto; test_semiauto.assert_blockwise_matches_whole_matrix()"
+        here = Path(__file__).resolve().parent
+        path = os.pathsep.join(
+            filter(None, [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")])
+        )
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+
+    def test_project_matrix_holds_under_two_block_designs(self):
+        # a degree-3 basis of 13 statistics has 559 columns: the whole
+        # 20000-row design would be 89 MB, one CHUNK-row block 18 MB
+        rng = np.random.default_rng(13)
+        stats = rng.uniform(0.5, 1.5, (20_000, 13))
+        q = 559
+        projector = SummaryProjector(
+            basis=BasisSpec("polynomial", degree=3),
+            intercept=np.zeros(2),
+            coef=rng.standard_normal((2, q)),
+            target_names=("a", "b"),
+            condition_number=1.0,
+            vifs=np.ones(q),
+            residual_mss=np.zeros(2),
+        )
+        tracemalloc.start()
+        try:
+            out = project_matrix(projector, stats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (20_000, 2)
+        assert peak < 2 * CHUNK * q * 8
 
 
 def gaussian_config(**over):
