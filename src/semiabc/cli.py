@@ -25,6 +25,7 @@ from .marginal import estimate_marginal, marginal_remap
 from .runconfig import RunConfig, parse_config, serialize_config
 from .semiauto import (
     build_fixture,
+    check_draw_counts,
     posterior_target_estimates,
     run_semiauto,
     stage_construct,
@@ -219,7 +220,10 @@ def main(argv=None) -> int:
         # wherever the run lands
         (out / "config.json").write_text(serialize_config(replace(config, output_dir=None)))
         fixture = build_fixture(config)
-        targets_from_specs(config.targets, fixture.simulator.param_dim)  # before any stage writes
+        # before any stage writes
+        targets_from_specs(config.targets, fixture.simulator.param_dim)
+        if args.command != "experiment":  # experiment records each failing cell
+            check_draw_counts(config, fixture.simulator.stat_dim)
         stages, held = (args.command,), {}
         if getattr(args, "full", False):
             held = vars(run_semiauto(config, fixture, threads=args.threads))

@@ -54,6 +54,10 @@ class BasisSpec:
             raise ConfigError(f"must list nonnegative integer vectors, got {self.exponents!r}",
                               "exponents")
 
+    def width(self, d: int) -> int:
+        """The number of design columns this basis makes of d statistics."""
+        return d if self.kind == "identity" else len(_exponents(self, d))
+
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -73,36 +77,96 @@ def monomial_exponents(d: int, degree: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _exponents(spec: BasisSpec, d: int) -> list[tuple[int, ...]]:
+    """The exponent vector of each design column of a polynomial or powers
+    `spec` over d statistics."""
+    if spec.kind == "polynomial":
+        return monomial_exponents(d, spec.degree)
+    for exps in spec.exponents:
+        if len(exps) != d:
+            raise ConfigError(
+                f"exponent vector {exps} has length {len(exps)}, statistics have dimension {d}"
+            )
+    return [tuple(e) for e in spec.exponents]
+
+
+def _prefix_plan(exponents) -> tuple[list[tuple], list[int]]:
+    """How `expand_design` builds the monomials of `exponents` in a buffer.
+
+    Step r makes buffer row r as `prefix_row * s_i ** e`: the monomial
+    without the power of its last variable, times that power. That is the
+    left-to-right product over the variables, so each row has the bits of
+    the monomial multiplied out from 1. A step is (prefix row, i, e);
+    the prefix row is None for a single power, and i is None for the
+    all-zero vector (a row of ones). A prefix that is not a column of its
+    own gets a row first. Returns the steps and each column's row.
+    """
+    rows: dict[tuple[int, ...], int] = {}
+    steps: list[tuple] = []
+
+    def row_of(exps: tuple[int, ...]) -> int:
+        if exps not in rows:
+            used = [i for i, e in enumerate(exps) if e]
+            if not used:
+                step = (None, None, 0)
+            else:
+                last = used[-1]
+                prefix = exps[:last] + (0,) * (len(exps) - last)
+                step = (row_of(prefix) if len(used) > 1 else None, last, exps[last])
+            rows[exps] = len(steps)
+            steps.append(step)
+        return rows[exps]
+
+    return steps, [row_of(exps) for exps in exponents]
+
+
+# Rows per `expand_design` tile. The tile buffer's rows are padded by
+# _PAD values: a row stride that is a power of two made the transposing
+# copy into the design about twice as slow.
+_TILE = 1024
+_PAD = 8
+
+
 def expand_design(stats, spec: BasisSpec) -> np.ndarray:
     """Expand an (M, d) statistic matrix to the (M, q) design of `spec`.
 
     The column order is total and deterministic: equal inputs give
-    bitwise-equal outputs.
+    bitwise-equal outputs. The design is C-ordered. It is built `_TILE`
+    rows at a time, one monomial per buffer row (see `_prefix_plan`),
+    then copied into the design transposed.
     """
     s = as_matrix(stats, "stats")
     if spec.kind == "identity":
         return s.copy()
-    if spec.kind == "polynomial":
-        exponents = monomial_exponents(s.shape[1], spec.degree)
-    else:
-        exponents = [tuple(e) for e in spec.exponents]
-        for exps in exponents:
-            if len(exps) != s.shape[1]:
-                raise ConfigError(
-                    f"exponent vector {exps} has length {len(exps)}, "
-                    f"statistics have dimension {s.shape[1]}"
-                )
-    cols = np.empty((s.shape[0], len(exponents)))
+    exponents = _exponents(spec, s.shape[1])
+    steps, columns = _prefix_plan(exponents)
+    in_order = columns == list(range(len(steps)))
+    m = s.shape[0]
+    design = np.empty((m, len(columns)))
+    buf = np.empty((len(steps), min(m, _TILE) + _PAD))
+    bad = len(columns)
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, exps in enumerate(exponents):
-            col = np.ones(s.shape[0])
-            for i, e in enumerate(exps):
-                if e:
-                    col = col * s[:, i] ** e
-            if not np.all(np.isfinite(col)):
-                raise NumericalError(f"monomial with exponents {exps} overflowed to non-finite")
-            cols[:, j] = col
-    return cols
+        for start in range(0, m, _TILE):
+            stop = min(start + _TILE, m)
+            tile = buf[:, : stop - start]
+            powers = {}
+            for r, (prefix, i, e) in enumerate(steps):
+                if i is None:
+                    tile[r] = 1.0
+                    continue
+                if (i, e) not in powers:
+                    powers[i, e] = s[start:stop, i] ** e
+                if prefix is None:
+                    tile[r] = powers[i, e]
+                else:
+                    np.multiply(tile[prefix], powers[i, e], out=tile[r])
+            if not np.all(np.isfinite(tile)):
+                finite = np.isfinite(tile).all(axis=1)
+                bad = min(bad, next(j for j, r in enumerate(columns) if not finite[r]))
+            design[start:stop] = (tile if in_order else tile[columns]).T
+    if bad < len(columns):
+        raise NumericalError(f"monomial with exponents {exponents[bad]} overflowed to non-finite")
+    return design
 
 
 def expand_basis(s, spec: BasisSpec) -> np.ndarray:
@@ -121,6 +185,7 @@ class LinearFit:
     coef: np.ndarray  # (p, q)
     condition_number: float  # extreme singular value ratio of the design fitted
     vifs: np.ndarray  # (q,) of the design fitted
+    residual_mss: np.ndarray  # (p,) mean squared residual of each response
     ridge_lambda: float = 0.0
 
     def __post_init__(self):
@@ -128,45 +193,72 @@ class LinearFit:
             raise ValueError("condition_number must be >= 1")
 
 
-def fit_linear(
-    design, responses, ridge_lambda: float = 0.0, overwrite_design: bool = False
-) -> LinearFit:
+def fit_linear(design, responses, ridge_lambda: float = 0.0) -> LinearFit:
     """Affine least squares of (M, p) responses on an (M, q) design.
 
     Minimizes sum_m ||y_m - a - B x_m||^2 + ridge_lambda ||B||_F^2 with
-    the intercept a handled by centering and never penalized. Solved
-    through the SVD of the centered design. With ridge_lambda = 0 a
-    rank-deficient design is an error rather than a silent pseudo-inverse.
+    the intercept a handled by centering and never penalized. With
+    ridge_lambda = 0 a rank-deficient design is an error rather than a
+    silent pseudo-inverse.
 
-    The condition number and the VIFs come from that same SVD, so they
+    `design` is an (M, q) array, or a zero-argument callable that returns
+    a fresh iterator of (rows, block) pairs whose blocks are the design's
+    rows in order, such as `lambda: semiauto._design_blocks(stats, basis)`.
+    The fit reads the blocks twice and never holds the whole design or
+    writes to any array it is given. The first pass sums the columns; the
+    second takes the R factor of the centered [X | Y] block by block
+    (the R-SVD, Chan 1982): R = [[Rx, z], [0, Ryy]]. The SVD of the q x q
+    Rx, whose singular values and right vectors are the centered design's,
+    gives the coefficients, the condition number and the VIFs, so they
     describe the centered design. VIFs above 1e12, of zero-variance
-    columns and of columns in an exact null direction report the
-    sentinel 1e18.
-
-    With `overwrite_design` a float64 `design` array is centred in place
-    rather than copied, and holds the centred design afterwards. The fit
-    does not score itself: it computes no residuals.
+    columns and of columns in an exact null direction report the sentinel
+    1e18. The residual sum of squares of response j is
+    ||z_j - Rx b_j||^2 + ||Ryy_j||^2.
     """
-    x = as_matrix(design, "design")
     y = as_matrix(responses, "responses")
-    m, q = x.shape
-    if y.shape[0] != m:
-        raise ValueError(f"design has {m} rows, responses {y.shape[0]}")
     if ridge_lambda < 0:
         raise ValueError("ridge_lambda must be >= 0")
-    if ridge_lambda == 0.0 and m < q + 2:
-        raise ValueError(f"need at least {q + 2} rows to fit {q} columns by OLS, got {m}")
+    if callable(design):
+        blocks = design
+    else:
+        x = as_matrix(design, "design")
+        blocks = lambda: iter(((slice(0, x.shape[0]), x),))  # noqa: E731
+    m, p = y.shape
     if m < 2:
         raise ValueError("need at least 2 rows")
 
-    raw_sq_norms = np.einsum("ij,ij->j", x, x)
-    x_mean = x.sum(axis=0) / m
+    # Pass 1: column sums, and the raw squared column norms `_zero_variance` needs.
+    x_sum = raw_sq_norms = 0.0
+    rows_seen = 0
+    for _, block in blocks():
+        x_sum = x_sum + block.sum(axis=0)
+        raw_sq_norms = raw_sq_norms + np.einsum("ij,ij->j", block, block)
+        rows_seen += block.shape[0]
+        del block  # before the next block is made
+    if rows_seen != m:
+        raise ValueError(f"design has {rows_seen} rows, responses {m}")
+    q = x_sum.size
+    if ridge_lambda == 0.0 and m < q + 2:
+        raise ValueError(f"need at least {q + 2} rows to fit {q} columns by OLS, got {m}")
+    x_mean = x_sum / m
     y_mean = y.sum(axis=0) / m
-    xc = np.subtract(x, x_mean, out=x if overwrite_design else None)
     yc = y - y_mean
 
+    # Pass 2: R of the centered [X | Y], one block under the R so far at a time.
+    r = np.empty((0, q + p))
+    for rows, block in blocks():
+        top = r.shape[0]
+        stacked = np.empty((top + block.shape[0], q + p))
+        stacked[:top] = r
+        np.subtract(block, x_mean, out=stacked[top:, :q])
+        stacked[top:, q:] = yc[rows]
+        del block
+        r = np.linalg.qr(stacked, mode="r")
+        del stacked
+    rx, z, ryy = r[:q, :q], r[:q, q:], r[q:, q:]
+
     # A wide design's null space, which the VIFs need, is only in the full V.
-    u, sv, vt = np.linalg.svd(xc, full_matrices=m < q)
+    u, sv, vt = np.linalg.svd(rx, full_matrices=m < q)
     s_max = float(sv.max()) if sv.size else 0.0
     s_min = float(sv.min()) if sv.size else 0.0
     cond = np.inf if s_min == 0.0 else max(s_max / s_min, 1.0)
@@ -177,32 +269,37 @@ def fit_linear(
         shrink = 1.0 / sv
     else:
         shrink = sv / (sv**2 + ridge_lambda)
-    coef = (vt[: sv.size].T @ (shrink[:, None] * (u.T @ yc))).T  # (p, q)
+    coef = (vt[: sv.size].T @ (shrink[:, None] * (u.T @ z))).T  # (p, q)
+    resid = z - rx @ coef.T
+    sq_norms = np.einsum("ij,ij->j", rx, rx)  # the centered design's
     return LinearFit(
         intercept=y_mean - coef @ x_mean,
         coef=coef,
         condition_number=cond,
-        vifs=_vifs(xc, sv, vt, _zero_variance(xc, raw_sq_norms)),
+        vifs=_vifs(sq_norms, m, sv, vt, _zero_variance(sq_norms, raw_sq_norms, m)),
+        residual_mss=(np.einsum("ij,ij->j", resid, resid) + np.einsum("ij,ij->j", ryy, ryy)) / m,
         ridge_lambda=float(ridge_lambda),
     )
 
 
-def _zero_variance(centered: np.ndarray, raw_sq_norms: np.ndarray) -> np.ndarray:
-    """Columns of a centered design that are zero up to the rounding of centering.
+def _zero_variance(sq_norms: np.ndarray, raw_sq_norms: np.ndarray, m: int) -> np.ndarray:
+    """Columns of an m-row design whose centered squared norms `sq_norms`
+    are zero up to the rounding of centering.
 
     A constant column whose mean does not round exactly (all 0.1) centers
     to about +-1e-17 rather than 0. A centered column norm at most m*eps
     times the norm before centering (sqrt of `raw_sq_norms`) is that
     rounding, not variance.
     """
-    bound = centered.shape[0] * np.finfo(np.float64).eps
-    return np.einsum("ij,ij->j", centered, centered) <= bound**2 * raw_sq_norms
+    bound = m * np.finfo(np.float64).eps
+    return sq_norms <= bound**2 * raw_sq_norms
 
 
 def _vifs(
-    x: np.ndarray, sv: np.ndarray, vt: np.ndarray, zero_variance: np.ndarray
+    sq_norms: np.ndarray, m: int, sv: np.ndarray, vt: np.ndarray, zero_variance: np.ndarray
 ) -> np.ndarray:
-    """Variance inflation factors of a design x = U diag(sv) vt, from its SVD.
+    """Variance inflation factors of an m-row design x = U diag(sv) vt,
+    from its SVD and its squared column norms.
 
     VIF_j = ||x_j||^2 * sum_k vt_kj^2 / sv_k^2, the diagonal of the inverse
     Gram matrix of the column-normalized design. For a centered x this is
@@ -213,14 +310,12 @@ def _vifs(
     at the tolerance lies in the span of the others. Such columns, the
     `zero_variance` columns and values above the cutoff report VIF_SENTINEL.
     """
-    m, q = x.shape
     s = np.zeros(vt.shape[0])
     s[: sv.size] = sv
-    tol = np.finfo(np.float64).eps * max(m, q) * s.max(initial=0.0)
+    tol = np.finfo(np.float64).eps * max(m, vt.shape[0]) * s.max(initial=0.0)
     null = s <= tol
     inv_sq = np.zeros_like(s)
     inv_sq[~null] = 1.0 / s[~null] ** 2
-    sq_norms = np.einsum("ij,ij->j", x, x)
     vifs = sq_norms * ((vt**2).T @ inv_sq)
     with np.errstate(divide="ignore", invalid="ignore"):
         null_vifs = sq_norms * (vt[null] ** 2).sum(axis=0) / tol**2
@@ -243,11 +338,11 @@ def condition_diagnostics(design) -> tuple[float, np.ndarray]:
         raise ValueError("need at least 2 rows for diagnostics")
     xc = x - x.mean(axis=0)
     norms = np.sqrt((xc**2).sum(axis=0))
-    degenerate = _zero_variance(xc, np.einsum("ij,ij->j", x, x))
+    degenerate = _zero_variance(np.einsum("ij,ij->j", xc, xc), np.einsum("ij,ij->j", x, x), m)
     z = np.where(degenerate, 0.0, xc / np.where(degenerate, 1.0, norms))
 
     _, sv, vt = np.linalg.svd(z, full_matrices=m < q)
     s_max = float(sv.max()) if sv.size else 0.0
     s_min = float(sv.min()) if sv.size else 0.0
     cond = np.inf if s_min == 0.0 or np.any(degenerate) else max(s_max / s_min, 1.0)
-    return cond, _vifs(z, sv, vt, degenerate)
+    return cond, _vifs(np.einsum("ij,ij->j", z, z), m, sv, vt, degenerate)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -68,6 +69,35 @@ def targets_from_specs(specs: tuple[TargetSpec, ...], param_dim: int) -> tuple[T
                 f"repeats the name {name!r} of targets[{names.index(name)}]", f"targets[{i}].name"
             )
     return tuple(specs)
+
+
+def check_draw_counts(config: RunConfig, stat_dim: int) -> None:
+    """Refuse a run whose fits would get too few draws, before any stage runs.
+
+    A fit of q basis columns by least squares needs q + 2 draws: the
+    construct fit on `construct.m` draws, and with projected pilot
+    statistics the preliminary fit on `pilot.m`. Regression adjustment
+    fits the p' projected statistics on the ceil(main.accept_fraction *
+    main.m) accepted draws, so it needs p' + 2 of them.
+    """
+    q = config.basis.width(stat_dim)
+    needs = [("construct.m", config.effective_construct_m)]
+    if config.pilot_statistics == "projected":
+        needs.append(("pilot.m", config.pilot_m))
+    for path, m in needs:
+        if m < q + 2:
+            raise ConfigError(
+                f"is {m}, but fitting the {q} basis columns needs at least {q + 2} draws", path
+            )
+    p_prime = len(config.targets)
+    accepted = math.ceil(config.main_accept_fraction * config.main_m)
+    if config.regression_adjust and accepted < p_prime + 2:
+        raise ConfigError(
+            f"is {config.main_m}, which accepts {accepted} draws at accept_fraction "
+            f"{config.main_accept_fraction:g}; regression adjustment on {p_prime} summaries "
+            f"needs at least {p_prime + 2}",
+            "main.m",
+        )
 
 
 def evaluate_targets(thetas, targets) -> np.ndarray:
@@ -168,24 +198,14 @@ def construct_projector(
     in its provenance; the projector keeps that region for downstream
     stages and reporting.
 
-    The fit centres the one design it is given in place; its residuals
-    are then scored on `_design_blocks` with that design dropped, and
-    summed over all rows at once, which gives the bits of the
-    whole-matrix sum.
+    The fit reads the design as `_design_blocks`, so no stage holds the
+    whole design, and it scores itself: `residual_mss` is the fit's.
     """
-    design = expand_design(batch.stats, basis)
-    if batch.m < design.shape[1] + 2:
-        raise ValueError(
-            f"need at least {design.shape[1] + 2} draws to fit {design.shape[1]} "
-            f"basis columns, got {batch.m}"
-        )
+    q = basis.width(batch.stats.shape[1])
+    if batch.m < q + 2:
+        raise ValueError(f"need at least {q + 2} draws to fit {q} basis columns, got {batch.m}")
     responses = evaluate_targets(batch.thetas, targets)
-    fit = fit_linear(design, responses, ridge_lambda, overwrite_design=True)
-    del design
-    resid = np.empty_like(responses)
-    for rows, block in _design_blocks(batch.stats, basis):
-        resid[rows] = responses[rows] - fit.intercept - block @ fit.coef.T
-        del block
+    fit = fit_linear(lambda: _design_blocks(batch.stats, basis), responses, ridge_lambda)
     return SummaryProjector(
         basis=basis,
         intercept=fit.intercept,
@@ -193,7 +213,7 @@ def construct_projector(
         target_names=tuple(t.name for t in targets),
         condition_number=fit.condition_number,
         vifs=fit.vifs,
-        residual_mss=np.maximum((resid**2).sum(axis=0) / batch.m, 0.0),
+        residual_mss=fit.residual_mss,
         region=batch.region,
         n_fit=batch.m,
     )

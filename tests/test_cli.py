@@ -344,6 +344,44 @@ class TestMalformedArtifacts:
         self.assert_rejected(main(["construct"] + args), capsys, "region.json")
 
 
+class TestTooFewDraws:
+    """A stage that would fit with too few draws is a validation error:
+    exit 1 and one `error:` line naming the key, before any stage writes."""
+
+    def assert_refused(self, tmp_path, capsys, key, **over):
+        data = json.loads((REPO / "configs" / "gpd_quantiles.json").read_text())
+        data.update(over)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        assert main(["infer", "--full", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: '{key}' ")
+        assert "Traceback" not in err
+        assert [p.name for p in out.iterdir()] == ["config.json"]
+        return err
+
+    def test_construct_m_below_the_basis_width(self, tmp_path, capsys):
+        err = self.assert_refused(
+            tmp_path, capsys, "construct.m",
+            basis={"kind": "polynomial", "degree": 3}, construct={"m": 500},
+        )
+        assert "559 basis columns" in err and "561" in err
+
+    def test_too_few_accepted_draws_to_adjust(self, tmp_path, capsys):
+        err = self.assert_refused(
+            tmp_path, capsys, "main.m", main={"m": 100, "accept_fraction": 0.02}
+        )
+        assert "accepts 2 draws" in err and "at least 7" in err
+
+    def test_pilot_m_below_the_basis_width_for_projected_statistics(self, tmp_path, capsys):
+        self.assert_refused(
+            tmp_path, capsys, "pilot.m",
+            basis={"kind": "polynomial", "degree": 2},
+            pilot={"m": 100, "accept_fraction": 0.05, "statistics": "projected"},
+        )
+
+
 class TestSeedOverride:
     def test_negative_seed_is_one(self, tmp_path, capsys):
         config = write_config(tmp_path)

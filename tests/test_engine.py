@@ -28,6 +28,7 @@ from semiabc.engine import (
     uniform,
 )
 from semiabc.errors import NumericalError
+from semiabc.regression import fit_linear
 
 
 def two_call_simulator(d=3):
@@ -423,6 +424,20 @@ class TestRegressionAdjust:
         assert info["condition_number"] == pytest.approx(sv.max() / sv.min(), rel=1e-10)
         vifs = np.diag(np.linalg.inv(np.corrcoef(xw, rowvar=False)))
         np.testing.assert_allclose(info["vifs"], vifs, rtol=1e-10)
+
+    def test_statistics_are_reused_as_given_after_the_fit(self):
+        # the fit must not centre the caller's statistics in place: the
+        # correction theta - B (s - s_obs) reads them again afterwards
+        rng = np.random.default_rng(13)
+        n = 80
+        stats = rng.standard_normal((n, 2)) + [5.0, -3.0]
+        thetas = stats @ [[1.0, 0.2], [-0.5, 1.0]] + 0.1 * rng.standard_normal((n, 2))
+        s_obs = np.array([5.2, -2.9])
+        given = stats.copy()
+        adjusted = regression_adjust(self.make_posterior(thetas), stats, s_obs)
+        assert stats.tobytes() == given.tobytes()
+        coef = fit_linear(given, thetas).coef
+        np.testing.assert_array_equal(adjusted.thetas, thetas - (given - s_obs) @ coef.T)
 
     def test_linear_gaussian_adjustment_moves_toward_oracle(self):
         # loose acceptance, draws from prior; adjusted mean should usually

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semiabc.engine import CHUNK
 from semiabc.errors import ConfigError, NumericalError, RankDeficientError
 from semiabc.regression import (
+    _TILE,
     VIF_SENTINEL,
     BasisSpec,
     condition_diagnostics,
@@ -104,9 +106,10 @@ class TestFitLinear:
         assert np.max(np.abs(ols.coef - ridged.coef)) < 1e-6
 
     def test_unweighted_fit_holds_one_centered_copy(self):
-        # beyond the design it was given, the fit holds the centered copy
-        # and the SVD's U (2.24 designs); a sqrt(1)-scaled copy of the
-        # centered design would add one more
+        # beyond the design it was given, the fit holds the centered
+        # [X | Y] it factorizes and numpy's copy of it for the QR (2.16
+        # designs); a sqrt(1)-scaled copy of the centered design would add
+        # one more
         rng = np.random.default_rng(6)
         x = rng.standard_normal((2000, 200))
         y = rng.standard_normal((2000, 3))
@@ -119,31 +122,60 @@ class TestFitLinear:
         assert peak < 2.5 * x.nbytes
 
     @pytest.mark.parametrize("ridge_lambda", [0.0, 1e-3])
-    def test_overwrite_design_centres_in_place_with_the_same_bits(self, ridge_lambda):
+    def test_streamed_fit_matches_one_block_fit(self, ridge_lambda):
+        # 2 CHUNK + 17 rows: two full blocks and a partial one
         rng = np.random.default_rng(11)
-        x = rng.standard_normal((2000, 200)) * rng.uniform(0.1, 10.0, 200) + 3.0
-        if ridge_lambda:
-            x[:, 7] = 0.1  # a constant column that centres to rounding noise
-        y = rng.standard_normal((2000, 3))
-        copied = fit_linear(x, y, ridge_lambda)
-        centred = x - x.sum(axis=0) / x.shape[0]
-        tracemalloc.start()
-        try:
-            fit = fit_linear(x, y, ridge_lambda, overwrite_design=True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        for name in ("coef", "intercept", "vifs"):
-            assert getattr(fit, name).tobytes() == getattr(copied, name).tobytes(), name
-        assert (fit.vifs[7] == VIF_SENTINEL) == bool(ridge_lambda)
-        assert fit.condition_number == copied.condition_number
-        assert x.tobytes() == centred.tobytes()
-        # no centred copy: beyond the design only the SVD's U and small arrays
-        assert peak < 1.5 * x.nbytes
+        m = 2 * CHUNK + 17
+        x = rng.standard_normal((m, 200)) * rng.uniform(0.1, 10.0, 200) + 3.0
+        y = x @ rng.standard_normal((200, 3)) + rng.standard_normal((m, 3))
+        whole = fit_linear(x, y, ridge_lambda)
+        streamed = fit_linear(lambda: row_blocks(x), y, ridge_lambda)
+        for name in ("coef", "intercept", "vifs", "residual_mss"):
+            np.testing.assert_allclose(
+                getattr(streamed, name), getattr(whole, name), rtol=1e-10, err_msg=name
+            )
+        assert streamed.condition_number == pytest.approx(whole.condition_number, rel=1e-10)
+
+    def test_streamed_fit_flags_a_constant_column(self):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((2 * CHUNK + 17, 5))
+        x[:, 3] = 0.1  # centers to rounding noise, block by block as well
+        fit = fit_linear(lambda: row_blocks(x), rng.standard_normal((x.shape[0], 1)), 1e-3)
+        assert fit.vifs[3] == VIF_SENTINEL
+        assert np.all(fit.vifs[[0, 1, 2, 4]] < 1.01)
+
+    @pytest.mark.parametrize("streamed", [False, True], ids=["array", "blocks"])
+    def test_fit_never_writes_to_its_inputs(self, streamed):
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((CHUNK + 5, 4)) + 2.0
+        y = rng.standard_normal((CHUNK + 5, 2)) + 1.0
+        x_bytes, y_bytes = x.tobytes(), y.tobytes()
+        fit_linear((lambda: row_blocks(x)) if streamed else x, y)
+        assert x.tobytes() == x_bytes and y.tobytes() == y_bytes
+
+    def test_residual_mss_is_the_mean_squared_residual(self):
+        rng = np.random.default_rng(14)
+        m = 300
+        x = rng.standard_normal((m, 4))
+        y = x @ rng.standard_normal((4, 2)) + 0.5 * rng.standard_normal((m, 2))
+        for ridge_lambda in (0.0, 5.0):
+            fit = fit_linear(x, y, ridge_lambda)
+            resid = y - fit.intercept - x @ fit.coef.T
+            np.testing.assert_allclose(fit.residual_mss, (resid**2).mean(axis=0), rtol=1e-12)
+
+    def test_rows_that_do_not_match_the_responses(self):
+        x = np.random.default_rng(15).standard_normal((20, 2))
+        with pytest.raises(ValueError, match="design has 20 rows, responses 21"):
+            fit_linear(lambda: row_blocks(x), np.zeros((21, 1)))
 
     def test_too_few_rows_for_ols(self):
         with pytest.raises(ValueError, match="rows"):
             fit_linear(np.eye(3), np.eye(3))
+
+
+def row_blocks(x):
+    """(rows, block) pairs of CHUNK-row slices of x, as `fit_linear` reads them."""
+    return ((slice(i, i + CHUNK), x[i : i + CHUNK]) for i in range(0, x.shape[0], CHUNK))
 
 
 def brute_force_vif(x, j):
@@ -232,3 +264,65 @@ def test_expand_design_matches_rowwise_expand_basis():
     design = expand_design(s, spec)
     for i in range(10):
         np.testing.assert_array_equal(design[i], expand_basis(s[i], spec))
+
+
+def expand_design_per_column(stats, exponents):
+    """The reference `expand_design` is checked against: each column
+    multiplied out from ones, left to right over the variables, and each
+    column checked for overflow in column order."""
+    s = np.asarray(stats, dtype=np.float64)
+    cols = np.empty((s.shape[0], len(exponents)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, exps in enumerate(exponents):
+            col = np.ones(s.shape[0])
+            for i, e in enumerate(exps):
+                if e:
+                    col = col * s[:, i] ** e
+            if not np.all(np.isfinite(col)):
+                raise NumericalError(f"monomial with exponents {exps} overflowed to non-finite")
+            cols[:, j] = col
+    return cols
+
+
+class TestExpandDesignBits:
+    # rows that end mid-tile, so the last tile is partial
+    M = 2 * _TILE + 37
+
+    def stats(self, d, seed):
+        rng = np.random.default_rng(seed)
+        s = rng.standard_normal((self.M, d)) * rng.uniform(0.1, 20.0, d)
+        s[::7, 0] = -0.0
+        return s
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_polynomial_matches_per_column_loop_bitwise(self, degree):
+        s = self.stats(4, degree)
+        design = expand_design(s, BasisSpec("polynomial", degree=degree))
+        reference = expand_design_per_column(s, monomial_exponents(4, degree))
+        assert design.flags.c_contiguous
+        assert design.tobytes() == reference.tobytes()
+
+    def test_powers_matches_per_column_loop_bitwise(self):
+        # an all-zero vector, a repeat, and prefixes that are not columns
+        exponents = ((0, 0, 0), (2, 0, 3), (0, 1, 0), (0, 0, 0), (1, 1, 1), (2, 0, 3), (0, 5, 2))
+        s = self.stats(3, 20)
+        design = expand_design(s, BasisSpec("powers", exponents=exponents))
+        assert design.tobytes() == expand_design_per_column(s, exponents).tobytes()
+
+    def test_overflow_names_the_first_bad_column_in_column_order(self):
+        # the earlier tile overflows only in a later column
+        s = self.stats(3, 21)
+        s[10, 2] = 1e120
+        s[self.M - 1, 0] = 1e200
+        exponents = monomial_exponents(3, 3)
+        with pytest.raises(NumericalError) as reference:
+            expand_design_per_column(s, exponents)
+        with pytest.raises(NumericalError) as raised:
+            expand_design(s, BasisSpec("polynomial", degree=3))
+        assert str(raised.value) == str(reference.value)
+        assert "(2, 0, 0)" in str(raised.value)
+
+    def test_width_counts_the_columns(self):
+        for spec in (BasisSpec("identity"), BasisSpec("polynomial", degree=3),
+                     BasisSpec("powers", exponents=((0, 1, 0), (2, 0, 0)))):
+            assert spec.width(3) == expand_design(np.ones((2, 3)), spec).shape[1]

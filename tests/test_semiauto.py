@@ -196,10 +196,12 @@ class TestProjector:
 
 
 def assert_blockwise_matches_whole_matrix():
-    """`project_matrix` and the construct fit's residual, computed on
-    CHUNK-row design blocks, equal the whole-matrix formulas bit for bit
-    on m = 2 CHUNK + 17 rows, so the last block is partial. One target
-    projects by a matrix-vector product, two by a matrix product."""
+    """`project_matrix`, computed on CHUNK-row design blocks, equals the
+    whole-matrix product bit for bit on m = 2 CHUNK + 17 rows, so the last
+    block is partial; one target projects by a matrix-vector product, two
+    by a matrix product. The construct fit's `residual_mss`, which it takes
+    from the R factor of those blocks, agrees with the whole-matrix
+    residuals to rounding."""
     rng = np.random.default_rng(12)
     m = 2 * CHUNK + 17
     thetas = rng.uniform(0.5, 2.0, (m, 2))
@@ -214,8 +216,7 @@ def assert_blockwise_matches_whole_matrix():
         assert project_matrix(projector, stats).tobytes() == whole.tobytes()
 
         resid = evaluate_targets(thetas, targets) - projector.intercept - design @ projector.coef.T
-        residual_mss = np.maximum((resid**2).sum(axis=0) / m, 0.0)
-        assert projector.residual_mss.tobytes() == residual_mss.tobytes()
+        np.testing.assert_allclose(projector.residual_mss, (resid**2).sum(axis=0) / m, rtol=1e-9)
 
 
 class TestBlockwiseDesign:
@@ -233,6 +234,26 @@ class TestBlockwiseDesign:
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
         )
         assert result.returncode == 0, result.stderr
+
+    def test_construct_fit_holds_under_three_block_designs(self):
+        # a degree-3 basis of 13 statistics has 559 columns; the whole
+        # 3 CHUNK-row design would be three block designs
+        rng = np.random.default_rng(14)
+        m, q = 3 * CHUNK, 559
+        thetas = rng.uniform(0.5, 1.5, (m, 2))
+        stats = np.hstack([thetas, rng.uniform(0.5, 1.5, (m, 11))])
+        batch = make_batch(thetas, stats)
+        targets = [TargetSpec("coordinate", index=0), TargetSpec("coordinate", index=1)]
+        tracemalloc.start()
+        try:
+            projector = construct_projector(
+                batch, targets, BasisSpec("polynomial", degree=3), ridge_lambda=1e-8
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert projector.coef.shape == (2, q)
+        assert peak < 3 * CHUNK * q * 8
 
     def test_project_matrix_holds_under_two_block_designs(self):
         # a degree-3 basis of 13 statistics has 559 columns: the whole
