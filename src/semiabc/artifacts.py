@@ -19,7 +19,6 @@ import numpy as np
 
 from .engine import SimulationBatch, TruncationRegion, WeightedPosterior
 from .errors import ArtifactError
-from .regression import expand_basis
 from .semiauto import SummaryProjector
 
 
@@ -271,7 +270,7 @@ def load_projector(
     with _sidecar_values(path):
         projector = SummaryProjector.from_dict(data)
         width = projector.coef.shape[1]
-        if width != expand_basis(np.zeros(stat_dim), projector.basis).size:
+        if width != projector.basis.width(stat_dim):
             raise ArtifactError(
                 f"{path} has a coef of {width} columns, not one per "
                 f"{projector.basis.kind} basis feature of {stat_dim} statistics"

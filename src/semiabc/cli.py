@@ -222,7 +222,8 @@ def main(argv=None) -> int:
         fixture = build_fixture(config)
         # before any stage writes
         targets_from_specs(config.targets, fixture.simulator.param_dim)
-        if args.command != "experiment":  # experiment records each failing cell
+        # experiment checks its basis fits itself and records each failing cell
+        if args.command != "experiment":
             check_draw_counts(config, fixture.simulator.stat_dim)
         stages, held = (args.command,), {}
         if getattr(args, "full", False):

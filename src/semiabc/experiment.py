@@ -28,6 +28,7 @@ from .runconfig import ExperimentConfig, RunConfig
 from .semiauto import (
     TAG_EXPERIMENT,
     build_fixture,
+    check_basis_draw_counts,
     run_semiauto,
     shared_stage_batches,
     targets_from_specs,
@@ -200,9 +201,10 @@ def run_experiment(
 
     `plan` is filled in by `plan_from_config` for the config's targets.
     The oracle value of each target is computed once, before any cell
-    runs; a target the fixture's oracle cannot evaluate, and
-    `adjust.marginal`, which the cells would not apply, are refused with a
-    ConfigError.
+    runs; a target the fixture's oracle cannot evaluate, `adjust.marginal`,
+    which the cells would not apply, and too few draws for the basis fits
+    (`check_basis_draw_counts`), which every cell would meet, are refused
+    with a ConfigError before anything is simulated.
 
     Replicates are independent deterministic units keyed by their seed,
     run one after another: a replicate's target-free stage batches, and
@@ -221,6 +223,7 @@ def run_experiment(
             "adjust.marginal",
         )
     targets = targets_from_specs(config.targets, fixture.simulator.param_dim)
+    check_basis_draw_counts(config, fixture.simulator.stat_dim)
     oracle_values = {}
     for i, target in enumerate(targets):
         try:

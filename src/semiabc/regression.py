@@ -11,6 +11,7 @@ assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -56,7 +57,7 @@ class BasisSpec:
 
     def width(self, d: int) -> int:
         """The number of design columns this basis makes of d statistics."""
-        return d if self.kind == "identity" else len(_exponents(self, d))
+        return d if self.kind == "identity" else len(_plan(self, d)[0])
 
 
 def _is_int(value) -> bool:
@@ -120,6 +121,20 @@ def _prefix_plan(exponents) -> tuple[list[tuple], list[int]]:
     return steps, [row_of(exps) for exps in exponents]
 
 
+@lru_cache(maxsize=16)
+def _plan(spec: BasisSpec, d: int) -> tuple[tuple, tuple, tuple]:
+    """The exponents of a polynomial or powers `spec` over d statistics and
+    their `_prefix_plan` (steps, columns), as tuples.
+
+    Built once per (spec, d): a streamed design expands its statistics one
+    block at a time, and each block would otherwise rebuild the plan in
+    Python (2.2 ms for the 559 monomials of degree 3 in 13 statistics).
+    """
+    exponents = tuple(_exponents(spec, d))
+    steps, columns = _prefix_plan(exponents)
+    return exponents, tuple(steps), tuple(columns)
+
+
 # Rows per `expand_design` tile. The tile buffer's rows are padded by
 # _PAD values: a row stride that is a power of two made the transposing
 # copy into the design about twice as slow.
@@ -138,9 +153,8 @@ def expand_design(stats, spec: BasisSpec) -> np.ndarray:
     s = as_matrix(stats, "stats")
     if spec.kind == "identity":
         return s.copy()
-    exponents = _exponents(spec, s.shape[1])
-    steps, columns = _prefix_plan(exponents)
-    in_order = columns == list(range(len(steps)))
+    exponents, steps, columns = _plan(spec, s.shape[1])
+    in_order = columns == tuple(range(len(steps)))
     m = s.shape[0]
     design = np.empty((m, len(columns)))
     buf = np.empty((len(steps), min(m, _TILE) + _PAD))
@@ -163,7 +177,7 @@ def expand_design(stats, spec: BasisSpec) -> np.ndarray:
             if not np.all(np.isfinite(tile)):
                 finite = np.isfinite(tile).all(axis=1)
                 bad = min(bad, next(j for j, r in enumerate(columns) if not finite[r]))
-            design[start:stop] = (tile if in_order else tile[columns]).T
+            design[start:stop] = (tile if in_order else tile[list(columns)]).T
     if bad < len(columns):
         raise NumericalError(f"monomial with exponents {exponents[bad]} overflowed to non-finite")
     return design
@@ -214,6 +228,11 @@ def fit_linear(design, responses, ridge_lambda: float = 0.0) -> LinearFit:
     columns and of columns in an exact null direction report the sentinel
     1e18. The residual sum of squares of response j is
     ||z_j - Rx b_j||^2 + ||Ryy_j||^2.
+
+    A block of b rows makes pass 2 factorize a (q + p + b) x (q + p) stack,
+    which numpy's QR holds three times over, so the block size sets the
+    fit's peak; `_design_blocks` caps it by bytes. The R factor, and so
+    the fit, rounds by where the blocks split.
     """
     y = as_matrix(responses, "responses")
     if ridge_lambda < 0:
@@ -244,17 +263,22 @@ def fit_linear(design, responses, ridge_lambda: float = 0.0) -> LinearFit:
     y_mean = y.sum(axis=0) / m
     yc = y - y_mean
 
-    # Pass 2: R of the centered [X | Y], one block under the R so far at a time.
-    r = np.empty((0, q + p))
+    # Pass 2: R of the centered [X | Y], one block under the R so far at a
+    # time, stacked in one buffer for as long as the blocks fit in it.
+    r = buf = np.empty((0, q + p))
     for rows, block in blocks():
         top = r.shape[0]
-        stacked = np.empty((top + block.shape[0], q + p))
+        if buf.shape[0] < top + block.shape[0]:
+            del buf
+            buf = np.empty((q + p + block.shape[0], q + p))
+        stacked = buf[: top + block.shape[0]]
         stacked[:top] = r
         np.subtract(block, x_mean, out=stacked[top:, :q])
         stacked[top:, q:] = yc[rows]
         del block
         r = np.linalg.qr(stacked, mode="r")
         del stacked
+    del buf
     rx, z, ryy = r[:q, :q], r[:q, q:], r[q:, q:]
 
     # A wide design's null space, which the VIFs need, is only in the full V.

@@ -71,14 +71,13 @@ def targets_from_specs(specs: tuple[TargetSpec, ...], param_dim: int) -> tuple[T
     return tuple(specs)
 
 
-def check_draw_counts(config: RunConfig, stat_dim: int) -> None:
-    """Refuse a run whose fits would get too few draws, before any stage runs.
+def check_basis_draw_counts(config: RunConfig, stat_dim: int) -> None:
+    """Refuse a run whose basis fits would get too few draws.
 
     A fit of q basis columns by least squares needs q + 2 draws: the
     construct fit on `construct.m` draws, and with projected pilot
-    statistics the preliminary fit on `pilot.m`. Regression adjustment
-    fits the p' projected statistics on the ceil(main.accept_fraction *
-    main.m) accepted draws, so it needs p' + 2 of them.
+    statistics the preliminary fit on `pilot.m`. Neither depends on the
+    targets, so `run_experiment` checks them once for all of its cells.
     """
     q = config.basis.width(stat_dim)
     needs = [("construct.m", config.effective_construct_m)]
@@ -89,6 +88,16 @@ def check_draw_counts(config: RunConfig, stat_dim: int) -> None:
             raise ConfigError(
                 f"is {m}, but fitting the {q} basis columns needs at least {q + 2} draws", path
             )
+
+
+def check_draw_counts(config: RunConfig, stat_dim: int) -> None:
+    """Refuse a run whose fits would get too few draws, before any stage runs.
+
+    Besides `check_basis_draw_counts`: regression adjustment fits the p'
+    projected statistics on the ceil(main.accept_fraction * main.m)
+    accepted draws, so it needs p' + 2 of them.
+    """
+    check_basis_draw_counts(config, stat_dim)
     p_prime = len(config.targets)
     accepted = math.ceil(config.main_accept_fraction * config.main_m)
     if config.regression_adjust and accepted < p_prime + 2:
@@ -219,15 +228,28 @@ def construct_projector(
     )
 
 
+# The most bytes a float64 design block may hold: `CHUNK` rows of up to
+# 256 columns. A wider basis gets fewer rows per block, so the construct
+# fit's QR of [R; block] stays near 11 MB at q = 559 instead of 21 MB.
+_BLOCK_BYTES = 8 << 20
+
+
 def _design_blocks(stats: np.ndarray, basis: BasisSpec):
-    """Yield (rows, `expand_design` of those rows) for `CHUNK`-row slices
-    of an (N, d) statistic array, so no caller holds an (N, q) design; a
-    caller that deletes each block before asking for the next holds one.
-    A design row depends only on its statistic row, and a product row
-    only on its design row, so blockwise results equal whole-matrix ones
-    bit for bit."""
-    for start in range(0, stats.shape[0], CHUNK):
-        rows = slice(start, start + CHUNK)
+    """Yield (rows, `expand_design` of those rows) for consecutive row
+    slices of an (N, d) statistic array, so no caller holds an (N, q)
+    design; a caller that deletes each block before asking for the next
+    holds one.
+
+    A slice has `CHUNK` rows, or fewer when the basis is wider than 256
+    columns: a block holds at most `_BLOCK_BYTES`. A design row depends
+    only on its statistic row, so the blocks are the whole design's rows
+    bit for bit. A product or fit taken block by block rounds by where
+    the blocks split: a fit's R factor does, and so can a BLAS product
+    row (see README).
+    """
+    step = max(1, min(CHUNK, _BLOCK_BYTES // (8 * basis.width(stats.shape[1]))))
+    for start in range(0, stats.shape[0], step):
+        rows = slice(start, start + step)
         yield rows, expand_design(stats[rows], basis)
 
 

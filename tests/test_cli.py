@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from semiabc import semiauto
 from semiabc.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -29,8 +30,9 @@ def write_config(tmp_path, name="config.json", **over):
     return path
 
 
-# GPD with a degree-2 basis (104 columns of 13 statistics): the construct
-# fit and the main projection both cross CHUNK (4096-row) block boundaries
+# GPD with a degree-2 basis (104 columns of 13 statistics): its design
+# blocks have CHUNK (4096) rows, and the construct fit and the main
+# projection both cross their boundaries
 GPD_BLOCKS = dict(
     model={"name": "gpd", "params": {"sigma_true": 1.0, "xi_true": 0.2, "n_exceedances": 100}},
     pilot={"m": 2000, "accept_fraction": 0.05},
@@ -40,6 +42,16 @@ GPD_BLOCKS = dict(
     targets=[{"kind": "gpd_quantile", "tau": 0.9}, {"kind": "gpd_quantile", "tau": 0.99}],
     adjust={"regression": True, "marginal": False},
     ridge_lambda=1e-8,
+)
+
+# GPD with a degree-3 basis (559 columns): a design block holds at most
+# `semiauto._BLOCK_BYTES`, 1875 rows, so the 2000-row construct fit reads
+# two blocks and the 4000-row main projection three
+GPD_CUBIC_BLOCKS = dict(
+    GPD_BLOCKS,
+    construct={"m": 2000},
+    main={"m": 4000, "accept_fraction": 0.02},
+    basis={"kind": "polynomial", "degree": 3},
 )
 
 
@@ -57,6 +69,9 @@ class TestStageEquivalence:
 
     def test_chained_matches_full_across_design_blocks(self, tmp_path):
         self.assert_chained_matches_full(tmp_path, **GPD_BLOCKS)
+
+    def test_chained_matches_full_across_byte_sized_blocks(self, tmp_path):
+        self.assert_chained_matches_full(tmp_path, **GPD_CUBIC_BLOCKS)
 
     def assert_chained_matches_full(self, tmp_path, **over):
         config = write_config(tmp_path, **over)
@@ -90,6 +105,9 @@ class TestStageEquivalence:
 
     def test_identical_across_threads_and_design_blocks(self, tmp_path):
         self.assert_identical_across_threads(tmp_path, **GPD_BLOCKS)
+
+    def test_identical_across_threads_and_byte_sized_blocks(self, tmp_path):
+        self.assert_identical_across_threads(tmp_path, **GPD_CUBIC_BLOCKS)
 
     def assert_identical_across_threads(self, tmp_path, **over):
         config = write_config(tmp_path, **over)
@@ -441,6 +459,26 @@ class TestExperimentCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: 'targets[0]' has no oracle value")
         assert "prior_overrides" in err
+
+    def test_experiment_refuses_too_few_construct_draws_before_simulating(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        data = json.loads((REPO / "configs" / "gpd_quantiles.json").read_text())
+        data.update(
+            basis={"kind": "polynomial", "degree": 3},
+            construct={"m": 500},
+            main={"m": 5000, "accept_fraction": 0.02},
+            experiment={"strategies": ["joint", "separate"], "replications": 2},
+        )
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data))
+        calls = []
+        monkeypatch.setattr(semiauto, "simulate_batch", lambda *a, **k: calls.append(a))
+        assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: 'construct.m' is 500")
+        assert "559 basis columns" in err and "Traceback" not in err
+        assert calls == []
 
     def test_experiment_without_plan_is_one(self, tmp_path):
         config = write_config(tmp_path)

@@ -101,8 +101,9 @@ class TestRun:
         assert all(r.summary_dim == 2 and r.p_prime == 2 for r in report.rows)
 
     def test_failures_recorded_not_fatal(self):
-        # construct batch far too small for the basis dimension
-        config = lg_config(construct_m=3, pilot_m=1000)
+        # 3 accepted draws, too few to adjust on the 2 summaries of each
+        # joint cell (too small a construct.m is refused up front instead)
+        config = lg_config(main_m=60, regression_adjust=True)
         plan = plan_from_config(
             ExperimentConfig(strategies=("joint",), replications=2), 2, config.seed
         )

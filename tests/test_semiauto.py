@@ -11,10 +11,12 @@ from semiabc.bayes_linear import fit_bayes_linear
 from semiabc.engine import CHUNK, SimulationBatch, SimulatorContract
 from semiabc.errors import ConfigError, NumericalError
 from semiabc.models import ModelFixture, gaussian_location_fixture
-from semiabc.regression import BasisSpec, expand_design
+from semiabc.regression import BasisSpec, expand_design, fit_linear
 from semiabc.runconfig import RunConfig, TargetSpec
 from semiabc.semiauto import (
+    _BLOCK_BYTES,
     SummaryProjector,
+    _design_blocks,
     construct_projector,
     evaluate_targets,
     posterior_target_estimates,
@@ -278,6 +280,134 @@ class TestBlockwiseDesign:
             tracemalloc.stop()
         assert out.shape == (20_000, 2)
         assert peak < 2 * CHUNK * q * 8
+
+
+CUBIC = BasisSpec("polynomial", degree=3)  # 559 columns of 13 statistics
+
+
+def cubic_projector(rng, n_targets):
+    q = CUBIC.width(13)
+    return SummaryProjector(
+        basis=CUBIC,
+        intercept=rng.standard_normal(n_targets),
+        coef=rng.standard_normal((n_targets, q)),
+        target_names=tuple(f"t{j}" for j in range(n_targets)),
+        condition_number=1.0,
+        vifs=np.ones(q),
+        residual_mss=np.zeros(n_targets),
+    )
+
+
+def assert_wide_blockwise_matches_whole_matrix():
+    """At q = 559 a design block has fewer than CHUNK rows; `project_matrix`
+    on such blocks, on m rows that make three full blocks and a partial
+    fourth, agrees with the whole-matrix product for one target (a
+    matrix-vector product) and for two (a matrix product).
+
+    Not bit for bit: OpenBLAS sums a row of a product in an order that
+    depends on where the row falls in its operand (the tail rows of an
+    unrolled loop, a small-matrix kernel for a short block, the split
+    between BLAS threads), so the two may differ in the last bits of an
+    entry, as they did with 4096-row blocks. The bound is q eps times the
+    sum of the entry's |terms|, twice the first-order error bound of one
+    summation order; a row out of place would miss it by far.
+    """
+    rng = np.random.default_rng(15)
+    q = CUBIC.width(13)
+    step = _BLOCK_BYTES // (8 * q)
+    stats = rng.uniform(0.5, 1.5, (3 * step + 17, 13))
+    design = expand_design(stats, CUBIC)
+    for n_targets in (1, 2):
+        projector = cubic_projector(rng, n_targets)
+        whole = projector.intercept + design @ projector.coef.T
+        bound = q * np.finfo(np.float64).eps * (np.abs(design) @ np.abs(projector.coef.T))
+        got = project_matrix(projector, stats)
+        assert got.shape == whole.shape
+        assert np.all(np.abs(got - whole) <= bound)
+
+
+class TestByteSizedBlocks:
+    @pytest.mark.parametrize("basis, d", [
+        (BasisSpec(), 20),
+        (BasisSpec("polynomial", degree=2), 13),  # 104 columns
+        (BasisSpec("powers", exponents=((1,),) * 256), 1),
+    ])
+    def test_bases_up_to_256_columns_keep_chunk_rows(self, basis, d):
+        stats = np.ones((2 * CHUNK + 5, d))
+        sizes = [block.shape[0] for _, block in _design_blocks(stats, basis)]
+        assert sizes == [CHUNK, CHUNK, 5]
+
+    def test_a_559_column_block_holds_at_most_the_byte_cap(self):
+        stats = np.ones((CHUNK, 13))
+        blocks = list(_design_blocks(stats, CUBIC))
+        assert len(blocks) == 3
+        assert all(block.nbytes <= _BLOCK_BYTES for _, block in blocks)
+        assert blocks[0][1].shape == (_BLOCK_BYTES // (8 * 559), 559)
+        assert [rows.start for rows, _ in blocks] == [0, 1875, 3750]
+        assert np.concatenate([block for _, block in blocks]).tobytes() == (
+            expand_design(stats, CUBIC).tobytes()
+        )
+
+    def test_wide_projection_matches_whole_matrix(self):
+        assert_wide_blockwise_matches_whole_matrix()
+
+    def test_wide_projection_matches_whole_matrix_on_one_blas_thread(self):
+        code = "import test_semiauto; test_semiauto.assert_wide_blockwise_matches_whole_matrix()"
+        here = Path(__file__).resolve().parent
+        path = os.pathsep.join(
+            filter(None, [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")])
+        )
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+
+    def test_streamed_wide_fit_matches_the_one_block_fit(self):
+        # monomials of standard normals: the centred design's condition
+        # number is about 20, so the two R factors' rounding stays small
+        rng = np.random.default_rng(16)
+        stats = rng.standard_normal((4000, 13))
+        design = expand_design(stats, CUBIC)
+        y = design @ rng.standard_normal((559, 2)) + rng.standard_normal((4000, 2))
+        streamed = fit_linear(lambda: _design_blocks(stats, CUBIC), y)
+        whole = fit_linear(design, y)
+        assert len(list(_design_blocks(stats, CUBIC))) == 3
+        for field in ("intercept", "coef", "vifs", "residual_mss", "condition_number"):
+            np.testing.assert_allclose(
+                getattr(streamed, field), getattr(whole, field), rtol=1e-10, err_msg=field
+            )
+
+    def test_degree_3_construct_fit_peak_under_30_mb(self):
+        # 3 CHUNK rows of 13 statistics; 4096-row blocks made the QR of
+        # [R; block] hold about 48 MB here
+        rng = np.random.default_rng(14)
+        m = 3 * CHUNK
+        thetas = rng.uniform(0.5, 1.5, (m, 2))
+        stats = np.hstack([thetas, rng.uniform(0.5, 1.5, (m, 11))])
+        batch = make_batch(thetas, stats)
+        targets = [TargetSpec("coordinate", index=0), TargetSpec("coordinate", index=1)]
+        tracemalloc.start()
+        try:
+            construct_projector(batch, targets, CUBIC, ridge_lambda=1e-8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6
+
+    def test_degree_3_projection_peak_under_two_block_caps(self):
+        # one 4096-row block of 559 columns alone is 18.3 MB, and with the
+        # expansion's tile buffer the peak was 24.4 MB
+        rng = np.random.default_rng(13)
+        stats = rng.uniform(0.5, 1.5, (20_000, 13))
+        projector = cubic_projector(rng, 2)
+        tracemalloc.start()
+        try:
+            project_matrix(projector, stats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * _BLOCK_BYTES
 
 
 def gaussian_config(**over):
