@@ -172,7 +172,7 @@ def load_batch(directory, name: str, config_hash: str | None = None) -> Simulati
     with _sidecar_values(path):
         p, d = sidecar["param_dim"], sidecar["stat_dim"]
         data = _read_table(directory / f"{name}.csv", _batch_header(p, d), sidecar["m"])
-        region = sidecar.get("region")
+        region = sidecar["region"]
         return SimulationBatch(
             thetas=data[:, 1 : p + 1],
             stats=data[:, p + 1 :],
@@ -224,7 +224,7 @@ def load_posterior(directory, name: str, config_hash: str | None = None) -> Weig
             epsilon=float(sidecar["epsilon"]),
             distances=np.asarray(sidecar["distances"], dtype=np.float64),
             accepted_indices=idx.astype(np.intp),
-            provenance=sidecar.get("provenance", {}),
+            provenance=sidecar["provenance"],
         )
 
 

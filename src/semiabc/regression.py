@@ -10,6 +10,7 @@ assumed.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -211,80 +212,79 @@ def fit_linear(design, responses, ridge_lambda: float = 0.0) -> LinearFit:
     """Affine least squares of (M, p) responses on an (M, q) design.
 
     Minimizes sum_m ||y_m - a - B x_m||^2 + ridge_lambda ||B||_F^2 with
-    the intercept a handled by centering and never penalized. With
-    ridge_lambda = 0 a rank-deficient design is an error rather than a
-    silent pseudo-inverse.
+    the intercept a never penalized. With ridge_lambda = 0 a
+    rank-deficient design is an error rather than a silent pseudo-inverse.
 
-    `design` is an (M, q) array, or a zero-argument callable that returns
-    a fresh iterator of (rows, block) pairs whose blocks are the design's
-    rows in order, such as `lambda: semiauto._design_blocks(stats, basis)`.
-    The fit reads the blocks twice and never holds the whole design or
-    writes to any array it is given. The first pass sums the columns; the
-    second takes the R factor of the centered [X | Y] block by block
-    (the R-SVD, Chan 1982): R = [[Rx, z], [0, Ryy]]. The SVD of the q x q
-    Rx, whose singular values and right vectors are the centered design's,
-    gives the coefficients, the condition number and the VIFs, so they
-    describe the centered design. VIFs above 1e12, of zero-variance
-    columns and of columns in an exact null direction report the sentinel
-    1e18. The residual sum of squares of response j is
-    ||z_j - Rx b_j||^2 + ||Ryy_j||^2.
+    `design` is an (M, q) array or a one-shot iterator of (rows, block)
+    pairs whose blocks are its rows in order, such as
+    `semiauto._design_blocks(stats, basis)`; the fit counts rows and does
+    not read `rows`. It reads the design once, never holds all of it and
+    never writes to an array it is given. It takes the R factor of
+    [1 | X - c | Y - c_y] block by block (AS 75, Gentleman; AS 274, Miller 1992);
+    the first block's means c and c_y only shift the data, for precision.
+    R's first row holds the rest of the means, and R[1:, 1:] = [[Rx, z],
+    [0, Ryy]] is the R factor of the centered [X | Y] (the R-SVD, Chan
+    1982). The SVD of the q x q Rx gives the coefficients, the condition
+    number and the VIFs of the centered design (the sentinel 1e18 above
+    1e12, for zero-variance columns and in an exact null direction).
+    Response j's residual sum of squares is ||z_j - Rx b_j||^2 + ||Ryy_j||^2.
 
-    A block of b rows makes pass 2 factorize a (q + p + b) x (q + p) stack,
-    which numpy's QR holds three times over, so the block size sets the
-    fit's peak; `_design_blocks` caps it by bytes. The R factor, and so
-    the fit, rounds by where the blocks split.
+    numpy's QR holds each [R; block] stack three times, so `_design_blocks`
+    caps blocks by bytes; the fit rounds by where the blocks split.
     """
     y = as_matrix(responses, "responses")
     if ridge_lambda < 0:
         raise ValueError("ridge_lambda must be >= 0")
-    if callable(design):
-        blocks = design
-    else:
+    if not isinstance(design, Iterator):
         x = as_matrix(design, "design")
-        blocks = lambda: iter(((slice(0, x.shape[0]), x),))  # noqa: E731
+        design = iter(((slice(0, x.shape[0]), x),))
     m, p = y.shape
     if m < 2:
         raise ValueError("need at least 2 rows")
 
-    # Pass 1: column sums, and the raw squared column norms `_zero_variance` needs.
-    x_sum = raw_sq_norms = 0.0
+    # R of [1 | X - c | Y - c_y], each block stacked under the R so far in one
+    # reused buffer; the raw squared norms `_zero_variance` needs alongside.
+    raw_sq_norms = 0.0
     rows_seen = 0
-    for _, block in blocks():
-        x_sum = x_sum + block.sum(axis=0)
-        raw_sq_norms = raw_sq_norms + np.einsum("ij,ij->j", block, block)
-        rows_seen += block.shape[0]
-        del block  # before the next block is made
-    if rows_seen != m:
-        raise ValueError(f"design has {rows_seen} rows, responses {m}")
-    q = x_sum.size
-    if ridge_lambda == 0.0 and m < q + 2:
-        raise ValueError(f"need at least {q + 2} rows to fit {q} columns by OLS, got {m}")
-    x_mean = x_sum / m
-    y_mean = y.sum(axis=0) / m
-    yc = y - y_mean
-
-    # Pass 2: R of the centered [X | Y], one block under the R so far at a
-    # time, stacked in one buffer for as long as the blocks fit in it.
-    r = buf = np.empty((0, q + p))
-    for rows, block in blocks():
+    for _, block in design:
+        b = block.shape[0]
+        if not b:
+            continue
+        if rows_seen + b > m:  # count the rest for the error below
+            rows_seen += b + sum(rest.shape[0] for _, rest in design)
+            break
+        y_block = y[rows_seen : rows_seen + b]
+        if not rows_seen:
+            q = block.shape[1]
+            c, c_y = block.mean(axis=0), y_block.mean(axis=0)
+            r = buf = np.empty((0, 1 + q + p))
         top = r.shape[0]
-        if buf.shape[0] < top + block.shape[0]:
+        if buf.shape[0] < top + b:
             del buf
-            buf = np.empty((q + p + block.shape[0], q + p))
-        stacked = buf[: top + block.shape[0]]
+            buf = np.empty((1 + q + p + b, 1 + q + p))
+        stacked = buf[: top + b]
         stacked[:top] = r
-        np.subtract(block, x_mean, out=stacked[top:, :q])
-        stacked[top:, q:] = yc[rows]
-        del block
+        stacked[top:, 0] = 1.0
+        np.subtract(block, c, out=stacked[top:, 1 : q + 1])
+        np.subtract(y_block, c_y, out=stacked[top:, q + 1 :])
+        raw_sq_norms = raw_sq_norms + np.einsum("ij,ij->j", block, block)
+        rows_seen += b
+        del block  # before the next block is made
         r = np.linalg.qr(stacked, mode="r")
         del stacked
+    if rows_seen != m:
+        raise ValueError(f"design has {rows_seen} rows, responses {m}")
     del buf
-    rx, z, ryy = r[:q, :q], r[:q, q:], r[q:, q:]
+    if ridge_lambda == 0.0 and m < q + 2:
+        raise ValueError(f"need at least {q + 2} rows to fit {q} columns by OLS, got {m}")
+    x_mean = c + r[0, 1 : q + 1] / r[0, 0]
+    y_mean = c_y + r[0, q + 1 :] / r[0, 0]
+    rx, z, ryy = r[1 : q + 1, 1 : q + 1], r[1 : q + 1, q + 1 :], r[q + 1 :, q + 1 :]
 
     # A wide design's null space, which the VIFs need, is only in the full V.
-    u, sv, vt = np.linalg.svd(rx, full_matrices=m < q)
+    u, sv, vt = np.linalg.svd(rx, full_matrices=rx.shape[0] < q)
     s_max = float(sv.max()) if sv.size else 0.0
-    s_min = float(sv.min()) if sv.size else 0.0
+    s_min = float(sv.min()) if 0 < sv.size == q else 0.0  # m <= q: centred rank < q
     cond = np.inf if s_min == 0.0 else max(s_max / s_min, 1.0)
     tol = np.finfo(np.float64).eps * max(m, q) * s_max
     if ridge_lambda == 0.0:

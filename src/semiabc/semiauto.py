@@ -177,7 +177,7 @@ class SummaryProjector:
         b = dict(data["basis"])
         if b.get("exponents") is not None:
             b["exponents"] = tuple(map(tuple, b["exponents"]))
-        region = data.get("region")
+        region = data["region"]
         return SummaryProjector(
             basis=BasisSpec(**b),
             intercept=np.asarray(data["intercept"], dtype=np.float64),
@@ -187,7 +187,7 @@ class SummaryProjector:
             vifs=np.asarray(data["vifs"], dtype=np.float64),
             residual_mss=np.asarray(data["residual_mss"], dtype=np.float64),
             region=TruncationRegion.from_dict(region) if region else None,
-            n_fit=int(data.get("n_fit", 0)),
+            n_fit=int(data["n_fit"]),
         )
 
     def projector_id(self) -> str:
@@ -207,14 +207,14 @@ def construct_projector(
     in its provenance; the projector keeps that region for downstream
     stages and reporting.
 
-    The fit reads the design as `_design_blocks`, so no stage holds the
-    whole design, and it scores itself: `residual_mss` is the fit's.
+    The fit reads `_design_blocks` once: each row is expanded once, no
+    stage holds the whole design, and `residual_mss` is the fit's own.
     """
     q = basis.width(batch.stats.shape[1])
     if batch.m < q + 2:
         raise ValueError(f"need at least {q + 2} draws to fit {q} basis columns, got {batch.m}")
     responses = evaluate_targets(batch.thetas, targets)
-    fit = fit_linear(lambda: _design_blocks(batch.stats, basis), responses, ridge_lambda)
+    fit = fit_linear(_design_blocks(batch.stats, basis), responses, ridge_lambda)
     return SummaryProjector(
         basis=basis,
         intercept=fit.intercept,
@@ -236,16 +236,15 @@ _BLOCK_BYTES = 8 << 20
 
 def _design_blocks(stats: np.ndarray, basis: BasisSpec):
     """Yield (rows, `expand_design` of those rows) for consecutive row
-    slices of an (N, d) statistic array, so no caller holds an (N, q)
-    design; a caller that deletes each block before asking for the next
-    holds one.
+    slices of an (N, d) statistic array, expanding each row once, as its
+    block is asked for. A caller that deletes each block before asking
+    for the next holds one block, never the (N, q) design.
 
     A slice has `CHUNK` rows, or fewer when the basis is wider than 256
-    columns: a block holds at most `_BLOCK_BYTES`. A design row depends
-    only on its statistic row, so the blocks are the whole design's rows
-    bit for bit. A product or fit taken block by block rounds by where
-    the blocks split: a fit's R factor does, and so can a BLAS product
-    row (see README).
+    columns: a block holds at most `_BLOCK_BYTES`. The blocks are the
+    whole design's rows bit for bit, but a product or fit taken block by
+    block rounds by where the blocks split: a fit's R factor does, and so
+    can a BLAS product row (see README).
     """
     step = max(1, min(CHUNK, _BLOCK_BYTES // (8 * basis.width(stats.shape[1]))))
     for start in range(0, stats.shape[0], step):

@@ -310,6 +310,7 @@ class TestMalformedArtifacts:
             ("projector.json", "coef", ("simulate", "pilot", "construct", "infer")),
             ("batch_pilot.json", "stat_dim", ("simulate", "pilot")),
             ("region.json", "lo", ("simulate", "pilot", "construct")),
+            ("projector.json", "n_fit", ("simulate", "pilot", "construct", "infer")),
         ],
     )
     def test_sidecar_missing_a_key(self, tmp_path, capsys, sidecar, key, stages):

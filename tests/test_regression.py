@@ -1,4 +1,6 @@
+import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,12 +13,16 @@ from semiabc.regression import (
     _TILE,
     VIF_SENTINEL,
     BasisSpec,
+    LinearFit,
+    _vifs,
+    _zero_variance,
     condition_diagnostics,
     expand_basis,
     expand_design,
     fit_linear,
     monomial_exponents,
 )
+from semiabc.semiauto import _design_blocks
 
 
 class TestExpandBasis:
@@ -129,7 +135,7 @@ class TestFitLinear:
         x = rng.standard_normal((m, 200)) * rng.uniform(0.1, 10.0, 200) + 3.0
         y = x @ rng.standard_normal((200, 3)) + rng.standard_normal((m, 3))
         whole = fit_linear(x, y, ridge_lambda)
-        streamed = fit_linear(lambda: row_blocks(x), y, ridge_lambda)
+        streamed = fit_linear(row_blocks(x), y, ridge_lambda)
         for name in ("coef", "intercept", "vifs", "residual_mss"):
             np.testing.assert_allclose(
                 getattr(streamed, name), getattr(whole, name), rtol=1e-10, err_msg=name
@@ -140,7 +146,7 @@ class TestFitLinear:
         rng = np.random.default_rng(12)
         x = rng.standard_normal((2 * CHUNK + 17, 5))
         x[:, 3] = 0.1  # centers to rounding noise, block by block as well
-        fit = fit_linear(lambda: row_blocks(x), rng.standard_normal((x.shape[0], 1)), 1e-3)
+        fit = fit_linear(row_blocks(x), rng.standard_normal((x.shape[0], 1)), 1e-3)
         assert fit.vifs[3] == VIF_SENTINEL
         assert np.all(fit.vifs[[0, 1, 2, 4]] < 1.01)
 
@@ -150,7 +156,7 @@ class TestFitLinear:
         x = rng.standard_normal((CHUNK + 5, 4)) + 2.0
         y = rng.standard_normal((CHUNK + 5, 2)) + 1.0
         x_bytes, y_bytes = x.tobytes(), y.tobytes()
-        fit_linear((lambda: row_blocks(x)) if streamed else x, y)
+        fit_linear(row_blocks(x) if streamed else x, y)
         assert x.tobytes() == x_bytes and y.tobytes() == y_bytes
 
     def test_residual_mss_is_the_mean_squared_residual(self):
@@ -163,10 +169,32 @@ class TestFitLinear:
             resid = y - fit.intercept - x @ fit.coef.T
             np.testing.assert_allclose(fit.residual_mss, (resid**2).mean(axis=0), rtol=1e-12)
 
-    def test_rows_that_do_not_match_the_responses(self):
-        x = np.random.default_rng(15).standard_normal((20, 2))
-        with pytest.raises(ValueError, match="design has 20 rows, responses 21"):
-            fit_linear(lambda: row_blocks(x), np.zeros((21, 1)))
+    # an empty design is an empty iterator; a longer one is counted to its end
+    @pytest.mark.parametrize(
+        "rows", [20, 0, 22, 2 * CHUNK + 1], ids=["shorter", "empty", "longer", "blocks_longer"]
+    )
+    def test_rows_that_do_not_match_the_responses(self, rows):
+        x = np.random.default_rng(15).standard_normal((rows, 2))
+        with pytest.raises(ValueError, match=f"design has {rows} rows, responses 21$"):
+            fit_linear(row_blocks(x), np.zeros((21, 1)))
+
+    def test_an_empty_block_is_skipped(self):
+        # no mean of an empty first block: its means would shift every row
+        rng = np.random.default_rng(18)
+        x = rng.standard_normal((30, 3))
+        y = x @ rng.standard_normal((3, 2)) + rng.standard_normal((30, 2))
+        blocks = iter([(slice(0, 0), x[:0]), (slice(0, 30), x)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            streamed = fit_linear(blocks, y)
+        np.testing.assert_array_equal(streamed.coef, fit_linear(x, y).coef)
+
+    @pytest.mark.parametrize("m", [5, 8])
+    def test_a_wide_ridge_fit_is_infinitely_conditioned(self, m):
+        # centred, m <= q rows span at most m - 1 < q dimensions
+        rng = np.random.default_rng(19)
+        fit = fit_linear(rng.standard_normal((m, 8)), rng.standard_normal((m, 2)), 1e-3)
+        assert fit.condition_number == np.inf
 
     def test_too_few_rows_for_ols(self):
         with pytest.raises(ValueError, match="rows"):
@@ -174,8 +202,74 @@ class TestFitLinear:
 
 
 def row_blocks(x):
-    """(rows, block) pairs of CHUNK-row slices of x, as `fit_linear` reads them."""
+    """A one-shot iterator of (rows, block) pairs of CHUNK-row slices of x,
+    as `fit_linear` reads them."""
     return ((slice(i, i + CHUNK), x[i : i + CHUNK]) for i in range(0, x.shape[0], CHUNK))
+
+
+def two_pass_fit(blocks, y, ridge_lambda=0.0):
+    """The reference for `fit_linear` on a tall design: the fit as it read
+    `blocks()`, a fresh iterator of (rows, block) pairs, twice. The first
+    pass sums the columns; the second takes the R factor of the centred
+    [X | Y] under the mean found by the first."""
+    x_sum = raw_sq_norms = 0.0
+    for _, block in blocks():
+        x_sum = x_sum + block.sum(axis=0)
+        raw_sq_norms = raw_sq_norms + np.einsum("ij,ij->j", block, block)
+    (m, p), q = y.shape, x_sum.size
+    x_mean, y_mean = x_sum / m, y.sum(axis=0) / m
+    r = np.empty((0, q + p))
+    for rows, block in blocks():
+        r = np.linalg.qr(np.vstack([r, np.hstack([block - x_mean, y[rows] - y_mean])]), mode="r")
+    rx, z, ryy = r[:q, :q], r[:q, q:], r[q:, q:]
+    u, sv, vt = np.linalg.svd(rx)
+    shrink = 1.0 / sv if ridge_lambda == 0.0 else sv / (sv**2 + ridge_lambda)
+    coef = (vt.T @ (shrink[:, None] * (u.T @ z))).T
+    resid = z - rx @ coef.T
+    sq_norms = np.einsum("ij,ij->j", rx, rx)
+    return LinearFit(
+        intercept=y_mean - coef @ x_mean,
+        coef=coef,
+        condition_number=max(sv.max() / sv.min(), 1.0),
+        vifs=_vifs(sq_norms, m, sv, vt, _zero_variance(sq_norms, raw_sq_norms, m)),
+        residual_mss=(np.einsum("ij,ij->j", resid, resid) + np.einsum("ij,ij->j", ryy, ryy)) / m,
+        ridge_lambda=float(ridge_lambda),
+    )
+
+
+class TestOnePassFit:
+    """The one-pass fit against the two-pass reference it replaced."""
+
+    def assert_matches_two_pass(self, blocks, y, ridge_lambda=0.0):
+        one_pass = fit_linear(blocks(), y, ridge_lambda)
+        two_pass = two_pass_fit(blocks, y, ridge_lambda)
+        for field in dataclasses.fields(LinearFit):
+            np.testing.assert_allclose(
+                getattr(one_pass, field.name), getattr(two_pass, field.name), rtol=1e-9,
+                err_msg=field.name,
+            )
+
+    def test_wide_cubic_design(self):
+        # the q = 559 design of semiauto's streamed-wide-fit test, in 3 blocks
+        cubic = BasisSpec("polynomial", degree=3)
+        rng = np.random.default_rng(16)
+        stats = rng.standard_normal((4000, 13))
+        design = expand_design(stats, cubic)
+        y = design @ rng.standard_normal((559, 2)) + rng.standard_normal((4000, 2))
+        self.assert_matches_two_pass(lambda: _design_blocks(stats, cubic), y)
+
+    @pytest.mark.parametrize("ridge_lambda", [0.0, 1e-3])
+    def test_first_block_far_from_the_mean(self, ridge_lambda):
+        # sorted by column 0, the first block's means are not the design's,
+        # and an offset of 1e6 puts them far from zero: the shift by the
+        # first block's means is only for precision
+        rng = np.random.default_rng(17)
+        m = 2 * CHUNK + 17
+        x = rng.standard_normal((m, 5)) * rng.uniform(0.5, 2.0, 5)
+        x = x[np.argsort(x[:, 0])]
+        y = x @ rng.standard_normal((5, 3)) + 0.5 * rng.standard_normal((m, 3))
+        x = x + 1e6
+        self.assert_matches_two_pass(lambda: row_blocks(x), y, ridge_lambda)
 
 
 def brute_force_vif(x, j):

@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from semiabc import semiauto
 from semiabc.bayes_linear import fit_bayes_linear
-from semiabc.engine import CHUNK, SimulationBatch, SimulatorContract
+from semiabc.engine import CHUNK, SimulationBatch, SimulatorContract, simulate_batch
 from semiabc.errors import ConfigError, NumericalError
-from semiabc.models import ModelFixture, gaussian_location_fixture
+from semiabc.models import ModelFixture, gaussian_location_fixture, gpd_fixture
 from semiabc.regression import BasisSpec, expand_design, fit_linear
 from semiabc.runconfig import RunConfig, TargetSpec
 from semiabc.semiauto import (
@@ -257,6 +258,23 @@ class TestBlockwiseDesign:
         assert projector.coef.shape == (2, q)
         assert peak < 3 * CHUNK * q * 8
 
+    def test_construct_fit_expands_each_row_once(self, monkeypatch):
+        # 2 CHUNK + 17 GPD draws under a degree-2 basis (104 columns): two
+        # full blocks and a partial one, read by the fit in one pass
+        fixture = gpd_fixture()
+        batch = simulate_batch(fixture.prior, fixture.simulator, 2 * CHUNK + 17, seed=7)
+        expanded = []
+
+        def counting_expand_design(stats, basis):
+            expanded.append(stats.shape[0])
+            return expand_design(stats, basis)
+
+        monkeypatch.setattr(semiauto, "expand_design", counting_expand_design)
+        construct_projector(
+            batch, [TargetSpec("coordinate", index=0)], BasisSpec("polynomial", degree=2)
+        )
+        assert sum(expanded) == batch.m
+
     def test_project_matrix_holds_under_two_block_designs(self):
         # a degree-3 basis of 13 statistics has 559 columns: the whole
         # 20000-row design would be 89 MB, one CHUNK-row block 18 MB
@@ -370,7 +388,7 @@ class TestByteSizedBlocks:
         stats = rng.standard_normal((4000, 13))
         design = expand_design(stats, CUBIC)
         y = design @ rng.standard_normal((559, 2)) + rng.standard_normal((4000, 2))
-        streamed = fit_linear(lambda: _design_blocks(stats, CUBIC), y)
+        streamed = fit_linear(_design_blocks(stats, CUBIC), y)
         whole = fit_linear(design, y)
         assert len(list(_design_blocks(stats, CUBIC))) == 3
         for field in ("intercept", "coef", "vifs", "residual_mss", "condition_number"):
