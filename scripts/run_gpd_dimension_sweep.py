@@ -16,12 +16,10 @@ import argparse
 import sys
 
 from semiabc import artifacts
-from semiabc.engine import derive_seed
 from semiabc.errors import ConfigError
-from semiabc.experiment import plan_from_config, run_experiment
+from semiabc.experiment import run_experiment
 from semiabc.models import gpd_fixture
 from semiabc.runconfig import ExperimentConfig, RunConfig, TargetSpec
-from semiabc.semiauto import TAG_EXPERIMENT
 
 
 def tau_ladder(count: int) -> tuple[float, ...]:
@@ -43,9 +41,6 @@ def main() -> int:
     args = parser.parse_args()
 
     fixture = gpd_fixture(sigma_true=1.0, xi_true=0.2, n_exceedances=100)
-    seeds = tuple(
-        derive_seed(args.seed, TAG_EXPERIMENT, r) for r in range(args.replications)
-    )
 
     code = 0
     for level in args.levels:
@@ -61,16 +56,10 @@ def main() -> int:
             targets=tuple(TargetSpec("gpd_quantile", tau=t) for t in taus),
             regression_adjust=True,
             ridge_lambda=1e-8,
+            experiment=ExperimentConfig(strategies=("joint",), replications=args.replications),
             seed=args.seed,
         )
-        plan = plan_from_config(
-            ExperimentConfig(
-                strategies=("joint",), replications=args.replications, seeds=seeds
-            ),
-            len(taus),
-            config.seed,
-        )
-        report = run_experiment(plan, config, fixture, threads=args.threads)
+        report = run_experiment(config, fixture, threads=args.threads)
         out = f"{args.out}/p{level}"
         artifacts.save_experiment_report(out, report, config.config_hash())
         if not report.rows:

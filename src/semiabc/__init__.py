@@ -38,7 +38,7 @@ from .errors import (
     RankDeficientError,
     SingularMatrixError,
 )
-from .experiment import ExperimentReport, plan_from_config, run_experiment
+from .experiment import ExperimentReport, run_experiment
 from .linalg import sample_cov, sample_mean, solve_spd
 from .marginal import MarginalEstimate, estimate_marginal, marginal_remap
 from .models import (
@@ -48,7 +48,7 @@ from .models import (
     linear_gaussian_fixture,
     make_fixture,
 )
-from .regression import BasisSpec, LinearFit, condition_diagnostics, expand_basis, fit_linear
+from .regression import BasisSpec, LinearFit, condition_diagnostics, fit_linear
 from .runconfig import ExperimentConfig, RunConfig, TargetSpec, parse_config, parse_config_dict
 from .semiauto import (
     SummaryProjector,

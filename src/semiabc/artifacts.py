@@ -27,23 +27,9 @@ def fmt(value) -> str:
     return repr(float(value))
 
 
-def _sanitize(obj):
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return _sanitize(obj.tolist())
-    return obj
-
-
 def dump_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_sanitize(payload), sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 class _Sidecar(dict):

@@ -16,7 +16,7 @@ special handling here.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -98,22 +98,14 @@ def fit_bayes_linear(batch) -> BayesLinearModel:
     m, d = stats.shape
     if m < d + 2:
         raise ValueError(f"insufficient draws for {d} statistics: got {m}, need {d + 2}")
-    mean_theta = sample_mean(thetas)
-    mean_s = sample_mean(stats)
-    var_s = sample_cov(stats, stats)
-    cov_theta_s = sample_cov(thetas, stats)
-    var_theta = sample_cov(thetas, thetas)
-    coef = solve_spd(var_s, cov_theta_s.T).T
-    return BayesLinearModel(
-        intercept=mean_theta - coef @ mean_s,
-        coef=coef,
-        mean_theta=mean_theta,
-        mean_s=mean_s,
-        var_s=var_s,
-        cov_theta_s=cov_theta_s,
-        var_theta=var_theta,
-        n_fit=m,
+    model = from_moments(
+        mean_theta=sample_mean(thetas),
+        mean_s=sample_mean(stats),
+        var_theta=sample_cov(thetas, thetas),
+        var_s=sample_cov(stats, stats),
+        cov_theta_s=sample_cov(thetas, stats),
     )
+    return replace(model, n_fit=m)
 
 
 def adjusted_expectation(model: BayesLinearModel, s) -> np.ndarray:

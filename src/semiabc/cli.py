@@ -140,9 +140,7 @@ def _cmd_marginal(config, fixture, out, threads, held):
 
 
 def _cmd_experiment(config, fixture, out, threads, held):
-    if config.experiment is None:
-        raise ConfigError("config has no 'experiment' section")
-    report = run_experiment(config.experiment, config, fixture, threads=threads)
+    report = run_experiment(config, fixture, threads=threads)
     artifacts.save_experiment_report(out, report, config.config_hash())
     print(
         f"experiment: {len(report.rows)} rows, {len(report.failures)} failures, "

@@ -193,18 +193,6 @@ class PriorSpec:
         payload = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
 
-    @staticmethod
-    def from_dict(data: dict) -> "PriorSpec":
-        margs = tuple(
-            MarginalPrior(m["kind"], float(m["a"]), float(m["b"]))
-            for m in data["marginals"]
-        )
-        box = data.get("truncation_box")
-        return PriorSpec(
-            marginals=margs,
-            truncation_box=TruncationRegion.from_dict(box) if box else None,
-        )
-
 
 @dataclass(frozen=True)
 class SimulatorContract:

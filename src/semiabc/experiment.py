@@ -24,33 +24,15 @@ from dataclasses import dataclass, field, replace
 from .engine import derive_seed
 from .errors import ConfigError, NumericalError
 from .models import ModelFixture
-from .runconfig import ExperimentConfig, RunConfig
+from .runconfig import RunConfig
 from .semiauto import (
     TAG_EXPERIMENT,
     build_fixture,
     check_basis_draw_counts,
     run_semiauto,
-    shared_stage_batches,
+    target_free_stages,
     targets_from_specs,
 )
-
-
-def plan_from_config(exp: ExperimentConfig, n_targets: int, base_seed: int) -> ExperimentConfig:
-    """`exp` with its groups (singletons by default) and per-replicate seeds
-    (derived from `base_seed` by default) filled in for `n_targets` targets."""
-    if exp.groups is not None and sum(map(len, exp.groups)) != n_targets:
-        raise ConfigError(
-            f"must partition the target indices 0..{n_targets - 1}, got "
-            f"{[list(g) for g in exp.groups]!r}",
-            "experiment.groups",
-        )
-    return replace(
-        exp,
-        groups=exp.groups or tuple((i,) for i in range(n_targets)),
-        seeds=exp.seeds or tuple(
-            derive_seed(base_seed, TAG_EXPERIMENT, r) for r in range(exp.replications)
-        ),
-    )
 
 
 @dataclass(frozen=True)
@@ -153,7 +135,7 @@ def _run_one(
     replicate: int,
     seed: int,
     group: tuple[int, ...],
-    batches: dict | None,
+    held: dict | None,
     oracle_values: dict,
 ) -> list[ExperimentRow]:
     group_targets = tuple(config.targets[i] for i in group)
@@ -161,7 +143,7 @@ def _run_one(
     # singleton therefore reproduces the joint run on the same single
     # target bit for bit.
     sub = replace(config, targets=group_targets, seed=seed, experiment=None)
-    result = run_semiauto(sub, fixture, batches=batches)
+    result = run_semiauto(sub, fixture, held=held)
     # a trivial adjustment (zero innovation) fits nothing and has no condition number
     adjustment = result.posterior.provenance.get("adjustment", {})
     label = "+".join(t.name for t in group_targets)
@@ -191,32 +173,45 @@ def _run_one(
 
 
 def run_experiment(
-    plan: ExperimentConfig,
     config: RunConfig,
     fixture: ModelFixture | None = None,
     *,
     threads: int = 1,
 ) -> ExperimentReport:
-    """Execute every (strategy, replicate, group) cell of the plan.
+    """Execute every (strategy, replicate, group) cell of `config.experiment`.
 
-    `plan` is filled in by `plan_from_config` for the config's targets.
-    The oracle value of each target is computed once, before any cell
-    runs; a target the fixture's oracle cannot evaluate, `adjust.marginal`,
-    which the cells would not apply, and too few draws for the basis fits
-    (`check_basis_draw_counts`), which every cell would meet, are refused
-    with a ConfigError before anything is simulated.
+    The plan's groups default to one singleton per target and its seeds to
+    `derive_seed(config.seed, TAG_EXPERIMENT, r)` for replicate r. The
+    oracle value of each target is computed once, before any cell runs.
+    A config without an `experiment` section, groups that do not partition
+    the targets, a target the fixture's oracle cannot evaluate,
+    `adjust.marginal`, which the cells would not apply, and too few draws
+    for the basis fits (`check_basis_draw_counts`), which every cell would
+    meet, are refused with a ConfigError before anything is simulated.
 
     Replicates are independent deterministic units keyed by their seed,
-    run one after another: a replicate's target-free stage batches, and
-    with raw pilot statistics its pilot rejection, are computed once (the
-    simulations spread over `threads`) and shared by its cells, which
-    then run on `threads` workers. Rows keep the strategy-major cell order.
-    Numerical and validation failures (NumericalError, ValueError) are
-    recorded in the report instead of aborting the study; any other
+    run one after another: a replicate's `target_free_stages` are computed
+    once (the simulations spread over `threads`) and shared by its cells,
+    which then run on `threads` workers. Rows keep the strategy-major cell
+    order. Numerical and validation failures (NumericalError, ValueError)
+    are recorded in the report instead of aborting the study; any other
     exception is a bug and propagates.
     """
+    plan = config.experiment
+    if plan is None:
+        raise ConfigError("config has no 'experiment' section")
+    n_targets = len(config.targets)
+    if plan.groups is not None and sum(map(len, plan.groups)) != n_targets:
+        raise ConfigError(
+            f"must partition the target indices 0..{n_targets - 1}, got "
+            f"{[list(g) for g in plan.groups]!r}",
+            "experiment.groups",
+        )
+    groups = plan.groups or tuple((i,) for i in range(n_targets))
+    seeds = plan.seeds or tuple(
+        derive_seed(config.seed, TAG_EXPERIMENT, r) for r in range(plan.replications)
+    )
     fixture = fixture if fixture is not None else build_fixture(config)
-    plan = plan_from_config(plan, len(config.targets), config.seed)
     if config.marginal_adjust:
         raise ConfigError(
             "is not supported by experiment, whose rows score the joint posterior",
@@ -233,17 +228,16 @@ def run_experiment(
     all_indices = tuple(range(len(config.targets)))
     cells = []
     for strategy in plan.strategies:
-        groups = (all_indices,) if strategy == "joint" else plan.groups
-        for replicate, seed in enumerate(plan.seeds):
-            for group in groups:
+        for replicate, seed in enumerate(seeds):
+            for group in (all_indices,) if strategy == "joint" else groups:
                 cells.append((strategy, replicate, seed, group))
 
-    def run_cell(cell, batches):
+    def run_cell(cell, held):
         strategy, replicate, seed, group = cell
         label = "+".join(config.targets[i].name for i in group)
         try:
             rows = _run_one(
-                config, fixture, strategy, replicate, seed, group, batches, oracle_values
+                config, fixture, strategy, replicate, seed, group, held, oracle_values
             )
             return rows, None
         except (NumericalError, ValueError) as exc:  # recorded, not fatal
@@ -256,11 +250,11 @@ def run_experiment(
             )
 
     def run_replicate(replicate, seed):
-        # The batches are local to this call: one replicate's are freed
+        # The stage outputs are local to this call: one replicate's are freed
         # before the next replicate simulates its own. Cells only read them.
-        batches = shared_stage_batches(replace(config, seed=seed), fixture, threads=threads)
+        held = target_free_stages(replace(config, seed=seed), fixture, threads=threads)
         mine = [i for i, cell in enumerate(cells) if cell[1] == replicate]
-        run = lambda i: run_cell(cells[i], batches)  # noqa: E731
+        run = lambda i: run_cell(cells[i], held)  # noqa: E731
         if threads > 1:
             # A pool per replicate: its threads end before the next
             # replicate's simulation threads start, which then reuse their
@@ -270,7 +264,7 @@ def run_experiment(
         return zip(mine, [run(i) for i in mine])
 
     outcomes = [None] * len(cells)
-    for replicate, seed in enumerate(plan.seeds):
+    for replicate, seed in enumerate(seeds):
         for i, outcome in run_replicate(replicate, seed):
             outcomes[i] = outcome
 

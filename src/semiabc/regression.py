@@ -184,14 +184,6 @@ def expand_design(stats, spec: BasisSpec) -> np.ndarray:
     return design
 
 
-def expand_basis(s, spec: BasisSpec) -> np.ndarray:
-    """Expand a single d-vector of statistics to its q-vector of features."""
-    v = np.asarray(s, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"expected a statistic vector, got shape {v.shape}")
-    return expand_design(v.reshape(1, -1), spec)[0]
-
-
 @dataclass(frozen=True)
 class LinearFit:
     """A fitted (possibly ridge-penalized) multi-response linear model."""

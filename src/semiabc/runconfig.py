@@ -87,8 +87,8 @@ class ExperimentConfig:
     """The study plan: strategies, target grouping, replications, seeds.
 
     `groups` None means one singleton group per target and `seeds` None
-    means seeds derived from the run seed; `experiment.plan_from_config`
-    fills both in for a given target count.
+    means seeds derived from the run seed; `experiment.run_experiment`
+    reads the plan from `RunConfig.experiment` and fills both in.
     """
 
     strategies: tuple[str, ...] = ("joint",)

@@ -32,7 +32,7 @@ from .engine import (
 from .errors import ConfigError, NumericalError
 from .linalg import as_matrix, as_vector
 from .models import ModelFixture, apply_prior_overrides, make_fixture
-from .regression import BasisSpec, expand_basis, expand_design, fit_linear
+from .regression import BasisSpec, expand_design, fit_linear
 from .runconfig import RunConfig, TargetSpec
 
 # Stage tags for deriving child seeds from the config seed. Fixed forever:
@@ -254,8 +254,7 @@ def _design_blocks(stats: np.ndarray, basis: BasisSpec):
 
 def project(projector: SummaryProjector, s) -> np.ndarray:
     """Constructed summary vector for a single raw statistic vector."""
-    v = as_vector(s, "s")
-    return projector.intercept + projector.coef @ expand_basis(v, projector.basis)
+    return project_matrix(projector, as_vector(s, "s")[None])[0]
 
 
 def project_matrix(projector: SummaryProjector, stats) -> np.ndarray:
@@ -309,69 +308,46 @@ def _stage_batch(
     tag: int,
     region: TruncationRegion | None,
     threads: int,
-    batches: dict | None,
 ) -> SimulationBatch:
-    """The batch of one stage, taken from `batches` when it already holds it.
-
-    Within one fixture `simulate_batch` is a pure function of (prior spec
-    hash, m, seed), and the spec hash covers the truncation box, so that
-    triple, which the batch records as (prior_hash, m, seed), keys `batches`.
-    """
+    """Simulate the batch of the stage `tag`, from the prior truncated to
+    `region` when one is given."""
     prior = fixture.prior if region is None else fixture.prior.truncated(region)
     m = {TAG_PILOT: config.pilot_m, TAG_CONSTRUCT: config.effective_construct_m,
          TAG_MAIN: config.main_m}[tag]
     seed = derive_seed(config.seed, tag)
-    if batches is not None:
-        batch = batches.get((prior.spec_hash(), m, seed))
-        if batch is not None:
-            return batch
     return simulate_batch(prior, fixture.simulator, m, seed, threads=threads)
 
 
-def shared_stage_batches(config: RunConfig, fixture: ModelFixture, *, threads: int = 1) -> dict:
-    """The stage batches of `config` that do not depend on its targets.
+def target_free_stages(config: RunConfig, fixture: ModelFixture, *, threads: int = 1) -> dict:
+    """The stage outputs of `config` that do not depend on its targets,
+    keyed by `PipelineResult` field name for `run_semiauto(..., held=...)`.
 
     The pilot batch never does; with raw pilot statistics neither do the
-    pilot rejection and its truncation region, so the pilot stage's result
-    and the construct and main batches are included too. The dict is keyed
-    for `run_semiauto(..., batches=...)`, which lets runs that differ only
-    in their targets simulate each batch and reject on the pilot once. A
-    numerical or validation failure stops the filling: a run given the
-    partial dict computes the rest and meets the same failure itself.
+    pilot rejection and its truncation region, so `pilot_posterior`,
+    `region`, `construct_batch` and `main_batch` are included too. Runs
+    that differ only in their targets thus simulate each batch and reject
+    on the pilot once. A numerical or validation failure stops the
+    filling: a run given the partial dict computes the rest and meets the
+    same failure itself.
     """
-    batches: dict = {}
-
-    def keep(batch: SimulationBatch) -> SimulationBatch:
-        batches[(batch.prior_hash, batch.m, batch.seed)] = batch
-        return batch
-
+    held: dict = {}
     try:
-        pilot = keep(_stage_batch(config, fixture, TAG_PILOT, None, threads, None))
+        held["pilot_batch"] = stage_pilot_batch(config, fixture, threads=threads)
         if config.pilot_statistics == "raw":
-            batches[_pilot_key(config, pilot)] = stage_pilot(config, fixture, pilot)
-            _, region = batches[_pilot_key(config, pilot)]
-            keep(_stage_batch(config, fixture, TAG_CONSTRUCT, region, threads, None))
-            keep(_stage_batch(config, fixture, TAG_MAIN, region, threads, None))
+            held["pilot_posterior"], held["region"] = stage_pilot(
+                config, fixture, held["pilot_batch"]
+            )
+            for name, tag in (("construct_batch", TAG_CONSTRUCT), ("main_batch", TAG_MAIN)):
+                held[name] = _stage_batch(config, fixture, tag, held["region"], threads)
     except (NumericalError, ValueError):
         pass
-    return batches
-
-
-def _pilot_key(config: RunConfig, pilot_batch: SimulationBatch) -> tuple:
-    """The `batches` key of `stage_pilot`'s result on raw statistics: the
-    pilot batch's key and the knobs of the rejection and the box. Only
-    `shared_stage_batches` stores it, and only for raw statistics, where
-    the targets play no part."""
-    return (
-        TAG_PILOT, pilot_batch.prior_hash, pilot_batch.m, pilot_batch.seed,
-        config.pilot_statistics, config.pilot_accept_fraction, config.pilot_expand,
-    )
+    return held
 
 
 def stage_pilot_batch(
-    config: RunConfig, fixture: ModelFixture, *, threads: int = 1, batches: dict | None = None
+    config: RunConfig, fixture: ModelFixture, *, threads: int = 1
 ) -> SimulationBatch:
-    return _stage_batch(config, fixture, TAG_PILOT, None, threads, batches)
+    return _stage_batch(config, fixture, TAG_PILOT, None, threads)
 
 
 def stage_pilot(
@@ -403,10 +379,13 @@ def stage_construct(
     region: TruncationRegion,
     *,
     threads: int = 1,
-    batches: dict | None = None,
+    batch: SimulationBatch | None = None,
 ) -> tuple[SimulationBatch, SummaryProjector]:
-    """Fresh truncated batch (never reusing pilot draws) and the projector."""
-    batch = _stage_batch(config, fixture, TAG_CONSTRUCT, region, threads, batches)
+    """Fresh truncated batch (never reusing pilot draws) and the projector.
+
+    `batch`, when given, is that stage batch already simulated."""
+    if batch is None:
+        batch = _stage_batch(config, fixture, TAG_CONSTRUCT, region, threads)
     projector = construct_projector(batch, config.targets, config.basis, config.ridge_lambda)
     return batch, projector
 
@@ -418,11 +397,15 @@ def stage_infer(
     projector: SummaryProjector,
     *,
     threads: int = 1,
-    batches: dict | None = None,
+    batch: SimulationBatch | None = None,
 ) -> tuple[SimulationBatch, WeightedPosterior]:
     """Main run: simulate under the truncated prior, compare in projected
-    space with scales recomputed there, optionally regression-adjust."""
-    main_batch = _stage_batch(config, fixture, TAG_MAIN, region, threads, batches)
+    space with scales recomputed there, optionally regression-adjust.
+
+    `batch`, when given, is the main batch already simulated."""
+    main_batch = batch if batch is not None else _stage_batch(
+        config, fixture, TAG_MAIN, region, threads
+    )
     projected = project_matrix(projector, main_batch.stats)
     proj_batch = replace(main_batch, stats=projected)
     s_obs_proj = project(projector, fixture.s_obs)
@@ -463,26 +446,34 @@ def run_semiauto(
     fixture: ModelFixture | None = None,
     *,
     threads: int = 1,
-    batches: dict | None = None,
+    held: dict | None = None,
 ) -> PipelineResult:
     """Full pipeline: pilot -> truncation -> construction -> main ABC run.
 
     Deterministic: (config, seed) fully determines every stage; `threads`
-    never changes values. `batches` (see `shared_stage_batches`) is only
-    read: a stage batch or pilot result it holds is used instead of
-    computed, which gives the same values. Nothing is written to disk,
-    whatever `config.output_dir` holds; the CLI is the persisted path.
+    never changes values. `held` maps `PipelineResult` field names to
+    stage outputs already computed for this config, such as those of
+    `target_free_stages`; it is only read. Its `pilot_batch`,
+    `pilot_posterior` with `region`, `construct_batch` and `main_batch`
+    are used instead of computed, which gives the same values. Nothing is
+    written to disk, whatever `config.output_dir` holds; the CLI is the
+    persisted path.
     """
     fixture = fixture if fixture is not None else build_fixture(config)
     targets = targets_from_specs(config.targets, fixture.simulator.param_dim)
-    pilot_batch = stage_pilot_batch(config, fixture, threads=threads, batches=batches)
-    shared = batches.get(_pilot_key(config, pilot_batch)) if batches is not None else None
-    pilot_posterior, region = shared or stage_pilot(config, fixture, pilot_batch)
+    held = held or {}
+    pilot_batch = held.get("pilot_batch")
+    if pilot_batch is None:
+        pilot_batch = stage_pilot_batch(config, fixture, threads=threads)
+    if "region" in held:
+        pilot_posterior, region = held["pilot_posterior"], held["region"]
+    else:
+        pilot_posterior, region = stage_pilot(config, fixture, pilot_batch)
     construct_batch, projector = stage_construct(
-        config, fixture, region, threads=threads, batches=batches
+        config, fixture, region, threads=threads, batch=held.get("construct_batch")
     )
     main_batch, posterior = stage_infer(
-        config, fixture, region, projector, threads=threads, batches=batches
+        config, fixture, region, projector, threads=threads, batch=held.get("main_batch")
     )
     estimates = posterior_target_estimates(posterior, targets)
     return PipelineResult(

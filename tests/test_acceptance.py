@@ -23,7 +23,7 @@ from semiabc.engine import (
     rejection_abc,
     simulate_batch,
 )
-from semiabc.experiment import plan_from_config, run_experiment
+from semiabc.experiment import run_experiment
 from semiabc.marginal import estimate_marginal, marginal_remap
 from semiabc.models import (
     gaussian_location_fixture,
@@ -303,7 +303,7 @@ def test_criterion_7_large_target_count_study():
     replicates = 20
     seeds = tuple(derive_seed(4242, 6, r) for r in range(replicates))
 
-    def config_for(taus):
+    def config_for(taus, strategy):
         return RunConfig(
             model="gpd",
             model_params=fixture.params,
@@ -315,25 +315,17 @@ def test_criterion_7_large_target_count_study():
             targets=tuple(TargetSpec("gpd_quantile", tau=t) for t in taus),
             regression_adjust=True,
             ridge_lambda=1e-8,
+            experiment=ExperimentConfig(
+                strategies=(strategy,), replications=replicates, seeds=seeds
+            ),
             seed=4242,
         )
 
     reports = {}
     for level, taus in taus_by_level.items():
-        config = config_for(taus)
-        plan = plan_from_config(
-            ExperimentConfig(strategies=("joint",), replications=replicates, seeds=seeds),
-            len(taus),
-            config.seed,
-        )
-        reports[level] = run_experiment(plan, config, fixture)
+        reports[level] = run_experiment(config_for(taus, "joint"), fixture)
 
-    separate_plan = plan_from_config(
-        ExperimentConfig(strategies=("separate",), replications=replicates, seeds=seeds),
-        1,
-        4242,
-    )
-    separate_report = run_experiment(separate_plan, config_for((0.9,)), fixture)
+    separate_report = run_experiment(config_for((0.9,), "separate"), fixture)
 
     # tables must exist, with every cell populated
     no_failures = all(not rep.failures for rep in reports.values())

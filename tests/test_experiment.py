@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from semiabc import artifacts, experiment, semiauto
-from semiabc.engine import regression_adjust
+from semiabc.engine import derive_seed, regression_adjust
 from semiabc.errors import ConfigError
-from semiabc.experiment import _run_one, plan_from_config, run_experiment
-from semiabc.semiauto import build_fixture
+from semiabc.experiment import _run_one, run_experiment
+from semiabc.semiauto import TAG_EXPERIMENT, build_fixture
 from semiabc.runconfig import ExperimentConfig, RunConfig, TargetSpec
 
 
@@ -33,6 +33,18 @@ def lg_config(**over):
     return RunConfig(**base)
 
 
+def with_plan(config, **plan):
+    """`config` with the experiment section `ExperimentConfig(**plan)`."""
+    return replace(config, experiment=ExperimentConfig(**plan))
+
+
+def derived_seeds(config):
+    """The replicate seeds `run_experiment` derives for a plan that lists none."""
+    return tuple(
+        derive_seed(config.seed, TAG_EXPERIMENT, r) for r in range(config.experiment.replications)
+    )
+
+
 class TestPlan:
     def test_groups_must_partition(self):
         with pytest.raises(ConfigError, match="'groups' must partition"):
@@ -40,25 +52,28 @@ class TestPlan:
         with pytest.raises(ConfigError, match="'seeds' must list one .* seed per replicate"):
             ExperimentConfig(groups=((0,),), replications=2, seeds=(1,))
         # a partition of 0..1 does not cover three targets
+        targets = lg_config().targets + (TargetSpec("coordinate", index=1, transform="log"),)
+        config = with_plan(lg_config(targets=targets), groups=((0,), (1,)))
         with pytest.raises(ConfigError, match="'experiment.groups' must partition"):
-            plan_from_config(ExperimentConfig(groups=((0,), (1,))), n_targets=3, base_seed=1)
+            run_experiment(config)
 
-    def test_plan_from_config_defaults_to_singletons(self):
-        plan = plan_from_config(ExperimentConfig(replications=3), n_targets=2, base_seed=9)
-        assert plan.groups == ((0,), (1,))
-        assert len(plan.seeds) == 3
-        # derived seeds are reproducible
-        again = plan_from_config(ExperimentConfig(replications=3), n_targets=2, base_seed=9)
-        assert plan.seeds == again.seeds
+    def test_run_experiment_defaults_to_singletons(self):
+        config = with_plan(lg_config(seed=9), strategies=("separate",), replications=3)
+        report = run_experiment(config)
+        assert not report.failures
+        assert [r.group_label for r in report.rows] == ["theta_0", "theta_1"] * 3
+        seeds = derived_seeds(config)
+        assert len(set(seeds)) == 3
+        assert [r.seed for r in report.rows] == [seed for seed in seeds for _ in range(2)]
 
 
 class TestRun:
     def test_bookkeeping_one_target(self):
-        config = lg_config(targets=(TargetSpec("coordinate", index=0),))
-        plan = plan_from_config(
-            ExperimentConfig(strategies=("joint",), replications=3), 1, config.seed
+        config = with_plan(
+            lg_config(targets=(TargetSpec("coordinate", index=0),)),
+            strategies=("joint",), replications=3,
         )
-        report = run_experiment(plan, config)
+        report = run_experiment(config)
         assert len(report.rows) == 3
         assert not report.failures
         assert all(r.target == "theta_0" and r.p_prime == 1 for r in report.rows)
@@ -69,16 +84,12 @@ class TestRun:
 
     def test_separate_singletons_reproduce_joint_single_target_bitwise(self):
         single = lg_config(targets=(TargetSpec("coordinate", index=0),))
-        plan_joint = plan_from_config(
-            ExperimentConfig(strategies=("joint",), replications=2), 1, single.seed
-        )
-        joint_report = run_experiment(plan_joint, single)
+        joint_report = run_experiment(with_plan(single, strategies=("joint",), replications=2))
 
         both = lg_config()
-        plan_separate = plan_from_config(
-            ExperimentConfig(strategies=("separate",), replications=2), 2, both.seed
+        separate_report = run_experiment(
+            with_plan(both, strategies=("separate",), replications=2)
         )
-        separate_report = run_experiment(plan_separate, both)
 
         joint_rows = {r.replicate: r for r in joint_report.rows}
         sep_rows = {
@@ -92,22 +103,18 @@ class TestRun:
             assert sr.n_accepted == jr.n_accepted
 
     def test_joint_strategy_handles_all_targets_at_once(self):
-        config = lg_config()
-        plan = plan_from_config(
-            ExperimentConfig(strategies=("joint",), replications=2), 2, config.seed
-        )
-        report = run_experiment(plan, config)
+        config = with_plan(lg_config(), strategies=("joint",), replications=2)
+        report = run_experiment(config)
         assert len(report.rows) == 4  # 2 replicates x 2 targets
         assert all(r.summary_dim == 2 and r.p_prime == 2 for r in report.rows)
 
     def test_failures_recorded_not_fatal(self):
         # 3 accepted draws, too few to adjust on the 2 summaries of each
         # joint cell (too small a construct.m is refused up front instead)
-        config = lg_config(main_m=60, regression_adjust=True)
-        plan = plan_from_config(
-            ExperimentConfig(strategies=("joint",), replications=2), 2, config.seed
+        config = with_plan(
+            lg_config(main_m=60, regression_adjust=True), strategies=("joint",), replications=2
         )
-        report = run_experiment(plan, config)
+        report = run_experiment(config)
         assert len(report.failures) == 2
         assert not report.rows
         assert "draws" in report.failures[0].message
@@ -120,8 +127,8 @@ class TestRun:
         monkeypatch.setattr(
             fixture.oracle, "target_mean", lambda t: calls.append(t.name) or target_mean(t)
         )
-        plan = ExperimentConfig(strategies=("joint", "separate"), replications=2)
-        report = run_experiment(plan, config, fixture)
+        config = with_plan(config, strategies=("joint", "separate"), replications=2)
+        report = run_experiment(config, fixture)
         assert len(report.rows) == 8 and not report.failures
         assert calls == ["theta_0", "theta_1"]
 
@@ -133,7 +140,7 @@ class TestRun:
         log_target = TargetSpec("coordinate", index=1, transform="log")
         config = lg_config(targets=(TargetSpec("coordinate", index=0), log_target))
         with pytest.raises(ConfigError, match=r"'targets\[1\]' has no oracle value"):
-            run_experiment(ExperimentConfig(replications=1), config)
+            run_experiment(with_plan(config, replications=1))
         assert not cells
 
     def test_programming_errors_propagate(self, monkeypatch):
@@ -143,12 +150,9 @@ class TestRun:
             raise TypeError("a bug, not a data point")
 
         monkeypatch.setattr(experiment, "_run_one", broken)
-        config = lg_config()
-        plan = plan_from_config(
-            ExperimentConfig(strategies=("joint",), replications=1), 2, config.seed
-        )
+        config = with_plan(lg_config(), strategies=("joint",), replications=1)
         with pytest.raises(TypeError, match="a bug"):
-            run_experiment(plan, config)
+            run_experiment(config)
 
     def test_trivial_adjustment_records_no_condition(self, monkeypatch):
         from semiabc import experiment
@@ -163,32 +167,23 @@ class TestRun:
             return replace(result, posterior=adjusted)
 
         monkeypatch.setattr(experiment, "run_semiauto", trivially_adjusted)
-        config = lg_config()
-        plan = plan_from_config(
-            ExperimentConfig(strategies=("joint",), replications=2), 2, config.seed
-        )
-        report = run_experiment(plan, config)
+        config = with_plan(lg_config(), strategies=("joint",), replications=2)
+        report = run_experiment(config)
         assert len(report.rows) == 4 and not report.failures
         assert all(r.adjustment_condition is None for r in report.rows)
 
     def test_cross_strategy_discrepancy_table(self):
-        config = lg_config()
-        plan = plan_from_config(
-            ExperimentConfig(strategies=("joint", "separate"), replications=2), 2, config.seed
-        )
-        report = run_experiment(plan, config)
+        config = with_plan(lg_config(), strategies=("joint", "separate"), replications=2)
+        report = run_experiment(config)
         table = report.cross_strategy_discrepancy()
         assert set(table) == {"theta_0", "theta_1"}
         assert all(v["n"] == 2 for v in table.values())
 
     def test_threads_do_not_change_results(self):
-        config = lg_config()
-        plan = plan_from_config(
-            ExperimentConfig(strategies=("joint", "separate"), replications=2), 2, config.seed
-        )
-        serial = run_experiment(plan, config, threads=1)
+        config = with_plan(lg_config(), strategies=("joint", "separate"), replications=2)
+        serial = run_experiment(config, threads=1)
         for threads in (2, 4):
-            threaded = run_experiment(plan, config, threads=threads)
+            threaded = run_experiment(config, threads=threads)
             assert threaded.rows == serial.rows  # same rows, same order
 
     def test_each_replicate_simulates_its_batches_once(self, monkeypatch):
@@ -201,13 +196,11 @@ class TestRun:
         simulate = semiauto.simulate_batch
         monkeypatch.setattr(semiauto, "simulate_batch", counting)
         config = lg_config()  # raw pilot statistics: no batch depends on the targets
-        plan = plan_from_config(
-            ExperimentConfig(strategies=("joint", "separate"), replications=2), 2, config.seed
-        )
-        report = run_experiment(plan, config, threads=2)
+        config = with_plan(config, strategies=("joint", "separate"), replications=2)
+        report = run_experiment(config, threads=2)
         assert len(report.rows) == 8 and not report.failures
         # pilot, construct and main per replicate, shared by its 1 + 2 cells
-        assert len(calls) == 3 * plan.replications
+        assert len(calls) == 3 * config.experiment.replications
         assert len(set(calls)) == len(calls)
 
     @pytest.mark.parametrize("statistics, per_replicate", [("raw", 1), ("projected", 3)])
@@ -225,24 +218,21 @@ class TestRun:
 
         stage_pilot = semiauto.stage_pilot
         monkeypatch.setattr(semiauto, "stage_pilot", counting)
-        config = lg_config(pilot_statistics=statistics)
-        plan = plan_from_config(
-            ExperimentConfig(strategies=("joint", "separate"), replications=2), 2, config.seed
+        config = with_plan(
+            lg_config(pilot_statistics=statistics),
+            strategies=("joint", "separate"), replications=2,
         )
-        report = run_experiment(plan, config, threads=2)
+        report = run_experiment(config, threads=2)
         assert len(report.rows) == 8 and not report.failures
-        assert sorted(calls) == sorted(per_replicate * plan.seeds)
+        assert sorted(calls) == sorted(per_replicate * derived_seeds(config))
 
     def test_shared_stages_leave_the_report_bytes_unchanged(self, tmp_path, monkeypatch):
-        config = lg_config()
-        plan = plan_from_config(
-            ExperimentConfig(strategies=("joint", "separate"), replications=2), 2, config.seed
-        )
-        report = run_experiment(plan, config, threads=2)
+        config = with_plan(lg_config(), strategies=("joint", "separate"), replications=2)
+        report = run_experiment(config, threads=2)
         artifacts.save_experiment_report(tmp_path / "shared", report, config.config_hash())
         # every cell simulates its batches and rejects on its pilot itself
-        monkeypatch.setattr(experiment, "shared_stage_batches", lambda *args, **kwargs: {})
-        report = run_experiment(plan, config, threads=2)
+        monkeypatch.setattr(experiment, "target_free_stages", lambda *args, **kwargs: {})
+        report = run_experiment(config, threads=2)
         artifacts.save_experiment_report(tmp_path / "alone", report, config.config_hash())
         for name in ("experiment_report.json", "experiment_rows.csv"):
             shared, alone = (tmp_path / run / name for run in ("shared", "alone"))
@@ -255,16 +245,14 @@ class TestRun:
         # shared batches and simulate their own
         config = lg_config(pilot_statistics=statistics)
         fixture = build_fixture(config)
-        plan = plan_from_config(
-            ExperimentConfig(strategies=("joint", "separate"), replications=2), 2, config.seed
-        )
-        report = run_experiment(plan, config, fixture, threads=2)
+        config = with_plan(config, strategies=("joint", "separate"), replications=2)
+        report = run_experiment(config, fixture, threads=2)
         oracle_values = {t.name: fixture.oracle.target_mean(t) for t in config.targets}
         alone = [
             row
-            for strategy in plan.strategies
-            for replicate, seed in enumerate(plan.seeds)
-            for group in (((0, 1),) if strategy == "joint" else plan.groups)
+            for strategy in config.experiment.strategies
+            for replicate, seed in enumerate(derived_seeds(config))
+            for group in (((0, 1),) if strategy == "joint" else ((0,), (1,)))
             for row in _run_one(
                 config, fixture, strategy, replicate, seed, group, None, oracle_values
             )
@@ -274,11 +262,11 @@ class TestRun:
     def test_report_serialization(self):
         import json
 
-        config = lg_config(targets=(TargetSpec("coordinate", index=0),))
-        plan = plan_from_config(
-            ExperimentConfig(strategies=("joint",), replications=1), 1, config.seed
+        config = with_plan(
+            lg_config(targets=(TargetSpec("coordinate", index=0),)),
+            strategies=("joint",), replications=1,
         )
-        report = run_experiment(plan, config)
+        report = run_experiment(config)
         payload = report.to_dict()
         assert json.dumps(payload)  # JSON-serializable
         assert payload["rows"][0]["target"] == "theta_0"

@@ -17,7 +17,6 @@ from semiabc.regression import (
     _vifs,
     _zero_variance,
     condition_diagnostics,
-    expand_basis,
     expand_design,
     fit_linear,
     monomial_exponents,
@@ -28,16 +27,16 @@ from semiabc.semiauto import _design_blocks
 class TestExpandBasis:
     def test_identity(self):
         np.testing.assert_array_equal(
-            expand_basis([2.0, 3.0], BasisSpec("identity")), [2.0, 3.0]
+            expand_design([[2.0, 3.0]], BasisSpec("identity"))[0], [2.0, 3.0]
         )
 
     def test_polynomial_degree_two_hand_enumeration(self):
         # s1, s2, s1^2, s1 s2, s2^2 at s=(2,3)
-        out = expand_basis([2.0, 3.0], BasisSpec("polynomial", degree=2))
+        out = expand_design([[2.0, 3.0]], BasisSpec("polynomial", degree=2))[0]
         np.testing.assert_array_equal(out, [2.0, 3.0, 4.0, 6.0, 9.0])
 
     def test_powers_hand_arithmetic(self):
-        out = expand_basis([2.0, 3.0], BasisSpec("powers", exponents=((3, 0),)))
+        out = expand_design([[2.0, 3.0]], BasisSpec("powers", exponents=((3, 0),)))[0]
         np.testing.assert_array_equal(out, [8.0])
 
     def test_monomial_order_is_total_and_documented(self):
@@ -45,13 +44,13 @@ class TestExpandBasis:
 
     def test_equal_inputs_bitwise_equal_outputs(self):
         spec = BasisSpec("polynomial", degree=3)
-        s = np.array([1.7, -0.3, 2.9])
-        np.testing.assert_array_equal(expand_basis(s, spec), expand_basis(s.copy(), spec))
+        s = np.array([[1.7, -0.3, 2.9]])
+        np.testing.assert_array_equal(expand_design(s, spec), expand_design(s.copy(), spec))
 
     def test_overflow_names_the_monomial(self):
         spec = BasisSpec("powers", exponents=((0, 4),))
         with pytest.raises(NumericalError, match=r"\(0, 4\)"):
-            expand_basis([1.0, 1e100], spec)
+            expand_design([[1.0, 1e100]], spec)
 
     def test_bad_specs_rejected(self):
         with pytest.raises(ConfigError):
@@ -351,13 +350,13 @@ class TestConditionDiagnostics:
         assert fit.vifs.shape == (3,)
 
 
-def test_expand_design_matches_rowwise_expand_basis():
+def test_expand_design_matches_one_row_designs():
     rng = np.random.default_rng(8)
     s = rng.standard_normal((10, 2))
     spec = BasisSpec("polynomial", degree=2)
     design = expand_design(s, spec)
     for i in range(10):
-        np.testing.assert_array_equal(design[i], expand_basis(s[i], spec))
+        np.testing.assert_array_equal(design[i], expand_design(s[i : i + 1], spec)[0])
 
 
 def expand_design_per_column(stats, exponents):

@@ -18,12 +18,14 @@ from semiabc.semiauto import (
     _BLOCK_BYTES,
     SummaryProjector,
     _design_blocks,
+    build_fixture,
     construct_projector,
     evaluate_targets,
     posterior_target_estimates,
     project,
     project_matrix,
     run_semiauto,
+    target_free_stages,
     targets_from_specs,
 )
 
@@ -521,3 +523,31 @@ class TestPipeline:
         targets = targets_from_specs(config.targets, 1)
         redo = posterior_target_estimates(result.posterior, targets)
         assert redo == result.estimates
+
+    @pytest.mark.parametrize("statistics", ["raw", "projected"])
+    def test_held_target_free_stages_change_no_bit(self, statistics):
+        config = gaussian_config(pilot_statistics=statistics, main_m=5000, regression_adjust=True)
+        fixture = build_fixture(config)
+        held = target_free_stages(config, fixture)
+        # projected pilot statistics make the region depend on the targets
+        target_free = {"pilot_batch"}
+        if statistics == "raw":
+            target_free |= {"pilot_posterior", "region", "construct_batch", "main_batch"}
+        assert set(held) == target_free
+        fresh = run_semiauto(config, fixture)
+        given = run_semiauto(config, fixture, held=held)
+        assert all(getattr(given, name) is held[name] for name in held)
+        for a, b in zip(pipeline_arrays(fresh), pipeline_arrays(given)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def pipeline_arrays(result):
+    """The batches, region, projector coefficients and posterior draws of a run."""
+    return (
+        result.pilot_batch.thetas, result.pilot_batch.stats,
+        result.region.lo, result.region.hi,
+        result.construct_batch.thetas, result.construct_batch.stats,
+        result.projector.coef,
+        result.main_batch.thetas, result.main_batch.stats,
+        result.posterior.thetas,
+    )
