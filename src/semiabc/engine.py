@@ -293,7 +293,10 @@ def _simulate_chunk(
             f"simulator {sim.name!r} returned shape {stats.shape}, "
             f"expected {(CHUNK, sim.stat_dim)}"
         )
-    return thetas[:n_keep], stats[:n_keep]
+    thetas, stats = thetas[:n_keep], stats[:n_keep]
+    if not (np.isfinite(thetas).all() and np.isfinite(stats).all()):
+        raise NumericalError(f"simulator {sim.name!r} produced non-finite values")
+    return thetas, stats
 
 
 def simulate_batch(
@@ -340,8 +343,6 @@ def simulate_batch(
         for c in range(n_chunks):
             run(c)
 
-    if not (np.all(np.isfinite(thetas)) and np.all(np.isfinite(stats))):
-        raise NumericalError(f"simulator {sim.name!r} produced non-finite values")
     return SimulationBatch(
         thetas=thetas,
         stats=stats,

@@ -46,12 +46,15 @@ def gpd_quantile(u, sigma, xi):
     out = np.empty(np.broadcast_shapes(u.shape, sigma.shape, xi.shape))
     np.negative(u, out=out)
     np.log1p(out, out=out)
-    limit = -sigma * out if small.any() else None
+    # The limit is kept for the small-xi elements only: no full-size array.
+    small_at = np.broadcast_to(small, out.shape) if small.any() else None
+    if small_at is not None:
+        limit = np.broadcast_to(-sigma, out.shape)[small_at] * out[small_at]
     out *= -xi_safe
     np.expm1(out, out=out)
     out *= sigma / xi_safe
-    if limit is not None:
-        np.copyto(out, limit, where=small)
+    if small_at is not None:
+        out[small_at] = limit
     return out
 
 
@@ -379,20 +382,24 @@ def _gpd_stat_matrix(samples: np.ndarray) -> np.ndarray:
     index (k - 1) q, its upper neighbour clamped to the last order
     statistic, and its two-sided `_lerp`, which interpolates down from the
     upper neighbour when gamma >= 0.5.
+
+    Sorts `samples` in place along axis 1. The mean and sd are taken
+    first, in draw order, so their bits do not depend on the sort; a
+    caller that still needs the draw order passes a copy.
     """
-    ordered = np.sort(samples, axis=1)
-    k = ordered.shape[1]
+    mean = samples.mean(axis=1)
+    sd = samples.std(axis=1, ddof=1)
+    samples.sort(axis=1)
+    k = samples.shape[1]
     virtual = (k - 1) * np.asarray(GPD_QUANTILE_LADDER)
     lower = np.floor(virtual)
     gamma = virtual - lower
     lower = lower.astype(np.intp)
     upper = np.minimum(lower + 1, k - 1)
-    a = ordered[:, lower]
-    b = ordered[:, upper]
+    a = samples[:, lower]
+    b = samples[:, upper]
     diff = b - a
     quantiles = np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
-    mean = samples.mean(axis=1)
-    sd = samples.std(axis=1, ddof=1)
     return np.column_stack([quantiles, mean, sd])
 
 
@@ -417,9 +424,13 @@ def gpd_fixture(
         raise ConfigError("need at least 3 exceedances for the statistic ladder")
 
     def simulate(thetas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        u = rng.random((thetas.shape[0], n_exceedances))
-        x = gpd_quantile(u, thetas[:, [0]], thetas[:, [1]])
-        return _gpd_stat_matrix(x)
+        # No name holds the uniforms, so they are freed when gpd_quantile
+        # returns, and the statistics sort its output in place: a chunk
+        # holds two (rows, n_exceedances) arrays at a time.
+        samples = gpd_quantile(
+            rng.random((thetas.shape[0], n_exceedances)), thetas[:, [0]], thetas[:, [1]]
+        )
+        return _gpd_stat_matrix(samples)
 
     simulator = SimulatorContract(
         name="gpd", param_dim=2, stat_dim=len(GPD_QUANTILE_LADDER) + 2, simulate=simulate
@@ -430,7 +441,7 @@ def gpd_fixture(
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((int(obs_seed), _OBS_TAG))))
     observed = gpd_quantile(rng.random(n_exceedances), sigma_true, xi_true)
-    s_obs = _gpd_stat_matrix(observed[None, :])[0]
+    s_obs = _gpd_stat_matrix(observed[None, :].copy())[0]  # keep the draw order
 
     oracle = GpdGridOracle(observed, n_sigma=int(grid_shape[0]), n_xi=int(grid_shape[1]))
     return ModelFixture(

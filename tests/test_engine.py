@@ -49,6 +49,19 @@ def echo_simulator(p):
     )
 
 
+def poisoned_echo_simulator(poison, calls):
+    """Echoes theta, with NaN in each row whose theta is in `poison`;
+    appends each call's rows to `calls`."""
+
+    def simulate(thetas, rng):
+        calls.append(thetas.shape[0])
+        stats = thetas.copy()
+        stats[np.isin(thetas[:, 0], poison)] = np.nan
+        return stats
+
+    return SimulatorContract(name="poisoned", param_dim=1, stat_dim=1, simulate=simulate)
+
+
 def make_batch(thetas, stats, seed=0):
     return SimulationBatch(
         thetas=np.asarray(thetas, dtype=np.float64),
@@ -169,6 +182,25 @@ class TestSimulateBatch:
         # with survival functions so the upper tail keeps its precision
         pit = (dist.sf(lo) - dist.sf(x)) / (dist.sf(lo) - dist.sf(hi))
         assert stats.kstest(pit, "uniform").pvalue > 0.01
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_non_finite_chunk_raises(self, threads):
+        prior = PriorSpec((uniform(0.0, 1.0),))
+        clean = simulate_batch(prior, echo_simulator(1), 3 * CHUNK, seed=8)
+        calls = []
+        sim = poisoned_echo_simulator(clean.thetas[CHUNK + 3], calls)
+        with pytest.raises(NumericalError, match="simulator 'poisoned' produced non-finite values"):
+            simulate_batch(prior, sim, 3 * CHUNK, seed=8, threads=threads)
+        if threads == 1:  # the check follows each chunk, so the third never runs
+            assert calls == [CHUNK, CHUNK]
+
+    def test_non_finite_unkept_tail_is_ignored(self):
+        # draw CHUNK + 10 is simulated with the last chunk but not kept
+        prior = PriorSpec((uniform(0.0, 1.0),))
+        clean = simulate_batch(prior, echo_simulator(1), 2 * CHUNK, seed=8)
+        sim = poisoned_echo_simulator(clean.thetas[CHUNK + 10], [])
+        batch = simulate_batch(prior, sim, CHUNK + 5, seed=8)
+        np.testing.assert_array_equal(batch.stats, clean.stats[: CHUNK + 5])
 
     def test_derive_seed_is_stable(self):
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)

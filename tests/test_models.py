@@ -1,9 +1,13 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from semiabc.engine import CHUNK
 from semiabc.errors import ConfigError
 from semiabc.models import (
     GPD_QUANTILE_LADDER,
@@ -187,7 +191,58 @@ class TestGpdQuantileInPlace:
         assert np.array_equal(bits(got), bits(expected))
 
 
+def gpd_chunk_thetas(seed: int, small_xi: bool) -> np.ndarray:
+    """CHUNK (sigma, xi) rows; with `small_xi`, every 97th row from the
+    first, second and third on has xi = 0, 5e-7 and -5e-7, the
+    exponential-limit branch of gpd_quantile."""
+    rng = np.random.default_rng(seed)
+    thetas = np.column_stack([np.exp(rng.standard_normal(CHUNK)), rng.uniform(-0.4, 0.9, CHUNK)])
+    if small_xi:
+        thetas[::97, 1] = 0.0
+        thetas[1::97, 1] = 5e-7
+        thetas[2::97, 1] = -5e-7
+    return thetas
+
+
 class TestGpdFixture:
+    # SHA-256 of the statistics of one CHUNK-row block, then s_obs, then
+    # observed_data, taken before the statistics sorted their samples in
+    # place. Every GPD artifact holds these bits: never regenerate the
+    # digest from changed code.
+    PINNED_DIGEST = "2495ab259821638e744bd277c026658a597eac93756f5e76b707780d120f210f"
+
+    def test_simulate_bits_are_pinned(self):
+        fixture = gpd_fixture()
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((1802, 3))))
+        stats = fixture.simulator.simulate(gpd_chunk_thetas(1801, small_xi=True), rng)
+        assert stats.shape == (CHUNK, 13)
+        digest = hashlib.sha256()
+        for part in (stats, fixture.s_obs, fixture.observed_data):
+            digest.update(np.ascontiguousarray(part, dtype=np.float64).tobytes())
+        assert digest.hexdigest() == self.PINNED_DIGEST
+
+    @pytest.mark.parametrize("small_xi", [False, True], ids=["general", "with_small_xi"])
+    def test_simulate_holds_two_sample_arrays(self, small_xi):
+        # the uniforms are freed before the statistics and the samples are
+        # sorted in place, so about 2.06 sample arrays are alive at the peak
+        fixture = gpd_fixture()
+        thetas = gpd_chunk_thetas(18, small_xi)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((18, 3))))
+        tracemalloc.start()
+        try:
+            fixture.simulator.simulate(thetas, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * CHUNK * fixture.params["n_exceedances"] * 8
+
+    def test_observed_data_keeps_its_draw_order(self):
+        fixture = gpd_fixture(n_exceedances=50, obs_seed=9)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((9, 7))))
+        drawn = gpd_quantile(rng.random(50), 1.0, 0.2)
+        assert np.array_equal(fixture.observed_data, drawn)
+        assert np.any(np.diff(fixture.observed_data) < 0)
+
     def test_fixture_shapes(self):
         fixture = gpd_fixture(n_exceedances=50)
         assert fixture.simulator.stat_dim == 13
@@ -258,9 +313,16 @@ class TestGpdStatistics:
     @settings(max_examples=80, deadline=None)
     @given(sample_blocks())
     def test_ladder_equals_np_quantile_bitwise(self, block):
-        expected = np.quantile(block, GPD_QUANTILE_LADDER, axis=1, method="linear").T
-        ladder = _gpd_stat_matrix(block)[:, : len(GPD_QUANTILE_LADDER)]
-        assert np.array_equal(ladder, expected)
+        # mean and sd are taken in draw order, before the block is sorted
+        # in place
+        unsorted = block.copy()
+        expected = np.quantile(unsorted, GPD_QUANTILE_LADDER, axis=1, method="linear").T
+        stats = _gpd_stat_matrix(block)
+        k = len(GPD_QUANTILE_LADDER)
+        assert np.array_equal(stats[:, :k], expected)
+        assert np.array_equal(bits(stats[:, k]), bits(unsorted.mean(axis=1)))
+        assert np.array_equal(bits(stats[:, k + 1]), bits(unsorted.std(axis=1, ddof=1)))
+        assert np.array_equal(block, np.sort(unsorted, axis=1))
 
 
 class TestRegistry:
