@@ -46,15 +46,12 @@ def gpd_quantile(u, sigma, xi):
     out = np.empty(np.broadcast_shapes(u.shape, sigma.shape, xi.shape))
     np.negative(u, out=out)
     np.log1p(out, out=out)
-    # The limit is kept for the small-xi elements only: no full-size array.
-    small_at = np.broadcast_to(small, out.shape) if small.any() else None
-    if small_at is not None:
-        limit = np.broadcast_to(-sigma, out.shape)[small_at] * out[small_at]
+    limit = -sigma * out if small.any() else None
     out *= -xi_safe
     np.expm1(out, out=out)
     out *= sigma / xi_safe
-    if small_at is not None:
-        out[small_at] = limit
+    if limit is not None:
+        np.copyto(out, limit, where=small)
     return out
 
 

@@ -221,12 +221,11 @@ class TestGpdFixture:
             digest.update(np.ascontiguousarray(part, dtype=np.float64).tobytes())
         assert digest.hexdigest() == self.PINNED_DIGEST
 
-    @pytest.mark.parametrize("small_xi", [False, True], ids=["general", "with_small_xi"])
-    def test_simulate_holds_two_sample_arrays(self, small_xi):
+    def test_simulate_holds_two_sample_arrays(self):
         # the uniforms are freed before the statistics and the samples are
         # sorted in place, so about 2.06 sample arrays are alive at the peak
         fixture = gpd_fixture()
-        thetas = gpd_chunk_thetas(18, small_xi)
+        thetas = gpd_chunk_thetas(18, small_xi=False)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((18, 3))))
         tracemalloc.start()
         try:
