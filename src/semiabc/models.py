@@ -26,6 +26,11 @@ GPD_SMALL_XI = 1e-6
 # and standard deviation (13 statistics).
 GPD_QUANTILE_LADDER = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
 
+# The most bytes one float64 sample array of a GPD simulation block may
+# hold: 655 rows at 100 exceedances, 65 at 1000. A core's L2 cache holds
+# the two arrays a block needs; a whole 4096 x 100 chunk is 3.3 MB.
+_SIM_BLOCK_BYTES = 1 << 19
+
 _OBS_TAG = 7  # stream tag for fixture observed-data generation
 
 
@@ -420,14 +425,23 @@ def gpd_fixture(
     if n_exceedances < 3:
         raise ConfigError("need at least 3 exceedances for the statistic ladder")
 
+    block = max(1, _SIM_BLOCK_BYTES // (8 * n_exceedances))
+
     def simulate(thetas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        # No name holds the uniforms, so they are freed when gpd_quantile
-        # returns, and the statistics sort its output in place: a chunk
-        # holds two (rows, n_exceedances) arrays at a time.
-        samples = gpd_quantile(
-            rng.random((thetas.shape[0], n_exceedances)), thetas[:, [0]], thetas[:, [1]]
-        )
-        return _gpd_stat_matrix(samples)
+        # Row blocks keep every pass over the samples in cache, with the
+        # whole chunk's bits: `random` fills row-major from one stream, so
+        # consecutive blocks draw the chunk's uniforms, and every statistic
+        # is per row. No name holds the uniforms or the samples: the
+        # uniforms are freed when gpd_quantile returns, the statistics sort
+        # the samples in place, and they are freed before the next block
+        # draws, so two sample arrays are alive at a time.
+        out = np.empty((thetas.shape[0], len(GPD_QUANTILE_LADDER) + 2))
+        for start in range(0, thetas.shape[0], block):
+            theta = thetas[start:start + block]
+            out[start:start + block] = _gpd_stat_matrix(gpd_quantile(
+                rng.random((theta.shape[0], n_exceedances)), theta[:, [0]], theta[:, [1]]
+            ))
+        return out
 
     simulator = SimulatorContract(
         name="gpd", param_dim=2, stat_dim=len(GPD_QUANTILE_LADDER) + 2, simulate=simulate

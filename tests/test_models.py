@@ -21,6 +21,7 @@ from semiabc.models import (
     linear_gaussian_moments,
     make_fixture,
     apply_prior_overrides,
+    _SIM_BLOCK_BYTES,
     _gpd_stat_matrix,
 )
 from semiabc.runconfig import TargetSpec
@@ -221,11 +222,17 @@ class TestGpdFixture:
             digest.update(np.ascontiguousarray(part, dtype=np.float64).tobytes())
         assert digest.hexdigest() == self.PINNED_DIGEST
 
-    def test_simulate_holds_two_sample_arrays(self):
-        # the uniforms are freed before the statistics and the samples are
-        # sorted in place, so about 2.06 sample arrays are alive at the peak
+    @pytest.mark.parametrize("small_xi, arrays", [(False, 2.5), (True, 3.5)],
+                             ids=["general", "small_xi"])
+    def test_simulate_holds_block_arrays(self, small_xi, arrays):
+        # a chunk runs in row blocks; the uniforms are freed before the
+        # statistics, the samples are sorted in place and freed before the
+        # next block, so about 2.2 block sample arrays (3.2 with the
+        # exponential-limit array) are alive next to the (CHUNK, 13) output
         fixture = gpd_fixture()
-        thetas = gpd_chunk_thetas(18, small_xi=False)
+        n = fixture.params["n_exceedances"]
+        rows = _SIM_BLOCK_BYTES // (8 * n)
+        thetas = gpd_chunk_thetas(18, small_xi=small_xi)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((18, 3))))
         tracemalloc.start()
         try:
@@ -233,7 +240,29 @@ class TestGpdFixture:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * CHUNK * fixture.params["n_exceedances"] * 8
+        assert peak < arrays * rows * n * 8 + CHUNK * 13 * 8
+
+    @pytest.mark.parametrize("n", [3, 100, 1000])
+    def test_blocks_equal_one_shot_chunk_bitwise(self, n):
+        # `random` fills row-major from one stream and every statistic is
+        # per row, so the blocks give a one-shot chunk's bits; at n = 1000
+        # a block has 65 rows, at n = 3 it has more than CHUNK
+        fixture = gpd_fixture(n_exceedances=n, grid_shape=(5, 5))
+        block = max(1, _SIM_BLOCK_BYTES // (8 * n))
+        for rows in (1, block - 1, block, block + 1, 2 * block + 1, CHUNK):
+            rng = np.random.default_rng(rows)
+            thetas = np.column_stack([np.exp(rng.standard_normal(rows)),
+                                      rng.uniform(-0.4, 0.9, rows)])
+            # exponential-limit rows on either side of each block edge
+            thetas[block - 1::block, 1] = 0.0
+            thetas[block::block, 1] = -5e-7
+            seed = np.random.SeedSequence((rows, n))
+            got = fixture.simulator.simulate(thetas, np.random.Generator(np.random.Philox(seed)))
+            rng = np.random.Generator(np.random.Philox(seed))
+            expected = _gpd_stat_matrix(
+                gpd_quantile(rng.random((rows, n)), thetas[:, [0]], thetas[:, [1]]))
+            assert got.shape == (rows, 13)
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     def test_observed_data_keeps_its_draw_order(self):
         fixture = gpd_fixture(n_exceedances=50, obs_seed=9)
