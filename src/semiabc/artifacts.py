@@ -50,6 +50,8 @@ def load_json(path: Path, kind: str, config_hash: str | None) -> dict:
         data = json.loads(path.read_text(), object_hook=lambda items: _Sidecar(path, items))
     except json.JSONDecodeError as exc:
         raise ArtifactError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ArtifactError(f"{path} holds {type(data).__name__}, not a JSON object")
     if data.get("kind") != kind:
         raise ArtifactError(f"{path} holds kind {data.get('kind')!r}, expected {kind!r}")
     if config_hash is not None and data.get("config_hash") != config_hash:

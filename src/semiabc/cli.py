@@ -28,10 +28,10 @@ from .semiauto import (
     check_draw_counts,
     posterior_target_estimates,
     run_semiauto,
+    stage_batch,
     stage_construct,
     stage_infer,
     stage_pilot,
-    stage_pilot_batch,
     targets_from_specs,
 )
 
@@ -74,7 +74,7 @@ def _resolve(args) -> tuple[RunConfig, Path]:
 def _cmd_simulate(config, fixture, out, threads, held):
     h = config.config_hash()
     if "pilot_batch" not in held:
-        held["pilot_batch"] = stage_pilot_batch(config, fixture, threads=threads)
+        held["pilot_batch"] = stage_batch(config, fixture, "pilot_batch", threads=threads)
     batch = held["pilot_batch"]
     artifacts.save_observed(out, fixture, h, config.seed)
     artifacts.save_batch(out, "batch_pilot", batch, h, "simulate")
@@ -96,9 +96,10 @@ def _cmd_construct(config, fixture, out, threads, held):
     h = config.config_hash()
     if "projector" not in held:
         region = artifacts.load_region(out, h)
-        held["construct_batch"], held["projector"] = stage_construct(
-            config, fixture, region, threads=threads
+        held["construct_batch"] = stage_batch(
+            config, fixture, "construct_batch", region, threads=threads
         )
+        held["projector"] = stage_construct(config, held["construct_batch"])
     projector = held["projector"]
     artifacts.save_batch(out, "batch_construct", held["construct_batch"], h, "construct")
     artifacts.save_projector(out, projector, h, config.seed)
@@ -113,9 +114,8 @@ def _cmd_infer(config, fixture, out, threads, held):
     if "posterior" not in held:
         region = artifacts.load_region(out, h)
         projector = artifacts.load_projector(out, h, stat_dim=fixture.simulator.stat_dim)
-        held["main_batch"], held["posterior"] = stage_infer(
-            config, fixture, region, projector, threads=threads
-        )
+        held["main_batch"] = stage_batch(config, fixture, "main_batch", region, threads=threads)
+        held["posterior"] = stage_infer(config, fixture, projector, held["main_batch"])
     posterior = held["posterior"]
     artifacts.save_batch(out, "batch_main", held["main_batch"], h, "infer")
     stage = "infer+regression_adjust" if config.regression_adjust else "infer"

@@ -39,6 +39,9 @@ _TAG_SIM = 1
 # simulate_batch refuses a truncation box with less prior mass than this.
 MIN_TRUNCATION_MASS = 1e-4
 
+# compute_scales refuses a batch of fewer draws than this.
+MIN_SCALE_DRAWS = 10
+
 PRIOR_KINDS = ("uniform", "normal", "lognormal")
 
 
@@ -382,8 +385,8 @@ def scales_from_matrix(stats: np.ndarray) -> np.ndarray:
 
 def compute_scales(batch: SimulationBatch) -> np.ndarray:
     """Robust per-statistic distance scales from a simulation batch."""
-    if batch.m < 10:
-        raise ValueError("need at least 10 draws to estimate scales")
+    if batch.m < MIN_SCALE_DRAWS:
+        raise ValueError(f"need at least {MIN_SCALE_DRAWS} draws to estimate scales")
     return scales_from_matrix(batch.stats)
 
 

@@ -28,7 +28,7 @@ from .runconfig import RunConfig
 from .semiauto import (
     TAG_EXPERIMENT,
     build_fixture,
-    check_basis_draw_counts,
+    check_target_free_draw_counts,
     run_semiauto,
     target_free_stages,
     targets_from_specs,
@@ -186,8 +186,9 @@ def run_experiment(
     A config without an `experiment` section, groups that do not partition
     the targets, a target the fixture's oracle cannot evaluate,
     `adjust.marginal`, which the cells would not apply, and too few draws
-    for the basis fits (`check_basis_draw_counts`), which every cell would
-    meet, are refused with a ConfigError before anything is simulated.
+    for the pilot or the basis fits (`check_target_free_draw_counts`),
+    which every cell would meet, are refused with a ConfigError before
+    anything is simulated.
 
     Replicates are independent deterministic units keyed by their seed,
     run one after another: a replicate's `target_free_stages` are computed
@@ -218,7 +219,7 @@ def run_experiment(
             "adjust.marginal",
         )
     targets = targets_from_specs(config.targets, fixture.simulator.param_dim)
-    check_basis_draw_counts(config, fixture.simulator.stat_dim)
+    check_target_free_draw_counts(config, fixture.simulator.stat_dim)
     oracle_values = {}
     for i, target in enumerate(targets):
         try:

@@ -344,9 +344,10 @@ def condition_diagnostics(design) -> tuple[float, np.ndarray]:
 
     One SVD of the centered, column-scaled design gives both. The condition
     number is its extreme singular value ratio (infinite with a
-    zero-variance column). VIF_j = 1/(1 - R^2_j) from regressing column j
-    on the others with intercept; zero-variance columns, columns in an exact
-    null direction and values above 1e12 report the sentinel 1e18.
+    zero-variance column, and for m <= q rows, as in `fit_linear`).
+    VIF_j = 1/(1 - R^2_j) from regressing column j on the others with
+    intercept; zero-variance columns, columns in an exact null direction
+    and values above 1e12 report the sentinel 1e18.
     """
     x = as_matrix(design, "design")
     m, q = x.shape
@@ -359,6 +360,6 @@ def condition_diagnostics(design) -> tuple[float, np.ndarray]:
 
     _, sv, vt = np.linalg.svd(z, full_matrices=m < q)
     s_max = float(sv.max()) if sv.size else 0.0
-    s_min = float(sv.min()) if sv.size else 0.0
+    s_min = float(sv.min()) if 0 < sv.size and m > q else 0.0  # m <= q: centred rank < q
     cond = np.inf if s_min == 0.0 or np.any(degenerate) else max(s_max / s_min, 1.0)
     return cond, _vifs(np.einsum("ij,ij->j", z, z), m, sv, vt, degenerate)

@@ -13,12 +13,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .engine import (
     CHUNK,
+    MIN_SCALE_DRAWS,
     SimulationBatch,
     TruncationRegion,
     WeightedPosterior,
@@ -71,14 +73,25 @@ def targets_from_specs(specs: tuple[TargetSpec, ...], param_dim: int) -> tuple[T
     return tuple(specs)
 
 
-def check_basis_draw_counts(config: RunConfig, stat_dim: int) -> None:
-    """Refuse a run whose basis fits would get too few draws.
+def check_target_free_draw_counts(config: RunConfig, stat_dim: int) -> None:
+    """Refuse a run whose pilot or basis fits would get too few draws.
 
-    A fit of q basis columns by least squares needs q + 2 draws: the
-    construct fit on `construct.m` draws, and with projected pilot
-    statistics the preliminary fit on `pilot.m`. Neither depends on the
-    targets, so `run_experiment` checks them once for all of its cells.
+    The pilot rejection scales its distances from `MIN_SCALE_DRAWS` draws
+    or more, and the truncation box needs 2 of the
+    ceil(pilot.accept_fraction * pilot.m) draws it accepts. A fit of q
+    basis columns by least squares needs q + 2 draws: the construct fit on
+    `construct.m` draws, and with projected pilot statistics the
+    preliminary fit on `pilot.m`. None of these depends on the targets, so
+    `run_experiment` checks them once for all of its cells.
     """
+    accepted = math.ceil(config.pilot_accept_fraction * config.pilot_m)
+    if config.pilot_m < MIN_SCALE_DRAWS or accepted < 2:
+        raise ConfigError(
+            f"is {config.pilot_m}, which accepts {accepted} at accept_fraction "
+            f"{config.pilot_accept_fraction:g}; the pilot needs {MIN_SCALE_DRAWS} draws to "
+            "scale its distances and 2 accepted ones for the truncation region",
+            "pilot.m",
+        )
     q = config.basis.width(stat_dim)
     needs = [("construct.m", config.effective_construct_m)]
     if config.pilot_statistics == "projected":
@@ -93,11 +106,11 @@ def check_basis_draw_counts(config: RunConfig, stat_dim: int) -> None:
 def check_draw_counts(config: RunConfig, stat_dim: int) -> None:
     """Refuse a run whose fits would get too few draws, before any stage runs.
 
-    Besides `check_basis_draw_counts`: regression adjustment fits the p'
-    projected statistics on the ceil(main.accept_fraction * main.m)
+    Besides `check_target_free_draw_counts`: regression adjustment fits
+    the p' projected statistics on the ceil(main.accept_fraction * main.m)
     accepted draws, so it needs p' + 2 of them.
     """
-    check_basis_draw_counts(config, stat_dim)
+    check_target_free_draw_counts(config, stat_dim)
     p_prime = len(config.targets)
     accepted = math.ceil(config.main_accept_fraction * config.main_m)
     if config.regression_adjust and accepted < p_prime + 2:
@@ -267,17 +280,6 @@ def project_matrix(projector: SummaryProjector, stats) -> np.ndarray:
     return out
 
 
-def _projected_batch(batch: SimulationBatch, projector: SummaryProjector) -> SimulationBatch:
-    return SimulationBatch(
-        thetas=batch.thetas,
-        stats=project_matrix(projector, batch.stats),
-        seed=batch.seed,
-        model_name=batch.model_name,
-        prior_hash=batch.prior_hash,
-        region=batch.region,
-    )
-
-
 @dataclass(frozen=True)
 class PipelineResult:
     """Everything a semi-automatic run produces, stage by stage."""
@@ -289,7 +291,7 @@ class PipelineResult:
     projector: SummaryProjector
     main_batch: SimulationBatch
     posterior: WeightedPosterior
-    estimates: dict = field(default_factory=dict)  # name -> {estimate, mc_sd}
+    estimates: dict  # name -> {estimate, mc_sd}
 
 
 def build_fixture(config: RunConfig) -> ModelFixture:
@@ -302,18 +304,24 @@ def build_fixture(config: RunConfig) -> ModelFixture:
     return fixture
 
 
-def _stage_batch(
+def stage_batch(
     config: RunConfig,
     fixture: ModelFixture,
-    tag: int,
-    region: TruncationRegion | None,
-    threads: int,
+    name: str,
+    region: TruncationRegion | None = None,
+    *,
+    threads: int = 1,
 ) -> SimulationBatch:
-    """Simulate the batch of the stage `tag`, from the prior truncated to
-    `region` when one is given."""
+    """Simulate the stage batch `name`, the `PipelineResult` field
+    `pilot_batch`, `construct_batch` or `main_batch`, from the prior
+    truncated to `region` when one is given. The name fixes the batch's
+    draw count and the `TAG_*` its seed is derived with."""
+    tag, m = {
+        "pilot_batch": (TAG_PILOT, config.pilot_m),
+        "construct_batch": (TAG_CONSTRUCT, config.effective_construct_m),
+        "main_batch": (TAG_MAIN, config.main_m),
+    }[name]
     prior = fixture.prior if region is None else fixture.prior.truncated(region)
-    m = {TAG_PILOT: config.pilot_m, TAG_CONSTRUCT: config.effective_construct_m,
-         TAG_MAIN: config.main_m}[tag]
     seed = derive_seed(config.seed, tag)
     return simulate_batch(prior, fixture.simulator, m, seed, threads=threads)
 
@@ -332,22 +340,16 @@ def target_free_stages(config: RunConfig, fixture: ModelFixture, *, threads: int
     """
     held: dict = {}
     try:
-        held["pilot_batch"] = stage_pilot_batch(config, fixture, threads=threads)
+        held["pilot_batch"] = stage_batch(config, fixture, "pilot_batch", threads=threads)
         if config.pilot_statistics == "raw":
             held["pilot_posterior"], held["region"] = stage_pilot(
                 config, fixture, held["pilot_batch"]
             )
-            for name, tag in (("construct_batch", TAG_CONSTRUCT), ("main_batch", TAG_MAIN)):
-                held[name] = _stage_batch(config, fixture, tag, held["region"], threads)
+            for name in ("construct_batch", "main_batch"):
+                held[name] = stage_batch(config, fixture, name, held["region"], threads=threads)
     except (NumericalError, ValueError):
         pass
     return held
-
-
-def stage_pilot_batch(
-    config: RunConfig, fixture: ModelFixture, *, threads: int = 1
-) -> SimulationBatch:
-    return _stage_batch(config, fixture, TAG_PILOT, None, threads)
 
 
 def stage_pilot(
@@ -358,7 +360,7 @@ def stage_pilot(
         # Preliminary projector fitted on the pilot batch itself (there is
         # no restricted region yet at this stage).
         prelim = construct_projector(pilot_batch, config.targets, config.basis, config.ridge_lambda)
-        batch = _projected_batch(pilot_batch, prelim)
+        batch = replace(pilot_batch, stats=project_matrix(prelim, pilot_batch.stats))
         s_obs = project(prelim, fixture.s_obs)
     else:
         batch = pilot_batch
@@ -373,44 +375,27 @@ def stage_pilot(
     return accepted, region
 
 
-def stage_construct(
-    config: RunConfig,
-    fixture: ModelFixture,
-    region: TruncationRegion,
-    *,
-    threads: int = 1,
-    batch: SimulationBatch | None = None,
-) -> tuple[SimulationBatch, SummaryProjector]:
-    """Fresh truncated batch (never reusing pilot draws) and the projector.
-
-    `batch`, when given, is that stage batch already simulated."""
-    if batch is None:
-        batch = _stage_batch(config, fixture, TAG_CONSTRUCT, region, threads)
-    projector = construct_projector(batch, config.targets, config.basis, config.ridge_lambda)
-    return batch, projector
+def stage_construct(config: RunConfig, batch: SimulationBatch) -> SummaryProjector:
+    """The projector fitted on the construct batch: fresh draws from the
+    truncated prior, never the pilot's."""
+    return construct_projector(batch, config.targets, config.basis, config.ridge_lambda)
 
 
 def stage_infer(
     config: RunConfig,
     fixture: ModelFixture,
-    region: TruncationRegion,
     projector: SummaryProjector,
-    *,
-    threads: int = 1,
-    batch: SimulationBatch | None = None,
-) -> tuple[SimulationBatch, WeightedPosterior]:
-    """Main run: simulate under the truncated prior, compare in projected
-    space with scales recomputed there, optionally regression-adjust.
+    batch: SimulationBatch,
+) -> WeightedPosterior:
+    """Main run on the main batch: compare in projected space with scales
+    recomputed there, optionally regression-adjust.
 
-    `batch`, when given, is the main batch already simulated."""
-    main_batch = batch if batch is not None else _stage_batch(
-        config, fixture, TAG_MAIN, region, threads
-    )
-    projected = project_matrix(projector, main_batch.stats)
-    proj_batch = replace(main_batch, stats=projected)
+    The batch is projected once; the adjustment takes the accepted rows of
+    that projection, since a BLAS product rounds by row position."""
+    projected = project_matrix(projector, batch.stats)
     s_obs_proj = project(projector, fixture.s_obs)
     posterior = rejection_abc(
-        proj_batch,
+        replace(batch, stats=projected),
         s_obs_proj,
         fraction=config.main_accept_fraction,
         scales=scales_from_matrix(projected),
@@ -427,7 +412,7 @@ def stage_infer(
             s_obs_proj,
             ridge_lambda=config.ridge_lambda,
         )
-    return main_batch, posterior
+    return posterior
 
 
 def posterior_target_estimates(posterior: WeightedPosterior, targets) -> dict:
@@ -455,34 +440,23 @@ def run_semiauto(
     stage outputs already computed for this config, such as those of
     `target_free_stages`; it is only read. Its `pilot_batch`,
     `pilot_posterior` with `region`, `construct_batch` and `main_batch`
-    are used instead of computed, which gives the same values. Nothing is
-    written to disk, whatever `config.output_dir` holds; the CLI is the
-    persisted path.
+    are copied into the result instead of computed, which gives the same
+    values; any other key is ignored. Nothing is written to disk, whatever
+    `config.output_dir` holds; the CLI is the persisted path.
     """
     fixture = fixture if fixture is not None else build_fixture(config)
     targets = targets_from_specs(config.targets, fixture.simulator.param_dim)
-    held = held or {}
-    pilot_batch = held.get("pilot_batch")
-    if pilot_batch is None:
-        pilot_batch = stage_pilot_batch(config, fixture, threads=threads)
-    if "region" in held:
-        pilot_posterior, region = held["pilot_posterior"], held["region"]
-    else:
-        pilot_posterior, region = stage_pilot(config, fixture, pilot_batch)
-    construct_batch, projector = stage_construct(
-        config, fixture, region, threads=threads, batch=held.get("construct_batch")
-    )
-    main_batch, posterior = stage_infer(
-        config, fixture, region, projector, threads=threads, batch=held.get("main_batch")
-    )
-    estimates = posterior_target_estimates(posterior, targets)
-    return PipelineResult(
-        pilot_batch=pilot_batch,
-        pilot_posterior=pilot_posterior,
-        region=region,
-        construct_batch=construct_batch,
-        projector=projector,
-        main_batch=main_batch,
-        posterior=posterior,
-        estimates=estimates,
-    )
+    inputs = ("pilot_batch", "pilot_posterior", "region", "construct_batch", "main_batch")
+    out = {k: v for k, v in (held or {}).items() if k in inputs}
+    simulate = partial(stage_batch, config, fixture, threads=threads)
+    if "pilot_batch" not in out:
+        out["pilot_batch"] = simulate("pilot_batch")
+    if "region" not in out:
+        out["pilot_posterior"], out["region"] = stage_pilot(config, fixture, out["pilot_batch"])
+    if "construct_batch" not in out:
+        out["construct_batch"] = simulate("construct_batch", out["region"])
+    out["projector"] = stage_construct(config, out["construct_batch"])
+    if "main_batch" not in out:
+        out["main_batch"] = simulate("main_batch", out["region"])
+    out["posterior"] = stage_infer(config, fixture, out["projector"], out["main_batch"])
+    return PipelineResult(**out, estimates=posterior_target_estimates(out["posterior"], targets))

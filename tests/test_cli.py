@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from semiabc import semiauto
+from semiabc import cli, semiauto
 from semiabc.cli import main
+from semiabc.runconfig import parse_config
 
 REPO = Path(__file__).resolve().parent.parent
 # a normal prior three times wider than the fixture's default N(0, 1)
@@ -362,6 +363,50 @@ class TestMalformedArtifacts:
         capsys.readouterr()
         self.assert_rejected(main(["construct"] + args), capsys, "region.json")
 
+    def test_sidecar_that_is_not_an_object(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        out = tmp_path / "o"
+        args = ["--config", str(config), "--out", str(out)]
+        assert main(["simulate"] + args) == 0
+        (out / "batch_pilot.json").write_text("[1, 2]")
+        capsys.readouterr()
+        err = self.assert_rejected(main(["pilot"] + args), capsys, "batch_pilot.json")
+        assert len(err.splitlines()) == 1
+
+
+class TestStageNames:
+    """`perfbench/spans.py` times each stage through the name its caller
+    looks up: a chained command through `semiabc.cli`, `infer --full`
+    through `semiabc.semiauto`. A stage reached another way is untimed."""
+
+    STAGES = ("stage_pilot", "stage_construct", "stage_infer")
+
+    def count_calls(self, monkeypatch):
+        calls = []
+        for module in (cli, semiauto):
+            for name in self.STAGES:
+                def counting(*args, _stage=getattr(module, name), _key=(module, name), **kwargs):
+                    calls.append(_key)
+                    return _stage(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_each_chained_stage_reaches_its_cli_name_once(self, tmp_path, monkeypatch):
+        args = ["--config", str(write_config(tmp_path)), "--out", str(tmp_path / "o")]
+        assert main(["simulate"] + args) == 0
+        calls = self.count_calls(monkeypatch)
+        for command, stage in zip(("pilot", "construct", "infer"), self.STAGES):
+            calls.clear()
+            assert main([command] + args) == 0
+            assert calls == [(cli, stage)]
+
+    def test_full_reaches_each_semiauto_name_once(self, tmp_path, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        args = ["--config", str(write_config(tmp_path)), "--out", str(tmp_path / "o")]
+        assert main(["infer", "--full"] + args) == 0
+        assert calls == [(semiauto, stage) for stage in self.STAGES]
+
 
 class TestTooFewDraws:
     """A stage that would fit with too few draws is a validation error:
@@ -392,6 +437,24 @@ class TestTooFewDraws:
             tmp_path, capsys, "main.m", main={"m": 100, "accept_fraction": 0.02}
         )
         assert "accepts 2 draws" in err and "at least 7" in err
+
+    @pytest.mark.parametrize(
+        "pilot, phrase",
+        [
+            ({"m": 5, "accept_fraction": 0.5}, "is 5, which accepts 3 "),
+            ({"m": 20, "accept_fraction": 0.05}, "is 20, which accepts 1 "),
+        ],
+        ids=["too_few_to_scale", "one_accepted"],
+    )
+    def test_too_few_pilot_draws(self, tmp_path, capsys, pilot, phrase):
+        err = self.assert_refused(tmp_path, capsys, "pilot.m", pilot=pilot)
+        assert phrase in err and len(err.splitlines()) == 1
+        assert "needs 10 draws to scale its distances and 2 accepted ones" in err
+
+    @pytest.mark.parametrize("path", sorted((REPO / "configs").glob("*.json")), ids=lambda p: p.name)
+    def test_shipped_configs_have_enough_draws(self, path):
+        config = parse_config(path)
+        semiauto.check_draw_counts(config, semiauto.build_fixture(config).simulator.stat_dim)
 
     def test_pilot_m_below_the_basis_width_for_projected_statistics(self, tmp_path, capsys):
         self.assert_refused(

@@ -143,6 +143,19 @@ class TestRun:
             run_experiment(with_plan(config, replications=1))
         assert not cells
 
+    @pytest.mark.parametrize(
+        "pilot_m, fraction", [(5, 0.5), (20, 0.05)], ids=["too_few_to_scale", "one_accepted"]
+    )
+    def test_too_few_pilot_draws_are_refused_before_simulating(
+        self, monkeypatch, pilot_m, fraction
+    ):
+        calls = []
+        monkeypatch.setattr(semiauto, "simulate_batch", lambda *a, **k: calls.append(a))
+        config = lg_config(pilot_m=pilot_m, pilot_accept_fraction=fraction)
+        with pytest.raises(ConfigError, match=f"'pilot.m' is {pilot_m}, which accepts"):
+            run_experiment(with_plan(config, strategies=("joint",), replications=1))
+        assert calls == []
+
     def test_programming_errors_propagate(self, monkeypatch):
         from semiabc import experiment
 

@@ -342,6 +342,19 @@ class TestConditionDiagnostics:
         np.testing.assert_array_equal(fit.vifs, np.full(8, VIF_SENTINEL))
         np.testing.assert_array_equal(condition_diagnostics(x)[1], fit.vifs)
 
+    @pytest.mark.parametrize("m", [5, 8, 9])
+    def test_m_at_most_q_rows_have_an_infinite_condition(self, m):
+        # centring leaves an m-row design of rank m - 1 at most, below q = 8
+        # up to m = 8: the smallest singular value is rounding, not a scale
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((m, 8))
+        fit = fit_linear(x, rng.standard_normal((m, 1)), ridge_lambda=1e-3)
+        cond = condition_diagnostics(x)[0]
+        if m <= 8:
+            assert np.isinf(cond) and np.isinf(fit.condition_number)
+        else:
+            assert np.isfinite(cond) and np.isfinite(fit.condition_number)
+
     def test_fit_populates_diagnostics(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((100, 3))

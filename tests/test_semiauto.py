@@ -9,13 +9,23 @@ import pytest
 
 from semiabc import semiauto
 from semiabc.bayes_linear import fit_bayes_linear
-from semiabc.engine import CHUNK, SimulationBatch, SimulatorContract, simulate_batch
+from semiabc.engine import (
+    CHUNK,
+    SimulationBatch,
+    SimulatorContract,
+    TruncationRegion,
+    derive_seed,
+    simulate_batch,
+)
 from semiabc.errors import ConfigError, NumericalError
 from semiabc.models import ModelFixture, gaussian_location_fixture, gpd_fixture
 from semiabc.regression import BasisSpec, expand_design, fit_linear
 from semiabc.runconfig import RunConfig, TargetSpec
 from semiabc.semiauto import (
     _BLOCK_BYTES,
+    TAG_CONSTRUCT,
+    TAG_MAIN,
+    TAG_PILOT,
     SummaryProjector,
     _design_blocks,
     build_fixture,
@@ -25,6 +35,7 @@ from semiabc.semiauto import (
     project,
     project_matrix,
     run_semiauto,
+    stage_batch,
     target_free_stages,
     targets_from_specs,
 )
@@ -539,6 +550,28 @@ class TestPipeline:
         assert all(getattr(given, name) is held[name] for name in held)
         for a, b in zip(pipeline_arrays(fresh), pipeline_arrays(given)):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestStageBatch:
+    @pytest.mark.parametrize("construct_m", [3000, None])
+    def test_each_batch_is_its_tagged_simulation(self, construct_m):
+        config = gaussian_config(construct_m=construct_m, main_m=5000)
+        fixture = build_fixture(config)
+        region = TruncationRegion(lo=np.array([-0.5]), hi=np.array([1.5]))
+        cases = [
+            ("pilot_batch", None, config.pilot_m, TAG_PILOT),
+            # construct.m unset: the construct batch is as large as the pilot's
+            ("construct_batch", region, construct_m or config.pilot_m, TAG_CONSTRUCT),
+            ("main_batch", region, config.main_m, TAG_MAIN),
+        ]
+        for name, box, m, tag in cases:
+            prior = fixture.prior if box is None else fixture.prior.truncated(box)
+            want = simulate_batch(prior, fixture.simulator, m, derive_seed(config.seed, tag))
+            got = stage_batch(config, fixture, name, box, threads=2)
+            assert got.m == m
+            assert got.thetas.tobytes() == want.thetas.tobytes()
+            assert got.stats.tobytes() == want.stats.tobytes()
+            assert (got.seed, got.prior_hash) == (want.seed, want.prior_hash)
 
 
 def pipeline_arrays(result):
