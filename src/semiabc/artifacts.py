@@ -191,7 +191,6 @@ def save_posterior(
         "n": posterior.n,
         "param_dim": p,
         "epsilon": posterior.epsilon,
-        "distances": [float(v) for v in posterior.distances],
         "provenance": posterior.provenance,
     }
     dump_json(directory / f"{name}.json", sidecar)
@@ -210,7 +209,6 @@ def load_posterior(directory, name: str, config_hash: str | None = None) -> Weig
         return WeightedPosterior(
             thetas=data[:, 1:],
             epsilon=float(sidecar["epsilon"]),
-            distances=np.asarray(sidecar["distances"], dtype=np.float64),
             accepted_indices=idx.astype(np.intp),
             provenance=sidecar["provenance"],
         )

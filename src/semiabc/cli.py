@@ -157,10 +157,9 @@ def _cmd_report(config, fixture, out, threads, held):
     h = config.config_hash()
     name = "posterior_marginal" if (out / "posterior_marginal.json").exists() else "posterior_main"
     posterior = artifacts.load_posterior(out, name, h)
-    targets = targets_from_specs(config.targets, fixture.simulator.param_dim)
-    estimates = posterior_target_estimates(posterior, targets)
+    estimates = posterior_target_estimates(posterior, config.targets)
     rows = []
-    for target in targets:
+    for target in config.targets:
         try:
             oracle_value = float(fixture.oracle.target_mean(target))
         except NotImplementedError:

@@ -252,7 +252,6 @@ class WeightedPosterior:
 
     thetas: np.ndarray  # (N, p)
     epsilon: float  # largest accepted distance
-    distances: np.ndarray  # (N,) distances of accepted draws
     accepted_indices: np.ndarray  # (N,) indices into the source batch
     provenance: dict = field(default_factory=dict, compare=False)
 
@@ -260,9 +259,8 @@ class WeightedPosterior:
         t = as_matrix(self.thetas, "thetas")
         if t.shape[0] < 1:
             raise ValueError("posterior needs at least one draw")
-        for name in ("distances", "accepted_indices"):
-            if (shape := np.shape(getattr(self, name))) != t.shape[:1]:
-                raise ValueError(f"'{name}' has shape {shape}, expected {t.shape[:1]}")
+        if (shape := np.shape(self.accepted_indices)) != t.shape[:1]:
+            raise ValueError(f"'accepted_indices' has shape {shape}, expected {t.shape[:1]}")
         object.__setattr__(self, "thetas", t)
 
     @property
@@ -450,7 +448,6 @@ def rejection_abc(
     return WeightedPosterior(
         thetas=batch.thetas[accepted],
         epsilon=realized,
-        distances=distances[accepted],
         accepted_indices=accepted,
         provenance=info,
     )

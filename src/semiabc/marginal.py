@@ -111,25 +111,21 @@ def _marginal_order_stats(samples: np.ndarray, n: int) -> np.ndarray:
 def marginal_remap(
     joint: WeightedPosterior,
     marginals: list[MarginalEstimate],
-    skip: tuple[int, ...] = (),
 ) -> WeightedPosterior:
-    """Replace covered margins of the joint sample by rank/quantile matching.
+    """Replace every margin of the joint sample by rank/quantile matching.
 
-    For each covered coordinate, the draw holding rank r (ties broken by
+    For each coordinate, the draw holding rank r (ties broken by
     row index) receives the r-th of N evenly-spaced type-7 quantiles of
     the marginal sample; row pairing, and hence the joint rank structure,
     is untouched, and the result stays equally weighted. Every coordinate
-    must be covered by a marginal or listed in `skip`.
+    must be covered by a marginal.
     """
     p = joint.thetas.shape[1]
     covered = {m.coordinate for m in marginals}
     if len(covered) != len(marginals):
         raise ValueError("duplicate marginal coordinates")
-    missing = set(range(p)) - covered - set(skip)
-    if missing:
-        raise ValueError(
-            f"coordinates {sorted(missing)} are neither covered by a marginal nor skipped"
-        )
+    if missing := set(range(p)) - covered:
+        raise ValueError(f"coordinates {sorted(missing)} are not covered by a marginal")
     n = joint.n
     thetas = joint.thetas.copy()
     sources = {}
@@ -144,5 +140,5 @@ def marginal_remap(
         thetas[:, i] = _marginal_order_stats(marginal.samples, n)[ranks]
         sources[str(i)] = dict(marginal.provenance)
     info = dict(joint.provenance)
-    info["marginal_adjustment"] = {"sources": sources, "skipped": list(skip)}
+    info["marginal_adjustment"] = {"sources": sources}
     return replace(joint, thetas=thetas, provenance=info)

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .engine import PriorSpec, SimulatorContract, lognormal, normal, uniform
+from .engine import MarginalPrior, PriorSpec, SimulatorContract, lognormal, normal, uniform
 from .errors import ConfigError
 
 # Below this |xi| the exponential-limit branch of the GPD quantile/density
@@ -106,13 +106,10 @@ class ConjugateNormalOracle:
         self.post_mean = float(post_mean)
         self.post_sd = float(post_sd)
 
-    def coordinate_mean(self, i: int) -> float:
-        if i != 0:
+    def target_mean(self, target) -> float:
+        if _raw_coordinate(target, "conjugate normal") != 0:
             raise IndexError("Gaussian location model has a single parameter")
         return self.post_mean
-
-    def target_mean(self, target) -> float:
-        return self.coordinate_mean(_raw_coordinate(target, "conjugate normal"))
 
     def marginal_cdf(self, i: int, x) -> np.ndarray:
         if i != 0:
@@ -127,11 +124,8 @@ class LinearGaussianOracle:
         self.mean = np.asarray(mean, dtype=np.float64)
         self.cov = np.asarray(cov, dtype=np.float64)
 
-    def coordinate_mean(self, i: int) -> float:
-        return float(self.mean[i])
-
     def target_mean(self, target) -> float:
-        return self.coordinate_mean(_raw_coordinate(target, "linear-Gaussian"))
+        return float(self.mean[_raw_coordinate(target, "linear-Gaussian")])
 
     def marginal_cdf(self, i: int, x) -> np.ndarray:
         sd = math.sqrt(float(self.cov[i, i]))
@@ -191,9 +185,6 @@ class GpdGridOracle:
             raise NotImplementedError(f"{target.name!r} is not finite on the whole grid")
         return float(self.weights.ravel() @ values)
 
-    def coordinate_mean(self, i: int) -> float:
-        return float(self.weights.ravel() @ self.grid_points()[:, i])
-
 
 class OverriddenPriorOracle:
     """Stands in for a fixture's oracle once `prior_overrides` replaced its
@@ -206,9 +197,6 @@ class OverriddenPriorOracle:
         )
 
     def target_mean(self, target) -> float:
-        raise NotImplementedError(self.message)
-
-    def coordinate_mean(self, i: int) -> float:
         raise NotImplementedError(self.message)
 
     def marginal_cdf(self, i: int, x) -> np.ndarray:
@@ -499,8 +487,6 @@ def apply_prior_overrides(fixture: ModelFixture, overrides: dict) -> ModelFixtur
     refuses every query (NotImplementedError), because the fixture's own
     oracle was computed for the default prior.
     """
-    from .engine import MarginalPrior
-
     margs = list(fixture.prior.marginals)
     for key, spec in overrides.items():
         i = int(key)

@@ -193,7 +193,6 @@ class LinearFit:
     condition_number: float  # extreme singular value ratio of the design fitted
     vifs: np.ndarray  # (q,) of the design fitted
     residual_mss: np.ndarray  # (p,) mean squared residual of each response
-    ridge_lambda: float = 0.0
 
     def __post_init__(self):
         if self.condition_number < 1.0:
@@ -294,7 +293,6 @@ def fit_linear(design, responses, ridge_lambda: float = 0.0) -> LinearFit:
         condition_number=cond,
         vifs=_vifs(sq_norms, m, sv, vt, _zero_variance(sq_norms, raw_sq_norms, m)),
         residual_mss=(np.einsum("ij,ij->j", resid, resid) + np.einsum("ij,ij->j", ryy, ryy)) / m,
-        ridge_lambda=float(ridge_lambda),
     )
 
 

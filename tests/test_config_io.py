@@ -334,7 +334,6 @@ def sample_posterior():
     return WeightedPosterior(
         thetas=rng.standard_normal((n, 2)),
         epsilon=0.25,
-        distances=np.sort(rng.random(n)),
         accepted_indices=np.arange(0, 2 * n, 2),
         provenance={"stage": "infer", "seed": 5},
     )
@@ -455,8 +454,7 @@ class TestTableBytes:
         cells = data.draw(arrays(np.float64, (m, 3), elements=ANY_CELLS), label="cells")
         batch = SimulationBatch(thetas=thetas, stats=stats, seed=3, model_name="t", prior_hash="h")
         post = WeightedPosterior(
-            thetas=thetas, epsilon=0.5, distances=np.zeros(m),
-            accepted_indices=3 * np.arange(m),
+            thetas=thetas, epsilon=0.5, accepted_indices=3 * np.arange(m),
         )
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp)

@@ -300,7 +300,8 @@ class TestRejection:
         batch = make_batch(rng.standard_normal((1000, 1)), rng.standard_normal((1000, 1)))
         post = rejection_abc(batch, [0.0], fraction=0.1)
         assert post.n == 100
-        assert post.epsilon == post.distances.max()
+        distances = _distance_matrix(batch.stats, np.zeros(1), compute_scales(batch))
+        assert post.epsilon == distances[post.accepted_indices].max()
 
     def test_discrete_toy_exact_enumeration(self):
         thetas = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0])[:, None]
@@ -349,7 +350,7 @@ class TestRejection:
         order = np.argsort(distances, kind="stable")
         expected = np.sort(order[: math.ceil(fraction * stats.size)])
         np.testing.assert_array_equal(post.accepted_indices, expected)
-        np.testing.assert_array_equal(post.distances, distances[expected])
+        assert post.epsilon == distances[post.accepted_indices].max()
 
 
 class TestTruncationFromPilot:
@@ -359,7 +360,6 @@ class TestTruncationFromPilot:
         return WeightedPosterior(
             thetas=values,
             epsilon=1.0,
-            distances=np.zeros(n),
             accepted_indices=np.arange(n),
         )
 
@@ -384,12 +384,9 @@ class TestTruncationFromPilot:
         assert np.all((region.lo <= post.thetas) & (post.thetas <= region.hi))
 
 
-@pytest.mark.parametrize("field", ["distances", "accepted_indices"])
-def test_posterior_refuses_a_column_that_is_not_n_long(field):
-    columns = {"distances": np.zeros(3), "accepted_indices": np.arange(3)}
-    columns[field] = columns[field][:2]
-    with pytest.raises(ValueError, match=f"'{field}'"):
-        WeightedPosterior(thetas=np.zeros((3, 1)), epsilon=1.0, **columns)
+def test_posterior_refuses_a_column_that_is_not_n_long():
+    with pytest.raises(ValueError, match="'accepted_indices'"):
+        WeightedPosterior(thetas=np.zeros((3, 1)), epsilon=1.0, accepted_indices=np.arange(2))
 
 
 class TestRegressionAdjust:
@@ -399,7 +396,6 @@ class TestRegressionAdjust:
         return WeightedPosterior(
             thetas=thetas,
             epsilon=1.0,
-            distances=np.zeros(n),
             accepted_indices=np.arange(n),
         )
 

@@ -284,8 +284,8 @@ class TestGpdFixture:
 
     def test_grid_oracle_near_truth(self):
         fixture = gpd_fixture(sigma_true=1.0, xi_true=0.2, n_exceedances=100)
-        sigma_mean = fixture.oracle.coordinate_mean(0)
-        xi_mean = fixture.oracle.coordinate_mean(1)
+        sigma_mean = fixture.oracle.target_mean(TargetSpec("coordinate", index=0))
+        xi_mean = fixture.oracle.target_mean(TargetSpec("coordinate", index=1))
         assert abs(sigma_mean - 1.0) < 0.5
         assert abs(xi_mean - 0.2) < 0.3
 
@@ -373,8 +373,6 @@ class TestRegistry:
         # the conjugate oracle was derived for the default prior
         with pytest.raises(NotImplementedError, match="prior_overrides"):
             out.oracle.target_mean(TargetSpec("coordinate", index=0))
-        with pytest.raises(NotImplementedError, match="prior_overrides"):
-            out.oracle.coordinate_mean(0)
         with pytest.raises(NotImplementedError, match="prior_overrides"):
             out.oracle.marginal_cdf(0, 0.5)
         with pytest.raises(ConfigError, match="out of range"):

@@ -232,7 +232,6 @@ def two_pass_fit(blocks, y, ridge_lambda=0.0):
         condition_number=max(sv.max() / sv.min(), 1.0),
         vifs=_vifs(sq_norms, m, sv, vt, _zero_variance(sq_norms, raw_sq_norms, m)),
         residual_mss=(np.einsum("ij,ij->j", resid, resid) + np.einsum("ij,ij->j", ryy, ryy)) / m,
-        ridge_lambda=float(ridge_lambda),
     )
 
 
