@@ -5,8 +5,10 @@ an artifact and re-saving it is byte-identical, and a pipeline stage that
 reloads a persisted batch computes exactly what an in-memory run would.
 Numeric tables are streamed out in blocks of rows and parsed back by
 numpy's C reader, which rounds exactly as `float()` does. Every artifact
-embeds the config hash and seed; loaders refuse artifacts whose
-provenance does not match the requesting run, or a malformed table.
+embeds the config hash; loaders refuse artifacts whose provenance does
+not match the requesting run, or a malformed table, and ignore keys
+they do not read. Each fact is stored once: the truncation region only
+in `region.json`.
 """
 
 from __future__ import annotations
@@ -130,9 +132,7 @@ def _batch_header(p: int, d: int) -> list[str]:
     return ["draw_index", *(f"theta_{i + 1}" for i in range(p)), *(f"stat_{j + 1}" for j in range(d))]
 
 
-def save_batch(
-    directory, name: str, batch: SimulationBatch, config_hash: str, stage: str
-) -> None:
+def save_batch(directory, name: str, batch: SimulationBatch, config_hash: str) -> None:
     directory = Path(directory)
     p, d = batch.param_dim, batch.stat_dim
     _write_table(
@@ -140,7 +140,6 @@ def save_batch(
     )
     sidecar = {
         "kind": "simulation_batch",
-        "stage": stage,
         "seed": batch.seed,
         "model": batch.model_name,
         "prior_hash": batch.prior_hash,
@@ -148,7 +147,6 @@ def save_batch(
         "m": batch.m,
         "param_dim": p,
         "stat_dim": d,
-        "region": batch.region.to_dict() if batch.region is not None else None,
     }
     dump_json(directory / f"{name}.json", sidecar)
 
@@ -160,14 +158,12 @@ def load_batch(directory, name: str, config_hash: str | None = None) -> Simulati
     with _sidecar_values(path):
         p, d = sidecar["param_dim"], sidecar["stat_dim"]
         data = _read_table(directory / f"{name}.csv", _batch_header(p, d), sidecar["m"])
-        region = sidecar["region"]
         return SimulationBatch(
             thetas=data[:, 1 : p + 1],
             stats=data[:, p + 1 :],
             seed=sidecar["seed"],
             model_name=sidecar["model"],
             prior_hash=sidecar["prior_hash"],
-            region=TruncationRegion.from_dict(region) if region else None,
         )
 
 
@@ -175,9 +171,7 @@ def _posterior_header(p: int) -> list[str]:
     return ["draw_index", *(f"theta_{i + 1}" for i in range(p))]
 
 
-def save_posterior(
-    directory, name: str, posterior: WeightedPosterior, config_hash: str, stage: str
-) -> None:
+def save_posterior(directory, name: str, posterior: WeightedPosterior, config_hash: str) -> None:
     directory = Path(directory)
     p = posterior.thetas.shape[1]
     _write_table(
@@ -186,7 +180,6 @@ def save_posterior(
     )
     sidecar = {
         "kind": "posterior",
-        "stage": stage,
         "config_hash": config_hash,
         "n": posterior.n,
         "param_dim": p,
@@ -214,15 +207,10 @@ def load_posterior(directory, name: str, config_hash: str | None = None) -> Weig
         )
 
 
-def save_region(directory, region: TruncationRegion, config_hash: str, seed: int = 0) -> None:
+def save_region(directory, region: TruncationRegion, config_hash: str) -> None:
     dump_json(
         Path(directory) / "region.json",
-        {
-            "kind": "truncation_region",
-            "config_hash": config_hash,
-            "seed": int(seed),
-            **region.to_dict(),
-        },
+        {"kind": "truncation_region", "config_hash": config_hash, **region.to_dict()},
     )
 
 
@@ -233,13 +221,10 @@ def load_region(directory, config_hash: str | None = None) -> TruncationRegion:
         return TruncationRegion.from_dict(data)
 
 
-def save_projector(
-    directory, projector: SummaryProjector, config_hash: str, seed: int = 0
-) -> None:
+def save_projector(directory, projector: SummaryProjector, config_hash: str) -> None:
     payload = {
         "kind": "summary_projector",
         "config_hash": config_hash,
-        "seed": int(seed),
         "projector_id": projector.projector_id(),
         **projector.to_dict(),
     }
@@ -306,8 +291,10 @@ def save_experiment_report(directory, report, config_hash: str) -> None:
     _write_csv(directory / "experiment_rows.csv", header, rows)
 
 
-def save_observed(directory, fixture, config_hash: str, seed: int) -> None:
-    """Persist the observed dataset and statistics for reuse."""
+def save_observed(directory, fixture, config_hash: str) -> None:
+    """Record the observed dataset and statistics a run compared against.
+    Nothing reads them back: every stage rebuilds the fixture from the
+    config, so the files only document the run."""
     directory = Path(directory)
     values = np.asarray(fixture.observed_data).reshape(-1, 1)
     _write_table(directory / "observed.csv", ["index", "value"], np.arange(len(values)), values)
@@ -316,7 +303,6 @@ def save_observed(directory, fixture, config_hash: str, seed: int) -> None:
         {
             "kind": "observed_data",
             "config_hash": config_hash,
-            "seed": int(seed),
             "model": fixture.name,
             "s_obs": [float(v) for v in fixture.s_obs],
         },

@@ -76,8 +76,8 @@ def _cmd_simulate(config, fixture, out, threads, held):
     if "pilot_batch" not in held:
         held["pilot_batch"] = stage_batch(config, fixture, "pilot_batch", threads=threads)
     batch = held["pilot_batch"]
-    artifacts.save_observed(out, fixture, h, config.seed)
-    artifacts.save_batch(out, "batch_pilot", batch, h, "simulate")
+    artifacts.save_observed(out, fixture, h)
+    artifacts.save_batch(out, "batch_pilot", batch, h)
     print(f"simulate: wrote batch_pilot ({batch.m} draws) to {out}")
 
 
@@ -87,8 +87,8 @@ def _cmd_pilot(config, fixture, out, threads, held):
         batch = artifacts.load_batch(out, "batch_pilot", h)
         held["pilot_posterior"], held["region"] = stage_pilot(config, fixture, batch)
     accepted = held["pilot_posterior"]
-    artifacts.save_posterior(out, "posterior_pilot", accepted, h, "pilot")
-    artifacts.save_region(out, held["region"], h, config.seed)
+    artifacts.save_posterior(out, "posterior_pilot", accepted, h)
+    artifacts.save_region(out, held["region"], h)
     print(f"pilot: accepted {accepted.n} draws, region written to {out}")
 
 
@@ -101,8 +101,8 @@ def _cmd_construct(config, fixture, out, threads, held):
         )
         held["projector"] = stage_construct(config, held["construct_batch"])
     projector = held["projector"]
-    artifacts.save_batch(out, "batch_construct", held["construct_batch"], h, "construct")
-    artifacts.save_projector(out, projector, h, config.seed)
+    artifacts.save_batch(out, "batch_construct", held["construct_batch"], h)
+    artifacts.save_projector(out, projector, h)
     print(
         f"construct: projector with {projector.out_dim} summaries "
         f"(condition {projector.condition_number:.3g}) written to {out}"
@@ -117,9 +117,8 @@ def _cmd_infer(config, fixture, out, threads, held):
         held["main_batch"] = stage_batch(config, fixture, "main_batch", region, threads=threads)
         held["posterior"] = stage_infer(config, fixture, projector, held["main_batch"])
     posterior = held["posterior"]
-    artifacts.save_batch(out, "batch_main", held["main_batch"], h, "infer")
-    stage = "infer+regression_adjust" if config.regression_adjust else "infer"
-    artifacts.save_posterior(out, "posterior_main", posterior, h, stage)
+    artifacts.save_batch(out, "batch_main", held["main_batch"], h)
+    artifacts.save_posterior(out, "posterior_main", posterior, h)
     print(
         f"infer: accepted {posterior.n} draws "
         f"(epsilon {posterior.epsilon:.6g}) written to {out}"
@@ -135,7 +134,7 @@ def _cmd_marginal(config, fixture, out, threads, held):
         artifacts.save_marginal(out, f"marginal_{i}", marginal, h)
         marginals.append(marginal)
     adjusted = marginal_remap(joint, marginals)
-    artifacts.save_posterior(out, "posterior_marginal", adjusted, h, "marginal")
+    artifacts.save_posterior(out, "posterior_marginal", adjusted, h)
     print(f"marginal: remapped {len(marginals)} margins, posterior written to {out}")
 
 

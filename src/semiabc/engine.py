@@ -223,7 +223,6 @@ class SimulationBatch:
     seed: int
     model_name: str
     prior_hash: str
-    region: TruncationRegion | None = None
 
     def __post_init__(self):
         t = as_matrix(self.thetas, "thetas")
@@ -350,7 +349,6 @@ def simulate_batch(
         seed=int(seed),
         model_name=sim.name,
         prior_hash=prior.spec_hash(),
-        region=prior.truncation_box,
     )
 
 

@@ -124,6 +124,8 @@ def marginal_remap(
     covered = {m.coordinate for m in marginals}
     if len(covered) != len(marginals):
         raise ValueError("duplicate marginal coordinates")
+    if extra := covered - set(range(p)):
+        raise ValueError(f"marginal coordinates {sorted(extra)} are not in the {p}-parameter joint")
     if missing := set(range(p)) - covered:
         raise ValueError(f"coordinates {sorted(missing)} are not covered by a marginal")
     n = joint.n

@@ -148,7 +148,6 @@ class SummaryProjector:
     condition_number: float
     vifs: np.ndarray  # (q,)
     residual_mss: np.ndarray  # (p',)
-    region: TruncationRegion | None = None
     n_fit: int = 0
 
     def __post_init__(self):
@@ -172,7 +171,7 @@ class SummaryProjector:
         return len(self.target_names)
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "basis": asdict(self.basis),
             "intercept": self.intercept.tolist(),
             "coef": self.coef.tolist(),
@@ -180,17 +179,14 @@ class SummaryProjector:
             "condition_number": self.condition_number,
             "vifs": self.vifs.tolist(),
             "residual_mss": self.residual_mss.tolist(),
-            "region": self.region.to_dict() if self.region is not None else None,
             "n_fit": self.n_fit,
         }
-        return d
 
     @staticmethod
     def from_dict(data: dict) -> "SummaryProjector":
         b = dict(data["basis"])
         if b.get("exponents") is not None:
             b["exponents"] = tuple(map(tuple, b["exponents"]))
-        region = data["region"]
         return SummaryProjector(
             basis=BasisSpec(**b),
             intercept=np.asarray(data["intercept"], dtype=np.float64),
@@ -199,7 +195,6 @@ class SummaryProjector:
             condition_number=float(data["condition_number"]),
             vifs=np.asarray(data["vifs"], dtype=np.float64),
             residual_mss=np.asarray(data["residual_mss"], dtype=np.float64),
-            region=TruncationRegion.from_dict(region) if region else None,
             n_fit=int(data["n_fit"]),
         )
 
@@ -216,9 +211,9 @@ def construct_projector(
 ) -> SummaryProjector:
     """Regress the evaluated targets on the expanded statistics.
 
-    The batch should come from the restricted (truncated) prior recorded
-    in its provenance; the projector keeps that region for downstream
-    stages and reporting.
+    The batch should come from the restricted (truncated) prior, whose box
+    is part of its `prior_hash`. The projector does not keep that box: a
+    run's region is stored once, by the pilot stage.
 
     The fit reads `_design_blocks` once: each row is expanded once, no
     stage holds the whole design, and `residual_mss` is the fit's own.
@@ -236,7 +231,6 @@ def construct_projector(
         condition_number=fit.condition_number,
         vifs=fit.vifs,
         residual_mss=fit.residual_mss,
-        region=batch.region,
         n_fit=batch.m,
     )
 
@@ -399,11 +393,7 @@ def stage_infer(
         s_obs_proj,
         fraction=config.main_accept_fraction,
         scales=scales_from_matrix(projected),
-        provenance={
-            "stage": "infer",
-            "projector_id": projector.projector_id(),
-            "config_hash": config.config_hash(),
-        },
+        provenance={"stage": "infer", "projector_id": projector.projector_id()},
     )
     if config.regression_adjust:
         posterior = regression_adjust(

@@ -157,6 +157,58 @@ class TestReport:
         assert main(["report", "--config", str(config), "--out", str(out)]) == 0
         assert (out / "report_table.csv").read_bytes() == table
 
+    def test_chain_reads_sidecars_that_still_hold_dropped_keys(self, tmp_path):
+        # earlier versions also wrote each sidecar's stage, the run seed, a
+        # copy of the region in batch and projector, and the config hash in
+        # the main posterior's provenance
+        config = write_config(tmp_path, main={"m": 2000, "accept_fraction": 0.05})
+        untouched, restored = tmp_path / "untouched", tmp_path / "restored"
+
+        def run(*commands):
+            for out in (untouched, restored):
+                for command in commands:
+                    assert main([command, "--config", str(config), "--out", str(out)]) == 0
+
+        def restore(name, hash_in_provenance=False, **keys):
+            path = restored / f"{name}.json"
+            sidecar = json.loads(path.read_text())
+            assert not keys.keys() & sidecar.keys()
+            sidecar.update(keys)
+            if hash_in_provenance:
+                assert "config_hash" not in sidecar["provenance"]
+                sidecar["provenance"]["config_hash"] = sidecar["config_hash"]
+            path.write_text(json.dumps(sidecar))
+
+        def same_bytes(*edited):
+            a, b = tree_bytes(untouched), tree_bytes(restored)
+            return {k for k in a.keys() | b.keys() if a.get(k) != b.get(k)} == set(edited)
+
+        run("simulate", "pilot", "construct")
+        region = json.loads((restored / "region.json").read_text())
+        box = {"lo": region["lo"], "hi": region["hi"]}
+        restore("observed", seed=11)
+        restore("batch_pilot", stage="simulate", region=None)
+        restore("posterior_pilot", stage="pilot")
+        restore("region", seed=11)
+        restore("batch_construct", stage="construct", region=box)
+        restore("projector", seed=11, region=box)
+        edited = [f"{n}.json" for n in ("observed", "batch_pilot", "posterior_pilot", "region",
+                                         "batch_construct", "projector")]
+        run("infer")
+        assert same_bytes(*edited)
+        restore("batch_main", stage="infer", region=box)
+        restore("posterior_main", True, stage="infer")
+        edited += ["batch_main.json", "posterior_main.json"]
+        run("marginal")
+        # the remapped posterior keeps the provenance of the joint it read
+        assert same_bytes(*edited, "posterior_marginal.json")
+        marginal = [json.loads((out / "posterior_marginal.json").read_text())
+                    for out in (untouched, restored)]
+        del marginal[1]["provenance"]["config_hash"]
+        assert marginal[0] == marginal[1]
+        restore("posterior_marginal", stage="marginal")
+        run("report")
+        assert same_bytes(*edited, "posterior_marginal.json")
 
     def test_oracle_without_closed_form_prints_a_dash(self, tmp_path, capsys):
         # with xbar_obs 5 the pilot box, and so every draw the log target
@@ -486,6 +538,18 @@ class TestSeedOverride:
         assert main(args + ["--out", str(c)]) == 0
         assert tree_bytes(b) == tree_bytes(c)
         assert tree_bytes(a) != tree_bytes(b)
+
+    def test_seed_changes_no_observed_byte(self, tmp_path):
+        # the observed data are the fixture's, not a draw: only the config
+        # hash, which covers the seed, tells the two runs apart
+        config = write_config(tmp_path)
+        outs = [tmp_path / "one", tmp_path / "two"]
+        for seed, out in zip(("1", "2"), outs):
+            assert main(["simulate", "--config", str(config), "--seed", seed, "--out", str(out)]) == 0
+        one, two = (tree_bytes(out) for out in outs)
+        assert one["observed.csv"] == two["observed.csv"]
+        one, two = (json.loads(t["observed.json"]) for t in (one, two))
+        assert {k for k in one.keys() | two.keys() if one.get(k) != two.get(k)} == {"config_hash"}
 
 
 class TestExperimentCommand:

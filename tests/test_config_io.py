@@ -324,7 +324,6 @@ def sample_batch():
         seed=5,
         model_name="test",
         prior_hash="abc",
-        region=TruncationRegion(lo=[-1.0, -2.0], hi=[1.0, 2.0]),
     )
 
 
@@ -342,26 +341,25 @@ def sample_posterior():
 class TestArtifacts:
     def test_batch_roundtrip_bitwise(self, tmp_path):
         batch = sample_batch()
-        artifacts.save_batch(tmp_path, "batch_pilot", batch, "hash1", "simulate")
+        artifacts.save_batch(tmp_path, "batch_pilot", batch, "hash1")
         loaded = artifacts.load_batch(tmp_path, "batch_pilot", "hash1")
         np.testing.assert_array_equal(loaded.thetas, batch.thetas)
         np.testing.assert_array_equal(loaded.stats, batch.stats)
-        assert loaded.seed == batch.seed
-        np.testing.assert_array_equal(loaded.region.lo, batch.region.lo)
+        assert (loaded.seed, loaded.model_name, loaded.prior_hash) == (5, "test", "abc")
 
     def test_resave_byte_identical(self, tmp_path):
         batch = sample_batch()
-        artifacts.save_batch(tmp_path, "b", batch, "hash1", "simulate")
+        artifacts.save_batch(tmp_path, "b", batch, "hash1")
         csv1 = (tmp_path / "b.csv").read_bytes()
         json1 = (tmp_path / "b.json").read_bytes()
         loaded = artifacts.load_batch(tmp_path, "b", "hash1")
-        artifacts.save_batch(tmp_path, "b", loaded, "hash1", "simulate")
+        artifacts.save_batch(tmp_path, "b", loaded, "hash1")
         assert (tmp_path / "b.csv").read_bytes() == csv1
         assert (tmp_path / "b.json").read_bytes() == json1
 
     def test_posterior_roundtrip(self, tmp_path):
         post = sample_posterior()
-        artifacts.save_posterior(tmp_path, "posterior_main", post, "h", "infer")
+        artifacts.save_posterior(tmp_path, "posterior_main", post, "h")
         loaded = artifacts.load_posterior(tmp_path, "posterior_main", "h")
         np.testing.assert_array_equal(loaded.thetas, post.thetas)
         np.testing.assert_array_equal(loaded.weights, post.weights)
@@ -369,7 +367,7 @@ class TestArtifacts:
         assert loaded.epsilon == post.epsilon
         # byte-identical resave
         csv1 = (tmp_path / "posterior_main.csv").read_bytes()
-        artifacts.save_posterior(tmp_path, "posterior_main", loaded, "h", "infer")
+        artifacts.save_posterior(tmp_path, "posterior_main", loaded, "h")
         assert (tmp_path / "posterior_main.csv").read_bytes() == csv1
 
     def test_missing_artifact_names_file(self, tmp_path):
@@ -377,7 +375,7 @@ class TestArtifacts:
             artifacts.load_batch(tmp_path, "batch_pilot")
 
     def test_hash_mismatch_refused(self, tmp_path):
-        artifacts.save_batch(tmp_path, "b", sample_batch(), "hash1", "simulate")
+        artifacts.save_batch(tmp_path, "b", sample_batch(), "hash1")
         with pytest.raises(ArtifactError, match="refusing to mix runs"):
             artifacts.load_batch(tmp_path, "b", "other")
 
@@ -395,7 +393,6 @@ class TestArtifacts:
             condition_number=3.5,
             vifs=np.array([1.0, 2.0, 1e18]),
             residual_mss=np.array([0.125]),
-            region=region,
         )
         artifacts.save_projector(tmp_path, projector, "h")
         clone = artifacts.load_projector(tmp_path, "h", stat_dim=1)
@@ -458,8 +455,8 @@ class TestTableBytes:
         )
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp)
-            artifacts.save_batch(out, "b", batch, "h", "simulate")
-            artifacts.save_posterior(out, "p", post, "h", "infer")
+            artifacts.save_batch(out, "b", batch, "h")
+            artifacts.save_posterior(out, "p", post, "h")
             assert (out / "b.csv").read_bytes() == per_cell_csv(
                 batch_header(p, d), range(m), np.hstack([thetas, stats])
             )
@@ -488,7 +485,7 @@ class TestTableBytes:
             thetas=rng.standard_normal((m, 2)), stats=rng.standard_normal((m, 3)) * 1e-7,
             seed=1, model_name="t", prior_hash="h",
         )
-        artifacts.save_batch(tmp_path, "b", batch, "h", "simulate")
+        artifacts.save_batch(tmp_path, "b", batch, "h")
         assert (tmp_path / "b.csv").read_bytes() == per_cell_csv(
             batch_header(2, 3), range(m), np.hstack([batch.thetas, batch.stats])
         )
@@ -506,7 +503,7 @@ class TestTableBytes:
         )
         tracemalloc.start()
         try:
-            artifacts.save_batch(tmp_path, "b", batch, "h", "simulate")
+            artifacts.save_batch(tmp_path, "b", batch, "h")
             save_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             artifacts.load_batch(tmp_path, "b", "h")

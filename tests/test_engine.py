@@ -122,8 +122,14 @@ class TestSimulateBatch:
         prior = PriorSpec((uniform(0.0, 1.0),), truncation_box=box)
         batch = simulate_batch(prior, two_call_simulator(), 2000, seed=4)
         assert np.all((batch.thetas >= 0.4) & (batch.thetas <= 0.6))
-        # truncation changes thetas but the noise stream stays aligned
-        assert batch.region is not None
+        # the box is recorded in the batch's prior hash: two boxes and no box
+        # give three hashes
+        other = prior.truncated(TruncationRegion(lo=[0.4], hi=[0.7]))
+        hashes = {
+            simulate_batch(p, two_call_simulator(), 10, seed=4).prior_hash
+            for p in (other, PriorSpec(prior.marginals))
+        }
+        assert len(hashes | {batch.prior_hash}) == 3
 
     def test_truncated_draws_independent_of_batch_size(self):
         box = TruncationRegion(lo=[-0.5], hi=[0.5])

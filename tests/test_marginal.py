@@ -95,6 +95,12 @@ class TestRemap:
         with pytest.raises(ValueError, match=r"\[1\] are not covered"):
             marginal_remap(joint, [MarginalEstimate(0, rng.standard_normal(50))])
 
+    def test_marginal_of_a_coordinate_the_joint_lacks_is_named(self):
+        rng = np.random.default_rng(6)
+        joint = uniform_posterior(rng.standard_normal((30, 1)))
+        with pytest.raises(ValueError, match=r"coordinates \[2\] are not in the 1-parameter"):
+            marginal_remap(joint, [MarginalEstimate(2, rng.standard_normal(50))])
+
     def test_marginal_smaller_than_joint_rejected(self):
         rng = np.random.default_rng(7)
         joint = uniform_posterior(rng.standard_normal((30, 1)))
