@@ -18,6 +18,7 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -271,9 +272,6 @@ class WeightedPosterior:
         """The weight 1/n of each draw."""
         return np.full(self.n, 1.0 / self.n)
 
-    def posterior_mean(self) -> np.ndarray:
-        return self.thetas.mean(axis=0)
-
 
 def _sample_thetas_chunk(prior: PriorSpec, seed: int, chunk_index: int) -> np.ndarray:
     """Draw one full chunk of thetas from one uniform matrix."""
@@ -386,6 +384,13 @@ def compute_scales(batch: SimulationBatch) -> np.ndarray:
     return scales_from_matrix(batch.stats)
 
 
+def accepted_count(fraction: float, m: int) -> int:
+    """The ceil(fraction * m) draws a fraction rejection keeps, with the
+    fraction read as the decimal it was written as: 0.07 of 100 is 7,
+    where the float product 7.000000000000001 would give 8."""
+    return math.ceil(Fraction(repr(float(fraction))) * m)
+
+
 def rejection_abc(
     batch: SimulationBatch,
     s_obs,
@@ -417,7 +422,7 @@ def rejection_abc(
     if fraction is not None:
         if not 0.0 < fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")
-        n_keep = math.ceil(fraction * batch.m)
+        n_keep = accepted_count(fraction, batch.m)
         # every distance below the n_keep-th smallest, then the ties at it
         # in draw order: the first n_keep of a stable argsort, in O(M)
         kth = np.partition(distances, n_keep - 1)[n_keep - 1]

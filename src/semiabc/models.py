@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .engine import MarginalPrior, PriorSpec, SimulatorContract, lognormal, normal, uniform
+from .engine import PriorSpec, SimulatorContract, lognormal, normal, uniform
 from .errors import ConfigError
 
 # Below this |xi| the exponential-limit branch of the GPD quantile/density
@@ -25,6 +25,9 @@ GPD_SMALL_XI = 1e-6
 # Raw statistic ladder for the GPD fixture: empirical quantiles plus mean
 # and standard deviation (13 statistics).
 GPD_QUANTILE_LADDER = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
+
+# The GPD fixture's uniform prior bounds on xi, which its grid oracle spans.
+GPD_XI_PRIOR = (-0.4, 0.9)
 
 # The most bytes one float64 sample array of a GPD simulation block may
 # hold: 655 rows at 100 exceedances, 65 at 1000. A core's L2 cache holds
@@ -143,10 +146,10 @@ class GpdGridOracle:
     the oracle never pays for it.
     """
 
-    def __init__(self, observed, n_sigma: int = 200, n_xi: int = 200,
-                 xi_lo: float = -0.4, xi_hi: float = 0.9):
+    def __init__(self, observed, n_sigma: int = 200, n_xi: int = 200):
         self._observed = np.asarray(observed, dtype=np.float64)
-        # prior box: lognormal(0,1) for sigma, uniform(xi_lo, xi_hi) for xi
+        # prior box: lognormal(0,1) for sigma, uniform(*GPD_XI_PRIOR) for xi
+        xi_lo, xi_hi = GPD_XI_PRIOR
         q = ndtri(0.001)
         self._log_sigma = np.linspace(q, -q, n_sigma)
         self.sigma_grid = np.exp(self._log_sigma)
@@ -184,23 +187,6 @@ class GpdGridOracle:
         if not np.all(np.isfinite(values)):  # such as log xi where xi <= 0
             raise NotImplementedError(f"{target.name!r} is not finite on the whole grid")
         return float(self.weights.ravel() @ values)
-
-
-class OverriddenPriorOracle:
-    """Stands in for a fixture's oracle once `prior_overrides` replaced its
-    prior: every oracle was derived for the default prior, so none holds."""
-
-    def __init__(self, overrides: dict):
-        self.message = (
-            f"the oracle holds for the default prior only, and prior_overrides "
-            f"replaced coordinates {sorted(int(k) for k in overrides)}"
-        )
-
-    def target_mean(self, target) -> float:
-        raise NotImplementedError(self.message)
-
-    def marginal_cdf(self, i: int, x) -> np.ndarray:
-        raise NotImplementedError(self.message)
 
 
 def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
@@ -404,7 +390,7 @@ def gpd_fixture(
 
     Simulates n exceedances by inverse CDF, reports the fixed quantile
     ladder plus mean and sd (13 statistics). Prior: sigma ~ lognormal(0,1),
-    xi ~ uniform(-0.4, 0.9).
+    xi ~ uniform(*GPD_XI_PRIOR).
     """
     if sigma_true <= 0:
         raise ConfigError("sigma_true must be positive")
@@ -436,7 +422,7 @@ def gpd_fixture(
     )
     # Proper default prior covering both heavy and bounded tails while
     # keeping the grid oracle well posed.
-    prior = PriorSpec((lognormal(0.0, 1.0), uniform(-0.4, 0.9)))
+    prior = PriorSpec((lognormal(0.0, 1.0), uniform(*GPD_XI_PRIOR)))
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((int(obs_seed), _OBS_TAG))))
     observed = gpd_quantile(rng.random(n_exceedances), sigma_true, xi_true)
@@ -477,35 +463,3 @@ def make_fixture(name: str, params: dict | None = None) -> ModelFixture:
         return builder(**(params or {}))
     except TypeError as exc:
         raise ConfigError(f"bad parameters for model {name!r}: {exc}") from None
-
-
-def apply_prior_overrides(fixture: ModelFixture, overrides: dict) -> ModelFixture:
-    """Replace selected per-coordinate prior marginals.
-
-    `overrides` maps coordinate index (as int or str) to a dict
-    {"kind": ..., "a": ..., "b": ...}. The returned fixture's oracle
-    refuses every query (NotImplementedError), because the fixture's own
-    oracle was computed for the default prior.
-    """
-    margs = list(fixture.prior.marginals)
-    for key, spec in overrides.items():
-        i = int(key)
-        if not 0 <= i < len(margs):
-            raise ConfigError(
-                f"coordinate {i} is out of range for {len(margs)} parameters",
-                f"prior_overrides.{key}",
-            )
-        try:
-            margs[i] = MarginalPrior(spec["kind"], float(spec["a"]), float(spec["b"]))
-        except ConfigError as exc:
-            raise exc.under(f"prior_overrides.{key}") from None
-    new_prior = PriorSpec(tuple(margs), truncation_box=fixture.prior.truncation_box)
-    return ModelFixture(
-        name=fixture.name,
-        simulator=fixture.simulator,
-        prior=new_prior,
-        observed_data=fixture.observed_data,
-        s_obs=fixture.s_obs,
-        oracle=OverriddenPriorOracle(overrides),
-        params=fixture.params,
-    )

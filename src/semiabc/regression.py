@@ -25,7 +25,7 @@ from .linalg import as_matrix, solve_spd  # noqa: F401
 VIF_CUTOFF = 1e12
 VIF_SENTINEL = 1e18
 
-BASIS_KINDS = ("identity", "polynomial", "powers")
+BASIS_KINDS = ("identity", "polynomial")
 
 
 @dataclass(frozen=True)
@@ -33,13 +33,11 @@ class BasisSpec:
     """How raw statistics are expanded before a regression fit.
 
     kind "identity" passes statistics through; "polynomial" emits all
-    monomials of total degree 1..degree; "powers" emits the listed
-    exponent-vector monomials in the listed order.
+    monomials of total degree 1..degree.
     """
 
     kind: str = "identity"
     degree: int | None = None
-    exponents: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
         if self.kind not in BASIS_KINDS:
@@ -48,13 +46,6 @@ class BasisSpec:
             _is_int(self.degree) and self.degree >= 1
         ):
             raise ConfigError(f"must be an integer >= 1, got {self.degree!r}", "degree")
-        if (self.kind == "powers" or self.exponents is not None) and not (
-            self.exponents
-            and all(isinstance(e, tuple) and all(_is_int(k) and k >= 0 for k in e)
-                    for e in self.exponents)
-        ):
-            raise ConfigError(f"must list nonnegative integer vectors, got {self.exponents!r}",
-                              "exponents")
 
     def width(self, d: int) -> int:
         """The number of design columns this basis makes of d statistics."""
@@ -79,61 +70,38 @@ def monomial_exponents(d: int, degree: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _exponents(spec: BasisSpec, d: int) -> list[tuple[int, ...]]:
-    """The exponent vector of each design column of a polynomial or powers
-    `spec` over d statistics."""
-    if spec.kind == "polynomial":
-        return monomial_exponents(d, spec.degree)
-    for exps in spec.exponents:
-        if len(exps) != d:
-            raise ConfigError(
-                f"exponent vector {exps} has length {len(exps)}, statistics have dimension {d}"
-            )
-    return [tuple(e) for e in spec.exponents]
+def _prefix_plan(exponents) -> list[tuple[int | None, int, int]]:
+    """How `expand_design` builds the monomials of `exponents`, which are
+    in the canonical order of `monomial_exponents`, one buffer row each.
 
-
-def _prefix_plan(exponents) -> tuple[list[tuple], list[int]]:
-    """How `expand_design` builds the monomials of `exponents` in a buffer.
-
-    Step r makes buffer row r as `prefix_row * s_i ** e`: the monomial
-    without the power of its last variable, times that power. That is the
+    Step r makes row r as `prefix_row * s_i ** e`: the monomial without
+    the power of its last variable, times that power. That is the
     left-to-right product over the variables, so each row has the bits of
-    the monomial multiplied out from 1. A step is (prefix row, i, e);
-    the prefix row is None for a single power, and i is None for the
-    all-zero vector (a row of ones). A prefix that is not a column of its
-    own gets a row first. Returns the steps and each column's row.
+    the monomial multiplied out from 1. The prefix has a lower degree, so
+    it is an earlier row; it is None for a single power. A step is
+    (prefix row, i, e).
     """
-    rows: dict[tuple[int, ...], int] = {}
-    steps: list[tuple] = []
-
-    def row_of(exps: tuple[int, ...]) -> int:
-        if exps not in rows:
-            used = [i for i, e in enumerate(exps) if e]
-            if not used:
-                step = (None, None, 0)
-            else:
-                last = used[-1]
-                prefix = exps[:last] + (0,) * (len(exps) - last)
-                step = (row_of(prefix) if len(used) > 1 else None, last, exps[last])
-            rows[exps] = len(steps)
-            steps.append(step)
-        return rows[exps]
-
-    return steps, [row_of(exps) for exps in exponents]
+    rows = {exps: r for r, exps in enumerate(exponents)}
+    steps = []
+    for exps in exponents:
+        used = [i for i, e in enumerate(exps) if e]
+        last = used[-1]
+        prefix = exps[:last] + (0,) * (len(exps) - last)
+        steps.append((rows[prefix] if len(used) > 1 else None, last, exps[last]))
+    return steps
 
 
 @lru_cache(maxsize=16)
-def _plan(spec: BasisSpec, d: int) -> tuple[tuple, tuple, tuple]:
-    """The exponents of a polynomial or powers `spec` over d statistics and
-    their `_prefix_plan` (steps, columns), as tuples.
+def _plan(spec: BasisSpec, d: int) -> tuple[tuple, tuple]:
+    """The exponents of a polynomial `spec` over d statistics and their
+    `_prefix_plan` steps, as tuples.
 
     Built once per (spec, d): a streamed design expands its statistics one
     block at a time, and each block would otherwise rebuild the plan in
     Python (2.2 ms for the 559 monomials of degree 3 in 13 statistics).
     """
-    exponents = tuple(_exponents(spec, d))
-    steps, columns = _prefix_plan(exponents)
-    return exponents, tuple(steps), tuple(columns)
+    exponents = tuple(monomial_exponents(d, spec.degree))
+    return exponents, tuple(_prefix_plan(exponents))
 
 
 # Rows per `expand_design` tile. The tile buffer's rows are padded by
@@ -154,21 +122,17 @@ def expand_design(stats, spec: BasisSpec) -> np.ndarray:
     s = as_matrix(stats, "stats")
     if spec.kind == "identity":
         return s.copy()
-    exponents, steps, columns = _plan(spec, s.shape[1])
-    in_order = columns == tuple(range(len(steps)))
+    exponents, steps = _plan(spec, s.shape[1])
     m = s.shape[0]
-    design = np.empty((m, len(columns)))
+    design = np.empty((m, len(steps)))
     buf = np.empty((len(steps), min(m, _TILE) + _PAD))
-    bad = len(columns)
+    bad = len(steps)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, m, _TILE):
             stop = min(start + _TILE, m)
             tile = buf[:, : stop - start]
             powers = {}
             for r, (prefix, i, e) in enumerate(steps):
-                if i is None:
-                    tile[r] = 1.0
-                    continue
                 if (i, e) not in powers:
                     powers[i, e] = s[start:stop, i] ** e
                 if prefix is None:
@@ -176,10 +140,9 @@ def expand_design(stats, spec: BasisSpec) -> np.ndarray:
                 else:
                     np.multiply(tile[prefix], powers[i, e], out=tile[r])
             if not np.all(np.isfinite(tile)):
-                finite = np.isfinite(tile).all(axis=1)
-                bad = min(bad, next(j for j, r in enumerate(columns) if not finite[r]))
-            design[start:stop] = (tile if in_order else tile[list(columns)]).T
-    if bad < len(columns):
+                bad = min(bad, int(np.argmin(np.isfinite(tile).all(axis=1))))
+            design[start:stop] = tile.T
+    if bad < len(steps):
         raise NumericalError(f"monomial with exponents {exponents[bad]} overflowed to non-finite")
     return design
 

@@ -133,8 +133,6 @@ _LAYOUT = {
     "targets": ("targets", lambda v: isinstance(v, (tuple, list)) and v and all(
         isinstance(t, TargetSpec) for t in v), "must list at least one target"),
     "model_params": ("model.params", lambda v: isinstance(v, dict), "must be an object"),
-    "prior_overrides": ("prior_overrides", lambda v: isinstance(v, dict),
-                        "must be an object keyed by coordinate"),
     "pilot_m": ("pilot.m", *_COUNT),
     "pilot_accept_fraction": ("pilot.accept_fraction", *_FRACTION),
     "pilot_statistics": ("pilot.statistics", lambda v: v in ("raw", "projected"),
@@ -159,7 +157,6 @@ class RunConfig:
     model: str
     targets: tuple[TargetSpec, ...]
     model_params: dict = field(default_factory=dict)
-    prior_overrides: dict = field(default_factory=dict)
     pilot_m: int = 10_000
     pilot_accept_fraction: float = 0.05
     pilot_statistics: str = "raw"
@@ -185,7 +182,6 @@ class RunConfig:
             if f.type == "float":
                 object.__setattr__(self, f.name, float(value))
         object.__setattr__(self, "targets", tuple(self.targets))
-        object.__setattr__(self, "prior_overrides", _coordinate_priors(self.prior_overrides))
 
     @property
     def effective_construct_m(self) -> int:
@@ -214,29 +210,10 @@ class RunConfig:
 # the key out.
 _WRITE = {
     "targets": lambda c: [t.to_dict() for t in c.targets],
-    "prior_overrides": lambda c: {str(k): v for k, v in c.prior_overrides.items()} or None,
     "construct_m": lambda c: c.effective_construct_m,
     "basis": lambda c: _changed_fields(c.basis, "kind"),
     "experiment": lambda c: c.experiment and c.experiment.to_dict(),
 }
-
-
-def _coordinate_priors(overrides: dict) -> dict:
-    """`prior_overrides` keyed by int coordinate, each {"kind", "a", "b"}
-    with float bounds; the model checks the kind and the bounds."""
-    priors = {}
-    for key, spec in overrides.items():
-        where = f"prior_overrides.{key}"
-        _check_keys(spec, {"kind", "a", "b"}, where)
-        coord = int(key) if isinstance(key, str) and key.isdigit() else key
-        if not _is_int(coord):
-            raise ConfigError(f"key {key!r} is not a coordinate index", "prior_overrides")
-        prior = priors[coord] = {k: _require(spec, k, where) for k in ("kind", "a", "b")}
-        for k in ("a", "b"):
-            if not _is_number(prior[k]):
-                raise ConfigError(f"must be a number, got {prior[k]!r}", f"{where}.{k}")
-            prior[k] = float(prior[k])
-    return priors
 
 
 def _changed_fields(obj, *always: str) -> dict:
@@ -294,7 +271,7 @@ def _parse_typed(cls, data: dict, path: str, lists: tuple[str, ...] = ()):
 _READ = {
     "targets": lambda v: tuple(_parse_typed(TargetSpec, t, f"targets[{i}]")
                                for i, t in enumerate(_as_tuple(v, "targets") or ())),
-    "basis": lambda v: _parse_typed(BasisSpec, v, "basis", ("exponents",)),
+    "basis": lambda v: _parse_typed(BasisSpec, v, "basis"),
     "experiment": lambda v: _parse_typed(
         ExperimentConfig, v, "experiment", ("strategies", "groups", "seeds")
     ),

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 
@@ -24,6 +23,7 @@ from .engine import (
     SimulationBatch,
     TruncationRegion,
     WeightedPosterior,
+    accepted_count,
     derive_seed,
     regression_adjust,
     rejection_abc,
@@ -33,7 +33,7 @@ from .engine import (
 )
 from .errors import ConfigError, NumericalError
 from .linalg import as_matrix, as_vector
-from .models import ModelFixture, apply_prior_overrides, make_fixture
+from .models import ModelFixture, make_fixture
 from .regression import BasisSpec, expand_design, fit_linear
 from .runconfig import RunConfig, TargetSpec
 
@@ -73,18 +73,18 @@ def targets_from_specs(specs: tuple[TargetSpec, ...], param_dim: int) -> tuple[T
     return tuple(specs)
 
 
-def check_target_free_draw_counts(config: RunConfig, stat_dim: int) -> None:
-    """Refuse a run whose pilot or basis fits would get too few draws.
+def check_draw_counts(config: RunConfig, stat_dim: int) -> None:
+    """Refuse a run whose fits would get too few draws, before any stage runs.
 
     The pilot rejection scales its distances from `MIN_SCALE_DRAWS` draws
-    or more, and the truncation box needs 2 of the
-    ceil(pilot.accept_fraction * pilot.m) draws it accepts. A fit of q
-    basis columns by least squares needs q + 2 draws: the construct fit on
-    `construct.m` draws, and with projected pilot statistics the
-    preliminary fit on `pilot.m`. None of these depends on the targets, so
-    `run_experiment` checks them once for all of its cells.
+    or more, and the truncation box needs 2 of the draws it accepts. A fit
+    of q basis columns by least squares needs q + 2 draws: the construct
+    fit on `construct.m` draws, and with projected pilot statistics the
+    preliminary fit on `pilot.m`. Regression adjustment fits the p'
+    projected statistics on the accepted main draws, so it needs p' + 2
+    of them.
     """
-    accepted = math.ceil(config.pilot_accept_fraction * config.pilot_m)
+    accepted = accepted_count(config.pilot_accept_fraction, config.pilot_m)
     if config.pilot_m < MIN_SCALE_DRAWS or accepted < 2:
         raise ConfigError(
             f"is {config.pilot_m}, which accepts {accepted} at accept_fraction "
@@ -101,18 +101,8 @@ def check_target_free_draw_counts(config: RunConfig, stat_dim: int) -> None:
             raise ConfigError(
                 f"is {m}, but fitting the {q} basis columns needs at least {q + 2} draws", path
             )
-
-
-def check_draw_counts(config: RunConfig, stat_dim: int) -> None:
-    """Refuse a run whose fits would get too few draws, before any stage runs.
-
-    Besides `check_target_free_draw_counts`: regression adjustment fits
-    the p' projected statistics on the ceil(main.accept_fraction * main.m)
-    accepted draws, so it needs p' + 2 of them.
-    """
-    check_target_free_draw_counts(config, stat_dim)
     p_prime = len(config.targets)
-    accepted = math.ceil(config.main_accept_fraction * config.main_m)
+    accepted = accepted_count(config.main_accept_fraction, config.main_m)
     if config.regression_adjust and accepted < p_prime + 2:
         raise ConfigError(
             f"is {config.main_m}, which accepts {accepted} draws at accept_fraction "
@@ -184,11 +174,9 @@ class SummaryProjector:
 
     @staticmethod
     def from_dict(data: dict) -> "SummaryProjector":
-        b = dict(data["basis"])
-        if b.get("exponents") is not None:
-            b["exponents"] = tuple(map(tuple, b["exponents"]))
+        basis = data["basis"]
         return SummaryProjector(
-            basis=BasisSpec(**b),
+            basis=BasisSpec(basis["kind"], basis["degree"]),
             intercept=np.asarray(data["intercept"], dtype=np.float64),
             coef=np.asarray(data["coef"], dtype=np.float64),
             target_names=tuple(data["target_names"]),
@@ -290,12 +278,9 @@ class PipelineResult:
 
 def build_fixture(config: RunConfig) -> ModelFixture:
     try:
-        fixture = make_fixture(config.model, config.model_params)
+        return make_fixture(config.model, config.model_params)
     except ConfigError as exc:
         raise exc.under("model") from None
-    if config.prior_overrides:
-        fixture = apply_prior_overrides(fixture, config.prior_overrides)
-    return fixture
 
 
 def stage_batch(

@@ -172,7 +172,7 @@ def test_criterion_4_constructed_summary_beats_raw_rejection():
             fixture.prior, fixture.simulator, 100_000, seed=derive_seed(run_seed, 99)
         )
         raw_post = rejection_abc(raw_batch, fixture.s_obs, fraction=0.01)
-        raw_err = abs(float(raw_post.posterior_mean()[0]) - oracle_mean)
+        raw_err = abs(float(raw_post.thetas.mean(axis=0)[0]) - oracle_mean)
         wins += semiauto_err < raw_err
     elapsed = time.time() - start
     ok = wins >= 0.8 * replicates and elapsed < 180.0
@@ -198,8 +198,8 @@ def test_criterion_5_regression_adjustment_oracle():
         adjusted = regression_adjust(
             post, batch.stats[post.accepted_indices], fixture.s_obs
         )
-        before = float(np.linalg.norm(post.posterior_mean() - oracle_mean))
-        after = float(np.linalg.norm(adjusted.posterior_mean() - oracle_mean))
+        before = float(np.linalg.norm(post.thetas.mean(axis=0) - oracle_mean))
+        after = float(np.linalg.norm(adjusted.thetas.mean(axis=0) - oracle_mean))
         wins += after < before
     elapsed = time.time() - start
     ok = wins >= 0.9 * replicates and elapsed < 60.0

@@ -12,8 +12,6 @@ from semiabc.cli import main
 from semiabc.runconfig import parse_config
 
 REPO = Path(__file__).resolve().parent.parent
-# a normal prior three times wider than the fixture's default N(0, 1)
-WIDE_PRIOR = {"0": {"kind": "normal", "a": 0.0, "b": 3.0}}
 
 
 def write_config(tmp_path, name="config.json", **over):
@@ -210,6 +208,30 @@ class TestReport:
         run("report")
         assert same_bytes(*edited, "posterior_marginal.json")
 
+    def test_chain_reads_a_projector_that_still_holds_exponents(self, tmp_path):
+        # earlier versions wrote the basis's `exponents`, null for every
+        # identity and polynomial basis
+        config = write_config(tmp_path, basis={"kind": "polynomial", "degree": 2})
+        untouched, restored = tmp_path / "untouched", tmp_path / "restored"
+
+        def run(*commands):
+            for out in (untouched, restored):
+                for command in commands:
+                    assert main([command, "--config", str(config), "--out", str(out)]) == 0
+
+        run("simulate", "pilot", "construct")
+        path = restored / "projector.json"
+        sidecar = json.loads(path.read_text())
+        assert "exponents" not in sidecar["basis"]
+        sidecar["basis"]["exponents"] = None
+        path.write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+        run("infer", "report")
+        a, b = tree_bytes(untouched), tree_bytes(restored)
+        assert a.keys() == b.keys()
+        assert {k for k in a if a[k] != b[k]} == {"projector.json"}
+        line = b'    "exponents": null,\n'
+        assert len(line) == 23 and b["projector.json"].replace(line, b"") == a["projector.json"]
+
     def test_oracle_without_closed_form_prints_a_dash(self, tmp_path, capsys):
         # with xbar_obs 5 the pilot box, and so every draw the log target
         # is evaluated on, lies above zero
@@ -224,18 +246,6 @@ class TestReport:
         assert main(["report", "--config", str(config), "--out", str(out)]) == 0
         row = capsys.readouterr().out.splitlines()[-1].split()
         assert row[0] == "log_theta_0" and row[2:4] == ["-", "-"]
-
-    def test_prior_override_leaves_the_oracle_cell_empty(self, tmp_path, capsys):
-        # the conjugate oracle was derived for the default prior
-        config = write_config(tmp_path, prior_overrides=WIDE_PRIOR)
-        out = tmp_path / "run"
-        assert main(["infer", "--full", "--config", str(config), "--out", str(out)]) == 0
-        capsys.readouterr()
-        assert main(["report", "--config", str(config), "--out", str(out)]) == 0
-        row = capsys.readouterr().out.splitlines()[-1].split()
-        assert row[0] == "theta_0" and row[2:4] == ["-", "-"]
-        table = (out / "report_table.csv").read_text().splitlines()
-        assert table[1].split(",")[2:4] == ["", ""]
 
 
 class TestExitCodes:
@@ -261,13 +271,13 @@ class TestExitCodes:
         assert main(["pilot", "--config", str(config), "--seed", "99", "--out", str(out)]) == 1
         assert "refusing to mix runs" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:1 constant statistic column")
     @pytest.mark.parametrize("full", [False, True], ids=["chained", "full"])
     def test_numerical_failure_is_two(self, tmp_path, full):
-        # duplicated basis monomials make the construction regression
-        # rank-deficient with no ridge penalty
+        # one observation per draw makes the sd statistic constant, so the
+        # construction regression is rank-deficient with no ridge penalty
         config = write_config(
-            tmp_path,
-            basis={"kind": "powers", "exponents": [[1, 0, 0, 0], [1, 0, 0, 0]]},
+            tmp_path, model={"name": "gaussian_location", "params": {"n_noise_stats": 2, "n": 1}}
         )
         out = tmp_path / "o"
         args = ["--config", str(config), "--out", str(out)]
@@ -580,17 +590,6 @@ class TestExperimentCommand:
         )
         assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("error: 'adjust.marginal' ")
-
-    def test_experiment_refuses_a_prior_override(self, tmp_path, capsys):
-        config = write_config(
-            tmp_path,
-            prior_overrides=WIDE_PRIOR,
-            experiment={"strategies": ["joint"], "replications": 1},
-        )
-        assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: 'targets[0]' has no oracle value")
-        assert "prior_overrides" in err
 
     def test_experiment_refuses_too_few_construct_draws_before_simulating(
         self, tmp_path, capsys, monkeypatch

@@ -110,12 +110,6 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="not valid JSON"):
             parse_config(bad)
 
-    def test_prior_overrides_parsed(self):
-        config = parse_config_dict(
-            {**MINIMAL, "prior_overrides": {"0": {"kind": "uniform", "a": -1, "b": 1}}}
-        )
-        assert config.prior_overrides[0]["kind"] == "uniform"
-
     def test_basis_and_targets_parsed(self):
         config = parse_config_dict(
             {
@@ -141,24 +135,20 @@ MALFORMED = {
     "custom_basis_kind": ("basis", {"kind": "custom"}, "basis.kind"),
     "fractional_degree": ("basis", {"kind": "polynomial", "degree": 2.5}, "basis.degree"),
     "string_degree": ("basis", {"kind": "polynomial", "degree": "3"}, "basis.degree"),
+    # `exponents` and kind "powers" were removed: the key fails as unknown
     "fractional_exponent": (
         "basis", {"kind": "powers", "exponents": [[1, 0.5]]}, "basis.exponents"
     ),
     "exponent_row_not_list": ("basis", {"kind": "powers", "exponents": [1]}, "basis.exponents"),
+    "powers_basis_kind": ("basis", {"kind": "powers"}, "basis.kind"),
+    "prior_overrides": (
+        "prior_overrides", {"0": {"kind": "normal", "a": 0.0, "b": 3.0}}, "prior_overrides"
+    ),
     "string_group_entry": ("experiment", {"groups": [[0, "1"]]}, "experiment.groups"),
     "group_not_list": ("experiment", {"groups": [0]}, "experiment.groups"),
     "fractional_seed": ("experiment", {"replications": 1, "seeds": [1.5]}, "experiment.seeds"),
     "seeds_not_list": ("experiment", {"replications": 1, "seeds": 3}, "experiment.seeds"),
     "unknown_strategy": ("experiment", {"strategies": ["both"]}, "experiment.strategies"),
-    "string_prior_a": (
-        "prior_overrides", {"0": {"kind": "normal", "a": "0", "b": 1.0}}, "prior_overrides.0.a"
-    ),
-    "null_prior_b": (
-        "prior_overrides", {"0": {"kind": "normal", "a": 0.0, "b": None}}, "prior_overrides.0.b"
-    ),
-    "unknown_prior_kind": (
-        "prior_overrides", {"0": {"kind": "cauchy", "a": 0.0, "b": 1.0}}, "prior_overrides.0"
-    ),
     "numeric_target_name": ("targets", [{**COORD, "name": 5}], "targets[0].name"),
     "unknown_transform": ("targets", [{**COORD, "transform": "sqrt"}], "targets[0].transform"),
     "tau_on_coordinate": ("targets", [{**COORD, "tau": 0.5}], "targets[0].tau"),
@@ -230,18 +220,17 @@ def test_library_config_normalises_like_the_parser():
     config = RunConfig(
         model="gaussian_location",
         targets=[TargetSpec("coordinate", index=0)],
-        prior_overrides={"0": {"kind": "normal", "a": 0, "b": 3}},
+        basis=BasisSpec("polynomial", 2),
         ridge_lambda=1,
         seed=1,
     )
     parsed = parse_config_dict({
         **MINIMAL,
         "ridge_lambda": 1.0,
-        "prior_overrides": {"0": {"kind": "normal", "a": 0.0, "b": 3.0}},
+        "basis": {"kind": "polynomial", "degree": 2},
     })
     assert config == parsed and config.config_hash() == parsed.config_hash()
     assert config.targets == parsed.targets and isinstance(config.targets, tuple)
-    assert config.prior_overrides == {0: {"kind": "normal", "a": 0.0, "b": 3.0}}
     assert type(config.ridge_lambda) is float
     with pytest.raises(ConfigError) as exc:
         config.with_seed(-1)
@@ -255,11 +244,10 @@ def test_library_config_normalises_like_the_parser():
 # literals are the config hash and the SHA-256 of serialize_config.
 EVERY_SECTION = {
     "model": {"name": "gpd", "params": {"sigma_true": 1.0, "xi_true": 0.2, "n_exceedances": 100}},
-    "prior_overrides": {"1": {"kind": "uniform", "a": 0, "b": 0.5}},
     "pilot": {"m": 3000, "accept_fraction": 1, "statistics": "projected", "expand": 0},
     "construct": {"m": 4000},
     "main": {"m": 5000, "accept_fraction": 0.05},
-    "basis": {"kind": "powers", "exponents": [[1, 0], [0, 2]]},
+    "basis": {"kind": "polynomial", "degree": 2},
     "ridge_lambda": 1,
     "targets": [
         {"kind": "gpd_quantile", "tau": 0.9, "name": "q90"},
@@ -280,7 +268,7 @@ PINNED = {
         "36afa72254b0b3ed", "2d9ca299327901bea64321e13d406b23bb6c403521d95174686e274c32d1f4f8"
     ),
     "every_section": (
-        "bda23f88826fa8fe", "92bb1e4194654d18ae096e0ccf8bbc97eefdc9e84d09fe74d8f7f16642226c19"
+        "f036a825feb4be3c", "1afd2a5f3d067e4f0429eb7c5825d57d10f4a2f0273679f5593c79a9dbf209cb"
     ),
 }
 REPO = Path(__file__).resolve().parent.parent

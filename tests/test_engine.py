@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -309,6 +310,14 @@ class TestRejection:
         distances = _distance_matrix(batch.stats, np.zeros(1), compute_scales(batch))
         assert post.epsilon == distances[post.accepted_indices].max()
 
+    @pytest.mark.parametrize("fraction, kept", [(0.07, 7), (0.14, 14)])
+    def test_fraction_keeps_its_decimal_count(self, fraction, kept):
+        # 0.07 * 100 is 7.000000000000001 in floats, whose ceiling is 8
+        batch = make_batch(np.zeros((100, 1)), np.arange(100.0)[:, None])
+        post = rejection_abc(batch, [0.0], fraction=fraction, scales=[1.0])
+        assert post.n == kept
+        np.testing.assert_array_equal(post.accepted_indices, np.arange(kept))
+
     def test_discrete_toy_exact_enumeration(self):
         thetas = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0])[:, None]
         batch = make_batch(thetas, thetas.copy())
@@ -330,7 +339,7 @@ class TestRejection:
         batch = simulate_batch(prior, two_call_simulator(), 4000, seed=6)
         post = rejection_abc(batch, [0.0, 0.0, 0.5], fraction=1.0)
         mc_bound = 3.0 / np.sqrt(4000)
-        assert abs(post.posterior_mean()[0] - 2.0) < mc_bound
+        assert abs(post.thetas.mean(axis=0)[0] - 2.0) < mc_bound
 
     def test_tie_break_by_draw_index(self):
         stats = np.array([[1.0], [0.0], [1.0], [0.0]])
@@ -354,7 +363,7 @@ class TestRejection:
         post = rejection_abc(batch, [0.0], fraction=fraction, scales=[1.0])
         distances = _distance_matrix(batch.stats, np.zeros(1), np.ones(1))
         order = np.argsort(distances, kind="stable")
-        expected = np.sort(order[: math.ceil(fraction * stats.size)])
+        expected = np.sort(order[: math.ceil(Fraction(repr(fraction)) * stats.size)])
         np.testing.assert_array_equal(post.accepted_indices, expected)
         assert post.epsilon == distances[post.accepted_indices].max()
 
@@ -489,7 +498,7 @@ class TestRegressionAdjust:
                 post, batch.stats[post.accepted_indices], fixture.s_obs
             )
             oracle = fixture.oracle.mean
-            before = np.linalg.norm(post.posterior_mean() - oracle)
-            after = np.linalg.norm(adjusted.posterior_mean() - oracle)
+            before = np.linalg.norm(post.thetas.mean(axis=0) - oracle)
+            after = np.linalg.norm(adjusted.thetas.mean(axis=0) - oracle)
             wins += after < before
         assert wins >= 8

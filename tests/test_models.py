@@ -20,7 +20,6 @@ from semiabc.models import (
     linear_gaussian_fixture,
     linear_gaussian_moments,
     make_fixture,
-    apply_prior_overrides,
     _SIM_BLOCK_BYTES,
     _gpd_stat_matrix,
 )
@@ -366,17 +365,6 @@ class TestRegistry:
         with pytest.raises(ConfigError, match="bad parameters"):
             make_fixture("gaussian_location", {"bogus": 1})
 
-    def test_prior_overrides(self):
-        fixture = make_fixture("gaussian_location")
-        out = apply_prior_overrides(fixture, {0: {"kind": "uniform", "a": -2.0, "b": 2.0}})
-        assert out.prior.marginals[0].kind == "uniform"
-        # the conjugate oracle was derived for the default prior
-        with pytest.raises(NotImplementedError, match="prior_overrides"):
-            out.oracle.target_mean(TargetSpec("coordinate", index=0))
-        with pytest.raises(NotImplementedError, match="prior_overrides"):
-            out.oracle.marginal_cdf(0, 0.5)
-        with pytest.raises(ConfigError, match="out of range"):
-            apply_prior_overrides(fixture, {3: {"kind": "uniform", "a": 0.0, "b": 1.0}})
 
     def test_gaussian_oracles_serve_raw_coordinates_only(self):
         # E[log theta] is not log E[theta]: at xbar_obs=5 the posterior is
