@@ -5,8 +5,8 @@ Subcommands: simulate | pilot | construct | infer | marginal | experiment
 output directory and refuses inputs whose config hash differs from the
 current run. `infer --full` computes all four stages with one
 `run_semiauto` call and then writes them through the same four stage
-commands, so both paths write the same bytes; with `adjust.marginal` set
-it then runs `marginal` on the joint posterior it holds. Exit codes: 0
+commands, so both paths write the same bytes; `marginal` then runs
+chained on the joint posterior that `infer` wrote. Exit codes: 0
 success, 1 validation error, 2 numerical failure.
 `--threads` affects speed only, never any computed value.
 """
@@ -53,8 +53,7 @@ def _build_parser() -> _Parser:
                        help="worker threads (speed only, never changes output)")
         if name == "infer":
             p.add_argument("--full", action="store_true",
-                           help="run simulate, pilot, construct and infer in one invocation, "
-                                "then marginal when adjust.marginal is set")
+                           help="run simulate, pilot, construct and infer in one invocation")
     return parser
 
 
@@ -127,7 +126,7 @@ def _cmd_infer(config, fixture, out, threads, held):
 
 def _cmd_marginal(config, fixture, out, threads, held):
     h = config.config_hash()
-    joint = held.get("posterior") or artifacts.load_posterior(out, "posterior_main", h)
+    joint = artifacts.load_posterior(out, "posterior_main", h)
     marginals = []
     for i in range(fixture.simulator.param_dim):
         marginal = estimate_marginal(i, config, fixture, threads=threads)
@@ -190,9 +189,8 @@ def _cmd_report(config, fixture, out, threads, held):
 # Every command takes (config, fixture, out, threads, held). `held` maps
 # PipelineResult field names to stage outputs already computed: `infer
 # --full` fills it from one run_semiauto call, so its four stages only
-# write and `marginal` takes the joint posterior from it; a chained stage
-# finds it empty, reloads its inputs from `out` and computes its own
-# outputs.
+# write; a chained stage finds it empty, reloads its inputs from `out` and
+# computes its own outputs.
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "pilot": _cmd_pilot,
@@ -223,8 +221,7 @@ def main(argv=None) -> int:
             check_draw_counts(config, fixture.simulator.stat_dim)
         stages, held = (args.command,), {}
         if getattr(args, "full", False):
-            held = vars(run_semiauto(config, fixture, threads=args.threads))
-            stages = _STAGES + (("marginal",) if config.marginal_adjust else ())
+            stages, held = _STAGES, vars(run_semiauto(config, fixture, threads=args.threads))
         for name in stages:
             _COMMANDS[name](config, fixture, out, args.threads, held)
     except (ConfigError, ArtifactError) as exc:

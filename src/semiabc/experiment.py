@@ -8,11 +8,10 @@ fixture oracle, summary dimensions, acceptance counts, and regression
 condition numbers are recorded; directional findings are reported, not
 asserted.
 
-The study runs replicate by replicate. Each replicate's stage batches that
-do not depend on the targets (pilot, construct and main with raw pilot
-statistics; the pilot alone with projected ones) are simulated once and
-shared by all of its cells, as is its raw-statistic pilot rejection, and
-only one replicate's batches are held at a time.
+The study runs replicate by replicate. None of a replicate's stage
+batches (pilot, construct and main) depends on the targets, nor does its
+pilot rejection on the raw statistics: each is computed once and shared
+by all of its cells, and only one replicate's batches are held at a time.
 """
 
 from __future__ import annotations
@@ -184,11 +183,10 @@ def run_experiment(
     `derive_seed(config.seed, TAG_EXPERIMENT, r)` for replicate r. The
     oracle value of each target is computed once, before any cell runs.
     A config without an `experiment` section, groups that do not partition
-    the targets, a target the fixture's oracle cannot evaluate,
-    `adjust.marginal`, which the cells would not apply, and too few draws
-    for the pilot or the basis fits (`check_draw_counts`),
-    which every cell would meet, are refused with a ConfigError before
-    anything is simulated.
+    the targets, a target the fixture's oracle cannot evaluate, and too
+    few draws for the pilot or the basis fit (`check_draw_counts`), which
+    every cell would meet, are refused with a ConfigError before anything
+    is simulated.
 
     Replicates are independent deterministic units keyed by their seed,
     run one after another: a replicate's `target_free_stages` are computed
@@ -213,11 +211,6 @@ def run_experiment(
         derive_seed(config.seed, TAG_EXPERIMENT, r) for r in range(plan.replications)
     )
     fixture = fixture if fixture is not None else build_fixture(config)
-    if config.marginal_adjust:
-        raise ConfigError(
-            "is not supported by experiment, whose rows score the joint posterior",
-            "adjust.marginal",
-        )
     targets = targets_from_specs(config.targets, fixture.simulator.param_dim)
     # A group's adjustment draw count is recorded per cell, so only the
     # pilot and basis counts are checked here.

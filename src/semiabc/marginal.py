@@ -59,7 +59,6 @@ def estimate_marginal(
     sub_config = replace(
         config,
         targets=(TargetSpec(kind="coordinate", index=coordinate),),
-        marginal_adjust=False,
         seed=derive_seed(config.seed, TAG_MARGINAL, coordinate),
     )
     result = run_semiauto(sub_config, fixture, threads=threads)

@@ -32,8 +32,8 @@ BASIS_KINDS = ("identity", "polynomial")
 class BasisSpec:
     """How raw statistics are expanded before a regression fit.
 
-    kind "identity" passes statistics through; "polynomial" emits all
-    monomials of total degree 1..degree.
+    kind "identity" passes statistics through and takes no degree;
+    "polynomial" emits all monomials of total degree 1..degree.
     """
 
     kind: str = "identity"
@@ -42,9 +42,10 @@ class BasisSpec:
     def __post_init__(self):
         if self.kind not in BASIS_KINDS:
             raise ConfigError(f"must be one of {BASIS_KINDS}, got {self.kind!r}", "kind")
-        if (self.kind == "polynomial" or self.degree is not None) and not (
-            _is_int(self.degree) and self.degree >= 1
-        ):
+        if self.kind == "identity":
+            if self.degree is not None:
+                raise ConfigError("does not apply to an identity basis", "degree")
+        elif not (_is_int(self.degree) and self.degree >= 1):
             raise ConfigError(f"must be an integer >= 1, got {self.degree!r}", "degree")
 
     def width(self, d: int) -> int:

@@ -124,7 +124,6 @@ class ExperimentConfig:
 _COUNT = (lambda v: _is_int(v) and v >= 1, "must be a positive integer")
 _FRACTION = (lambda v: _is_number(v) and 0.0 < v <= 1.0, "must lie in (0, 1]")
 _NONNEG = (lambda v: _is_number(v) and v >= 0, "must be a number >= 0")
-_FLAG = (lambda v: isinstance(v, bool), "must be a boolean")
 
 # Each RunConfig field: the dotted path of its JSON key, then the test its
 # value must pass and the rule that test states.
@@ -135,16 +134,14 @@ _LAYOUT = {
     "model_params": ("model.params", lambda v: isinstance(v, dict), "must be an object"),
     "pilot_m": ("pilot.m", *_COUNT),
     "pilot_accept_fraction": ("pilot.accept_fraction", *_FRACTION),
-    "pilot_statistics": ("pilot.statistics", lambda v: v in ("raw", "projected"),
-                         "must be 'raw' or 'projected'"),
     "pilot_expand": ("pilot.expand", *_NONNEG),
     "construct_m": ("construct.m", lambda v: v is None or _COUNT[0](v), _COUNT[1]),
     "main_m": ("main.m", *_COUNT),
     "main_accept_fraction": ("main.accept_fraction", *_FRACTION),
     "basis": ("basis", lambda v: isinstance(v, BasisSpec), "must be a BasisSpec"),
     "ridge_lambda": ("ridge_lambda", *_NONNEG),
-    "regression_adjust": ("adjust.regression", *_FLAG),
-    "marginal_adjust": ("adjust.marginal", *_FLAG),
+    "regression_adjust": ("adjust.regression", lambda v: isinstance(v, bool),
+                          "must be a boolean"),
     "experiment": ("experiment", lambda v: v is None or isinstance(v, ExperimentConfig),
                    "must be an ExperimentConfig"),
     "seed": ("seed", lambda v: _is_int(v) and v >= 0, "must be a nonnegative integer"),
@@ -159,7 +156,6 @@ class RunConfig:
     model_params: dict = field(default_factory=dict)
     pilot_m: int = 10_000
     pilot_accept_fraction: float = 0.05
-    pilot_statistics: str = "raw"
     pilot_expand: float = 0.0
     construct_m: int | None = None  # None -> pilot_m
     main_m: int = 100_000
@@ -167,7 +163,6 @@ class RunConfig:
     basis: BasisSpec = field(default_factory=BasisSpec)
     ridge_lambda: float = 0.0
     regression_adjust: bool = False
-    marginal_adjust: bool = False
     experiment: ExperimentConfig | None = None
     seed: int = 0
     output_dir: str | None = None

@@ -397,7 +397,7 @@ def test_criterion_8_pipeline_determinism(tmp_path):
                 "construct": {"m": 2000},
                 "main": {"m": 10000, "accept_fraction": 0.02},
                 "targets": [{"kind": "coordinate", "index": 0}],
-                "adjust": {"regression": True, "marginal": False},
+                "adjust": {"regression": True},
                 "seed": 88,
             }
         )

@@ -39,7 +39,7 @@ GPD_BLOCKS = dict(
     main={"m": 9000, "accept_fraction": 0.02},
     basis={"kind": "polynomial", "degree": 2},
     targets=[{"kind": "gpd_quantile", "tau": 0.9}, {"kind": "gpd_quantile", "tau": 0.99}],
-    adjust={"regression": True, "marginal": False},
+    adjust={"regression": True},
     ridge_lambda=1e-8,
 )
 
@@ -83,20 +83,6 @@ class TestStageEquivalence:
         assert main(["infer", "--full", "--config", str(config), "--out", str(full)]) == 0
         assert main(["report", "--config", str(config), "--out", str(full)]) == 0
 
-        assert tree_bytes(chained) == tree_bytes(full)
-
-    def test_marginal_knob_makes_full_match_the_chain_through_marginal(self, tmp_path):
-        config = write_config(
-            tmp_path,
-            main={"m": 2000, "accept_fraction": 0.05},
-            adjust={"regression": True, "marginal": True},
-        )
-        chained = tmp_path / "chained"
-        full = tmp_path / "full"
-        for command in ("simulate", "pilot", "construct", "infer", "marginal"):
-            assert main([command, "--config", str(config), "--out", str(chained)]) == 0
-        assert main(["infer", "--full", "--config", str(config), "--out", str(full)]) == 0
-        assert (full / "posterior_marginal.json").exists()
         assert tree_bytes(chained) == tree_bytes(full)
 
     def test_rerun_is_byte_identical_across_threads(self, tmp_path):
@@ -522,13 +508,6 @@ class TestTooFewDraws:
         config = parse_config(path)
         semiauto.check_draw_counts(config, semiauto.build_fixture(config).simulator.stat_dim)
 
-    def test_pilot_m_below_the_basis_width_for_projected_statistics(self, tmp_path, capsys):
-        self.assert_refused(
-            tmp_path, capsys, "pilot.m",
-            basis={"kind": "polynomial", "degree": 2},
-            pilot={"m": 100, "accept_fraction": 0.05, "statistics": "projected"},
-        )
-
 
 class TestSeedOverride:
     def test_negative_seed_is_one(self, tmp_path, capsys):
@@ -581,15 +560,6 @@ class TestExperimentCommand:
         rows = (out / "experiment_rows.csv").read_text().splitlines()
         assert len(rows) == 1 + 4  # header + 2 replicates x 2 targets
         assert "p'=2" in capsys.readouterr().out
-
-    def test_experiment_refuses_marginal_adjustment(self, tmp_path, capsys):
-        config = write_config(
-            tmp_path,
-            adjust={"marginal": True},
-            experiment={"strategies": ["joint"], "replications": 1},
-        )
-        assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err.startswith("error: 'adjust.marginal' ")
 
     def test_experiment_refuses_too_few_construct_draws_before_simulating(
         self, tmp_path, capsys, monkeypatch

@@ -135,6 +135,7 @@ MALFORMED = {
     "custom_basis_kind": ("basis", {"kind": "custom"}, "basis.kind"),
     "fractional_degree": ("basis", {"kind": "polynomial", "degree": 2.5}, "basis.degree"),
     "string_degree": ("basis", {"kind": "polynomial", "degree": "3"}, "basis.degree"),
+    "identity_degree": ("basis", {"kind": "identity", "degree": 3}, "basis.degree"),
     # `exponents` and kind "powers" were removed: the key fails as unknown
     "fractional_exponent": (
         "basis", {"kind": "powers", "exponents": [[1, 0.5]]}, "basis.exponents"
@@ -144,6 +145,12 @@ MALFORMED = {
     "prior_overrides": (
         "prior_overrides", {"0": {"kind": "normal", "a": 0.0, "b": 3.0}}, "prior_overrides"
     ),
+    # `pilot.statistics` and `adjust.marginal` were removed: each key fails
+    # as unknown, whatever its value
+    "misspelt_pilot_statistics": ("pilot", {"statistics": "projectd"}, "pilot.statistics"),
+    "string_marginal_adjust": ("adjust", {"marginal": "false"}, "adjust.marginal"),
+    "raw_pilot_statistics": ("pilot", {"statistics": "raw"}, "pilot.statistics"),
+    "marginal_adjust_off": ("adjust", {"regression": True, "marginal": False}, "adjust.marginal"),
     "string_group_entry": ("experiment", {"groups": [[0, "1"]]}, "experiment.groups"),
     "group_not_list": ("experiment", {"groups": [0]}, "experiment.groups"),
     "fractional_seed": ("experiment", {"replications": 1, "seeds": [1.5]}, "experiment.seeds"),
@@ -166,14 +173,12 @@ MALFORMED = {
 FLAT_MALFORMED = {
     "fractional_pilot_m": ("pilot_m", 2000.5, "pilot.m"),
     "string_pilot_fraction": ("pilot_accept_fraction", "0.05", "pilot.accept_fraction"),
-    "misspelt_pilot_statistics": ("pilot_statistics", "projectd", "pilot.statistics"),
     "negative_pilot_expand": ("pilot_expand", -0.5, "pilot.expand"),
     "zero_construct_m": ("construct_m", 0, "construct.m"),
     "boolean_main_m": ("main_m", True, "main.m"),
     "zero_main_fraction": ("main_accept_fraction", 0, "main.accept_fraction"),
     "string_ridge_lambda": ("ridge_lambda", "0", "ridge_lambda"),
     "string_regression_adjust": ("regression_adjust", "no", "adjust.regression"),
-    "string_marginal_adjust": ("marginal_adjust", "false", "adjust.marginal"),
     "negative_seed": ("seed", -1, "seed"),
     "numeric_output_dir": ("output_dir", 5, "output_dir"),
 }
@@ -244,7 +249,7 @@ def test_library_config_normalises_like_the_parser():
 # literals are the config hash and the SHA-256 of serialize_config.
 EVERY_SECTION = {
     "model": {"name": "gpd", "params": {"sigma_true": 1.0, "xi_true": 0.2, "n_exceedances": 100}},
-    "pilot": {"m": 3000, "accept_fraction": 1, "statistics": "projected", "expand": 0},
+    "pilot": {"m": 3000, "accept_fraction": 1, "expand": 0},
     "construct": {"m": 4000},
     "main": {"m": 5000, "accept_fraction": 0.05},
     "basis": {"kind": "polynomial", "degree": 2},
@@ -253,7 +258,7 @@ EVERY_SECTION = {
         {"kind": "gpd_quantile", "tau": 0.9, "name": "q90"},
         {"kind": "coordinate", "index": 1, "transform": "log"},
     ],
-    "adjust": {"regression": True, "marginal": False},
+    "adjust": {"regression": True},
     "experiment": {
         "strategies": ["separate"], "groups": [[1], [0]], "replications": 2, "seeds": [5, 6]
     },
@@ -262,13 +267,13 @@ EVERY_SECTION = {
 }
 PINNED = {
     "gaussian_location.json": (
-        "6a64eb16e18543f7", "f36b33fd51e4a92c72872293dc34ee4ec4a3f2c53635ac2552d588349a9ff820"
+        "ff41d13a26bb9051", "c22bd86176d805377883b8b4b55837a9257f43aa6bdb9e9ffbb4b6320c553357"
     ),
     "gpd_quantiles.json": (
-        "36afa72254b0b3ed", "2d9ca299327901bea64321e13d406b23bb6c403521d95174686e274c32d1f4f8"
+        "248822e21902d021", "b6bea475f5b6440dc7e97c13a577b9b2ae7eded4adfa15287ae20583b91de002"
     ),
     "every_section": (
-        "f036a825feb4be3c", "1afd2a5f3d067e4f0429eb7c5825d57d10f4a2f0273679f5593c79a9dbf209cb"
+        "dee7fea17215c93d", "1ee2a8570907a2de439c1ed5202605b87358122e642f4ecfeb666f47cc90e574"
     ),
 }
 REPO = Path(__file__).resolve().parent.parent

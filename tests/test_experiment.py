@@ -208,7 +208,7 @@ class TestRun:
 
         simulate = semiauto.simulate_batch
         monkeypatch.setattr(semiauto, "simulate_batch", counting)
-        config = lg_config()  # raw pilot statistics: no batch depends on the targets
+        config = lg_config()  # no batch depends on the targets
         config = with_plan(config, strategies=("joint", "separate"), replications=2)
         report = run_experiment(config, threads=2)
         assert len(report.rows) == 8 and not report.failures
@@ -216,13 +216,8 @@ class TestRun:
         assert len(calls) == 3 * config.experiment.replications
         assert len(set(calls)) == len(calls)
 
-    @pytest.mark.parametrize("statistics, per_replicate", [("raw", 1), ("projected", 3)])
-    def test_each_replicate_rejects_on_its_pilot_once(
-        self, monkeypatch, statistics, per_replicate
-    ):
-        # raw statistics: the shared batches carry the pilot rejection to
-        # all 1 + 2 cells; projected ones: each cell rejects on its own
-        # projection of the pilot batch
+    def test_each_replicate_rejects_on_its_pilot_once(self, monkeypatch):
+        # the shared stage outputs carry the pilot rejection to all 1 + 2 cells
         calls = []
 
         def counting(*args, **kwargs):
@@ -231,13 +226,10 @@ class TestRun:
 
         stage_pilot = semiauto.stage_pilot
         monkeypatch.setattr(semiauto, "stage_pilot", counting)
-        config = with_plan(
-            lg_config(pilot_statistics=statistics),
-            strategies=("joint", "separate"), replications=2,
-        )
+        config = with_plan(lg_config(), strategies=("joint", "separate"), replications=2)
         report = run_experiment(config, threads=2)
         assert len(report.rows) == 8 and not report.failures
-        assert sorted(calls) == sorted(per_replicate * derived_seeds(config))
+        assert sorted(calls) == sorted(derived_seeds(config))
 
     def test_shared_stages_leave_the_report_bytes_unchanged(self, tmp_path, monkeypatch):
         config = with_plan(lg_config(), strategies=("joint", "separate"), replications=2)
@@ -251,12 +243,8 @@ class TestRun:
             shared, alone = (tmp_path / run / name for run in ("shared", "alone"))
             assert shared.read_bytes() == alone.read_bytes()
 
-    @pytest.mark.parametrize("statistics", ["raw", "projected"])
-    def test_rows_equal_cells_run_alone(self, statistics):
-        # projected pilot statistics make the region, and so the construct
-        # and main batches, depend on the targets: those cells miss the
-        # shared batches and simulate their own
-        config = lg_config(pilot_statistics=statistics)
+    def test_rows_equal_cells_run_alone(self):
+        config = lg_config()
         fixture = build_fixture(config)
         config = with_plan(config, strategies=("joint", "separate"), replications=2)
         report = run_experiment(config, fixture, threads=2)

@@ -482,11 +482,6 @@ class TestPipeline:
         c = run_semiauto(config, threads=4)
         np.testing.assert_array_equal(a.posterior.thetas, c.posterior.thetas)
 
-    def test_projected_pilot_statistics_mode(self):
-        config = gaussian_config(pilot_statistics="projected", main_m=5000)
-        result = run_semiauto(config)
-        assert result.posterior.provenance["stage"] == "infer"
-
     def test_monotone_affine_statistic_invariance(self):
         config = gaussian_config(main_m=5000)
         fixture = gaussian_location_fixture(n_noise_stats=2)
@@ -535,16 +530,13 @@ class TestPipeline:
         redo = posterior_target_estimates(result.posterior, targets)
         assert redo == result.estimates
 
-    @pytest.mark.parametrize("statistics", ["raw", "projected"])
-    def test_held_target_free_stages_change_no_bit(self, statistics):
-        config = gaussian_config(pilot_statistics=statistics, main_m=5000, regression_adjust=True)
+    def test_held_target_free_stages_change_no_bit(self):
+        config = gaussian_config(main_m=5000, regression_adjust=True)
         fixture = build_fixture(config)
         held = target_free_stages(config, fixture)
-        # projected pilot statistics make the region depend on the targets
-        target_free = {"pilot_batch"}
-        if statistics == "raw":
-            target_free |= {"pilot_posterior", "region", "construct_batch", "main_batch"}
-        assert set(held) == target_free
+        assert set(held) == {
+            "pilot_batch", "pilot_posterior", "region", "construct_batch", "main_batch"
+        }
         fresh = run_semiauto(config, fixture)
         given = run_semiauto(config, fixture, held=held)
         assert all(getattr(given, name) is held[name] for name in held)
