@@ -456,22 +456,17 @@ def rejection_abc(
     )
 
 
-def truncation_from_pilot(accepted: WeightedPosterior, expand: float = 0.0) -> TruncationRegion:
-    """Bounding box of accepted draws, widened by `expand` times the range.
+def truncation_from_pilot(accepted: WeightedPosterior) -> TruncationRegion:
+    """Bounding box of accepted draws.
 
     Zero-range coordinates are widened to a tiny but valid interval so the
     region always has positive volume.
     """
     if accepted.n < 2:
         raise ValueError("need at least 2 accepted draws")
-    if expand < 0:
-        raise ValueError("expand must be >= 0")
     lo = accepted.thetas.min(axis=0)
     hi = accepted.thetas.max(axis=0)
-    span = hi - lo
-    lo = lo - expand * span
-    hi = hi + expand * span
-    degenerate = span == 0.0
+    degenerate = lo == hi
     if degenerate.any():
         pad = 1e-8 * np.maximum(1.0, np.abs(lo))
         lo = np.where(degenerate, lo - pad, lo)

@@ -2,11 +2,10 @@
 
 Two strategies are compared. "joint" builds one projector and runs one
 ABC pass over all targets at once, so the summary dimension grows with
-the target count; "separate" runs an independent pipeline per declared
-target group (singletons by default). Per-replicate errors against the
-fixture oracle, summary dimensions, acceptance counts, and regression
-condition numbers are recorded; directional findings are reported, not
-asserted.
+the target count; "separate" runs an independent pipeline per target.
+Per-replicate errors against the fixture oracle, summary dimensions,
+acceptance counts, and regression condition numbers are recorded;
+directional findings are reported, not asserted.
 
 The study runs replicate by replicate. None of a replicate's stage
 batches (pilot, construct and main) depends on the targets, nor does its
@@ -179,14 +178,13 @@ def run_experiment(
 ) -> ExperimentReport:
     """Execute every (strategy, replicate, group) cell of `config.experiment`.
 
-    The plan's groups default to one singleton per target and its seeds to
-    `derive_seed(config.seed, TAG_EXPERIMENT, r)` for replicate r. The
-    oracle value of each target is computed once, before any cell runs.
-    A config without an `experiment` section, groups that do not partition
-    the targets, a target the fixture's oracle cannot evaluate, and too
-    few draws for the pilot or the basis fit (`check_draw_counts`), which
-    every cell would meet, are refused with a ConfigError before anything
-    is simulated.
+    A joint cell runs all targets as one group, a separate cell one target
+    alone. Replicate r runs at seed `derive_seed(config.seed,
+    TAG_EXPERIMENT, r)`. The oracle value of each target is computed once,
+    before any cell runs. A config without an `experiment` section, a
+    target the fixture's oracle cannot evaluate, and too few draws for the
+    pilot or the basis fit (`check_draw_counts`), which every cell would
+    meet, are refused with a ConfigError before anything is simulated.
 
     Replicates are independent deterministic units keyed by their seed,
     run one after another: a replicate's `target_free_stages` are computed
@@ -199,17 +197,7 @@ def run_experiment(
     plan = config.experiment
     if plan is None:
         raise ConfigError("config has no 'experiment' section")
-    n_targets = len(config.targets)
-    if plan.groups is not None and sum(map(len, plan.groups)) != n_targets:
-        raise ConfigError(
-            f"must partition the target indices 0..{n_targets - 1}, got "
-            f"{[list(g) for g in plan.groups]!r}",
-            "experiment.groups",
-        )
-    groups = plan.groups or tuple((i,) for i in range(n_targets))
-    seeds = plan.seeds or tuple(
-        derive_seed(config.seed, TAG_EXPERIMENT, r) for r in range(plan.replications)
-    )
+    seeds = [derive_seed(config.seed, TAG_EXPERIMENT, r) for r in range(plan.replications)]
     fixture = fixture if fixture is not None else build_fixture(config)
     targets = targets_from_specs(config.targets, fixture.simulator.param_dim)
     # A group's adjustment draw count is recorded per cell, so only the
@@ -221,12 +209,14 @@ def run_experiment(
             oracle_values[target.name] = float(fixture.oracle.target_mean(target))
         except NotImplementedError as exc:
             raise ConfigError(f"has no oracle value to score against: {exc}", f"targets[{i}]")
-    all_indices = tuple(range(len(config.targets)))
-    cells = []
-    for strategy in plan.strategies:
-        for replicate, seed in enumerate(seeds):
-            for group in (all_indices,) if strategy == "joint" else groups:
-                cells.append((strategy, replicate, seed, group))
+    indices = range(len(targets))
+    groups = {"joint": (tuple(indices),), "separate": tuple((i,) for i in indices)}
+    cells = [
+        (strategy, replicate, seed, group)
+        for strategy in plan.strategies
+        for replicate, seed in enumerate(seeds)
+        for group in groups[strategy]
+    ]
 
     def run_cell(cell, held):
         strategy, replicate, seed, group = cell

@@ -93,11 +93,11 @@ class ModelFixture:
     params: dict = field(default_factory=dict, compare=False)
 
 
-def _raw_coordinate(target, oracle: str) -> int:
-    """The index of a raw coordinate target, the only kind with a closed form."""
-    if target.kind != "coordinate" or target.transform != "raw":
+def _coordinate_index(target, oracle: str) -> int:
+    """The index of a coordinate target, the only kind with a closed form."""
+    if target.kind != "coordinate":
         raise NotImplementedError(
-            f"the {oracle} oracle evaluates raw coordinate targets only, not {target.name!r}"
+            f"the {oracle} oracle evaluates coordinate targets only, not {target.name!r}"
         )
     return target.index
 
@@ -110,7 +110,7 @@ class ConjugateNormalOracle:
         self.post_sd = float(post_sd)
 
     def target_mean(self, target) -> float:
-        if _raw_coordinate(target, "conjugate normal") != 0:
+        if _coordinate_index(target, "conjugate normal") != 0:
             raise IndexError("Gaussian location model has a single parameter")
         return self.post_mean
 
@@ -128,7 +128,7 @@ class LinearGaussianOracle:
         self.cov = np.asarray(cov, dtype=np.float64)
 
     def target_mean(self, target) -> float:
-        return float(self.mean[_raw_coordinate(target, "linear-Gaussian")])
+        return float(self.mean[_coordinate_index(target, "linear-Gaussian")])
 
     def marginal_cdf(self, i: int, x) -> np.ndarray:
         sd = math.sqrt(float(self.cov[i, i]))
@@ -182,11 +182,7 @@ class GpdGridOracle:
         return np.column_stack([ss.ravel(), xx.ravel()])
 
     def target_mean(self, target) -> float:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            values = target.fn(self.grid_points())
-        if not np.all(np.isfinite(values)):  # such as log xi where xi <= 0
-            raise NotImplementedError(f"{target.name!r} is not finite on the whole grid")
-        return float(self.weights.ravel() @ values)
+        return float(self.weights.ravel() @ target.fn(self.grid_points()))
 
 
 def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:

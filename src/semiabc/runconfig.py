@@ -28,90 +28,65 @@ from .regression import BasisSpec, _is_int
 class TargetSpec:
     """One target functional of the parameter vector: config form, name and values.
 
-    kind "coordinate" is theta_index (transform "raw") or log theta_index
-    (transform "log"); kind "gpd_quantile" is the GPD quantile at level
-    tau of (sigma, xi) = (theta_0, theta_1). `name` defaults to
-    theta_i, log_theta_i or gpd_q{tau:g}; once constructed it always
-    holds the resolved name.
+    kind "coordinate" is theta_index, named theta_i; kind "gpd_quantile"
+    is the GPD quantile at level tau of (sigma, xi) = (theta_0, theta_1),
+    named gpd_q{tau:g}.
     """
 
     kind: str
     index: int | None = None
     tau: float | None = None
-    transform: str = "raw"
-    name: str | None = None
 
     def __post_init__(self):
         if self.kind == "coordinate":
             if not _is_int(self.index) or self.index < 0:
                 raise ConfigError(f"must be a nonnegative integer, got {self.index!r}", "index")
-            if self.transform not in ("raw", "log"):
-                raise ConfigError(f"must be 'raw' or 'log', got {self.transform!r}", "transform")
             stray = "tau" if self.tau is not None else None
         elif self.kind == "gpd_quantile":
             if not _is_number(self.tau) or not 0.0 < self.tau < 1.0:
                 raise ConfigError(f"must lie strictly in (0, 1), got {self.tau!r}", "tau")
             object.__setattr__(self, "tau", float(self.tau))
             stray = "index" if self.index is not None else None
-            stray = "transform" if self.transform != "raw" else stray
         else:
             raise ConfigError(f"must be 'coordinate' or 'gpd_quantile', got {self.kind!r}", "kind")
         if stray:
             raise ConfigError(f"does not apply to {self.kind} targets", stray)
-        if self.name is None:
-            object.__setattr__(self, "name", self._default_name())
-        elif not isinstance(self.name, str) or not self.name:
-            raise ConfigError(f"must be a nonempty string, got {self.name!r}", "name")
 
-    def _default_name(self) -> str:
+    @property
+    def name(self) -> str:
         if self.kind == "gpd_quantile":
             return f"gpd_q{self.tau:g}"
-        return f"{'log_theta' if self.transform == 'log' else 'theta'}_{self.index}"
+        return f"theta_{self.index}"
 
     def fn(self, thetas: np.ndarray) -> np.ndarray:
         """The functional at each row of an (M, p) parameter matrix."""
         if self.kind == "gpd_quantile":
             return gpd_quantile(self.tau, thetas[:, 0], thetas[:, 1])
-        column = thetas[:, self.index]
-        return np.log(column) if self.transform == "log" else column
+        return thetas[:, self.index]
 
     def to_dict(self) -> dict:
-        d = _changed_fields(self)
-        if d["name"] == self._default_name():
-            del d["name"]
-        return d
+        return _changed_fields(self)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """The study plan: strategies, target grouping, replications, seeds.
+    """The study plan: strategies and replications.
 
-    `groups` None means one singleton group per target and `seeds` None
-    means seeds derived from the run seed; `experiment.run_experiment`
-    reads the plan from `RunConfig.experiment` and fills both in.
+    `experiment.run_experiment` reads the plan from `RunConfig.experiment`;
+    the separate strategy runs one target at a time, and replicate r runs
+    at a seed derived from the run seed.
     """
 
     strategies: tuple[str, ...] = ("joint",)
-    groups: tuple[tuple[int, ...], ...] | None = None
     replications: int = 20
-    seeds: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        groups, seeds = self.groups, self.seeds
-        flat = [i for g in groups or () if isinstance(g, tuple) for i in g]
         for key, ok, rule in (
             ("strategies",
              self.strategies and all(s in ("joint", "separate") for s in self.strategies),
              "must list 'joint' and/or 'separate'"),
             ("replications", _is_int(self.replications) and self.replications >= 1,
              "must be a positive integer"),
-            ("groups", groups is None or (
-                groups and all(isinstance(g, tuple) and g for g in groups)
-                and all(map(_is_int, flat)) and sorted(flat) == list(range(len(flat)))),
-             "must partition the target indices 0..k-1 into nonempty lists"),
-            ("seeds", seeds is None or (len(seeds) == self.replications
-                                        and all(_is_int(v) and v >= 0 for v in seeds)),
-             "must list one nonnegative integer seed per replicate"),
         ):
             if not ok:
                 raise ConfigError(f"{rule}, got {getattr(self, key)!r}", key)
@@ -123,7 +98,6 @@ class ExperimentConfig:
 # Checks that several fields share: (test, rule the error states).
 _COUNT = (lambda v: _is_int(v) and v >= 1, "must be a positive integer")
 _FRACTION = (lambda v: _is_number(v) and 0.0 < v <= 1.0, "must lie in (0, 1]")
-_NONNEG = (lambda v: _is_number(v) and v >= 0, "must be a number >= 0")
 
 # Each RunConfig field: the dotted path of its JSON key, then the test its
 # value must pass and the rule that test states.
@@ -134,12 +108,12 @@ _LAYOUT = {
     "model_params": ("model.params", lambda v: isinstance(v, dict), "must be an object"),
     "pilot_m": ("pilot.m", *_COUNT),
     "pilot_accept_fraction": ("pilot.accept_fraction", *_FRACTION),
-    "pilot_expand": ("pilot.expand", *_NONNEG),
     "construct_m": ("construct.m", lambda v: v is None or _COUNT[0](v), _COUNT[1]),
     "main_m": ("main.m", *_COUNT),
     "main_accept_fraction": ("main.accept_fraction", *_FRACTION),
     "basis": ("basis", lambda v: isinstance(v, BasisSpec), "must be a BasisSpec"),
-    "ridge_lambda": ("ridge_lambda", *_NONNEG),
+    "ridge_lambda": ("ridge_lambda", lambda v: _is_number(v) and v >= 0,
+                     "must be a number >= 0"),
     "regression_adjust": ("adjust.regression", lambda v: isinstance(v, bool),
                           "must be a boolean"),
     "experiment": ("experiment", lambda v: v is None or isinstance(v, ExperimentConfig),
@@ -156,7 +130,6 @@ class RunConfig:
     model_params: dict = field(default_factory=dict)
     pilot_m: int = 10_000
     pilot_accept_fraction: float = 0.05
-    pilot_expand: float = 0.0
     construct_m: int | None = None  # None -> pilot_m
     main_m: int = 100_000
     main_accept_fraction: float = 0.01
@@ -240,12 +213,12 @@ def _is_number(value) -> bool:
 
 
 def _as_tuple(value, path: str) -> tuple | None:
-    """A JSON list as a tuple and a list of lists as a tuple of tuples."""
+    """A JSON list as a tuple."""
     if value is None:
         return None
     if not isinstance(value, list):
         raise ConfigError(f"must be a list, got {value!r}", path)
-    return tuple(tuple(v) if isinstance(v, list) else v for v in value)
+    return tuple(value)
 
 
 def _parse_typed(cls, data: dict, path: str, lists: tuple[str, ...] = ()):
@@ -267,9 +240,7 @@ _READ = {
     "targets": lambda v: tuple(_parse_typed(TargetSpec, t, f"targets[{i}]")
                                for i, t in enumerate(_as_tuple(v, "targets") or ())),
     "basis": lambda v: _parse_typed(BasisSpec, v, "basis"),
-    "experiment": lambda v: _parse_typed(
-        ExperimentConfig, v, "experiment", ("strategies", "groups", "seeds")
-    ),
+    "experiment": lambda v: _parse_typed(ExperimentConfig, v, "experiment", ("strategies",)),
 }
 
 

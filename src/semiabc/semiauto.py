@@ -307,9 +307,11 @@ def target_free_stages(config: RunConfig, fixture: ModelFixture, *, threads: int
     These are `pilot_batch`, `pilot_posterior`, `region`,
     `construct_batch` and `main_batch`: the pilot rejects on the raw
     statistics. Runs that differ only in their targets thus simulate each
-    batch and reject on the pilot once. A numerical or validation failure
-    stops the filling: a run given the partial dict computes the rest and
-    meets the same failure itself.
+    batch and reject on the pilot once. A numerical failure stops the
+    filling: a run given the partial dict computes the rest and meets the
+    same failure itself. Any other exception propagates: the draw counts
+    are checked before these stages run (`check_draw_counts`), so it is a
+    bug, not a data point.
     """
     held: dict = {}
     try:
@@ -317,7 +319,7 @@ def target_free_stages(config: RunConfig, fixture: ModelFixture, *, threads: int
         held["pilot_posterior"], held["region"] = stage_pilot(config, fixture, held["pilot_batch"])
         for name in ("construct_batch", "main_batch"):
             held[name] = stage_batch(config, fixture, name, held["region"], threads=threads)
-    except (NumericalError, ValueError):
+    except NumericalError:
         pass
     return held
 
@@ -333,8 +335,7 @@ def stage_pilot(
         fraction=config.pilot_accept_fraction,
         provenance={"stage": "pilot"},
     )
-    region = truncation_from_pilot(accepted, config.pilot_expand)
-    return accepted, region
+    return accepted, truncation_from_pilot(accepted)
 
 
 def stage_construct(config: RunConfig, batch: SimulationBatch) -> SummaryProjector:

@@ -301,7 +301,6 @@ def test_criterion_7_large_target_count_study():
     fixture = gpd_fixture(sigma_true=1.0, xi_true=0.2, n_exceedances=100)
 
     replicates = 20
-    seeds = tuple(derive_seed(4242, 6, r) for r in range(replicates))
 
     def config_for(taus, strategy):
         return RunConfig(
@@ -315,9 +314,7 @@ def test_criterion_7_large_target_count_study():
             targets=tuple(TargetSpec("gpd_quantile", tau=t) for t in taus),
             regression_adjust=True,
             ridge_lambda=1e-8,
-            experiment=ExperimentConfig(
-                strategies=(strategy,), replications=replicates, seeds=seeds
-            ),
+            experiment=ExperimentConfig(strategies=(strategy,), replications=replicates),
             seed=4242,
         )
 

@@ -219,19 +219,21 @@ class TestReport:
         assert len(line) == 23 and b["projector.json"].replace(line, b"") == a["projector.json"]
 
     def test_oracle_without_closed_form_prints_a_dash(self, tmp_path, capsys):
-        # with xbar_obs 5 the pilot box, and so every draw the log target
-        # is evaluated on, lies above zero
+        # the conditioning oracle of the linear-Gaussian model has no closed
+        # form for a GPD quantile of its two coordinates
         config = write_config(
             tmp_path,
-            model={"name": "gaussian_location", "params": {"n_noise_stats": 2, "xbar_obs": 5.0}},
-            targets=[{"kind": "coordinate", "index": 0, "transform": "log"}],
+            model={"name": "linear_gaussian", "params": {
+                "p": 2, "d": 2, "coeffs": [[1.0, 0.0], [1.0, 1.0]],
+                "noise_sd": 1.0, "s_obs": [1.0, 2.0]}},
+            targets=[{"kind": "gpd_quantile", "tau": 0.9}],
         )
         out = tmp_path / "run"
         assert main(["infer", "--full", "--config", str(config), "--out", str(out)]) == 0
         capsys.readouterr()
         assert main(["report", "--config", str(config), "--out", str(out)]) == 0
         row = capsys.readouterr().out.splitlines()[-1].split()
-        assert row[0] == "log_theta_0" and row[2:4] == ["-", "-"]
+        assert row[0] == "gpd_q0.9" and row[2:4] == ["-", "-"]
 
 
 class TestExitCodes:

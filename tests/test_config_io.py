@@ -1,9 +1,11 @@
 import hashlib
+import importlib.util
 import json
 import re
+import sys
 import tempfile
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ from semiabc.errors import ArtifactError, ConfigError
 from semiabc.regression import BasisSpec
 from semiabc.runconfig import (
     _LAYOUT,
+    ExperimentConfig,
     RunConfig,
     TargetSpec,
     parse_config,
@@ -82,10 +85,11 @@ class TestParseConfig:
             parse_config_dict(bad)
 
     def test_experiment_groups_validated(self):
-        bad = dict(MINIMAL)
-        bad["experiment"] = {"groups": [[0], [0]], "replications": 2}
-        with pytest.raises(ConfigError, match="'experiment.groups'"):
-            parse_config_dict(bad)
+        # the key was removed: any `groups`, a partition or not, is refused
+        for groups in ([[0], [0]], [[0]]):
+            bad = {**MINIMAL, "experiment": {"groups": groups, "replications": 2}}
+            with pytest.raises(ConfigError, match="'experiment.groups' is not a known key"):
+                parse_config_dict(bad)
 
     def test_roundtrip_identical_hash(self, tmp_path):
         config = parse_config_dict(dict(MINIMAL))
@@ -116,13 +120,13 @@ class TestParseConfig:
                 **MINIMAL,
                 "basis": {"kind": "polynomial", "degree": 2},
                 "targets": [
-                    {"kind": "coordinate", "index": 0, "transform": "log"},
+                    {"kind": "coordinate", "index": 0},
                     {"kind": "gpd_quantile", "tau": 0.99},
                 ],
             }
         )
         assert config.basis.degree == 2
-        assert config.targets[0].transform == "log"
+        assert config.targets[0].name == "theta_0"
         assert config.targets[1].name == "gpd_q0.99"
 
 
@@ -151,13 +155,22 @@ MALFORMED = {
     "string_marginal_adjust": ("adjust", {"marginal": "false"}, "adjust.marginal"),
     "raw_pilot_statistics": ("pilot", {"statistics": "raw"}, "pilot.statistics"),
     "marginal_adjust_off": ("adjust", {"regression": True, "marginal": False}, "adjust.marginal"),
+    # `experiment.groups`, `experiment.seeds`, `pilot.expand`,
+    # `targets[].name` and `targets[].transform` were removed: each key
+    # fails as unknown, whatever its value
     "string_group_entry": ("experiment", {"groups": [[0, "1"]]}, "experiment.groups"),
     "group_not_list": ("experiment", {"groups": [0]}, "experiment.groups"),
+    "singleton_groups": ("experiment", {"groups": [[0]]}, "experiment.groups"),
     "fractional_seed": ("experiment", {"replications": 1, "seeds": [1.5]}, "experiment.seeds"),
     "seeds_not_list": ("experiment", {"replications": 1, "seeds": 3}, "experiment.seeds"),
-    "unknown_strategy": ("experiment", {"strategies": ["both"]}, "experiment.strategies"),
+    "valid_seeds": ("experiment", {"replications": 1, "seeds": [5]}, "experiment.seeds"),
+    "negative_pilot_expand": ("pilot", {"expand": -0.5}, "pilot.expand"),
+    "zero_pilot_expand": ("pilot", {"m": 2000, "expand": 0.0}, "pilot.expand"),
     "numeric_target_name": ("targets", [{**COORD, "name": 5}], "targets[0].name"),
+    "default_target_name": ("targets", [{**COORD, "name": "theta_0"}], "targets[0].name"),
     "unknown_transform": ("targets", [{**COORD, "transform": "sqrt"}], "targets[0].transform"),
+    "raw_transform": ("targets", [{**COORD, "transform": "raw"}], "targets[0].transform"),
+    "unknown_strategy": ("experiment", {"strategies": ["both"]}, "experiment.strategies"),
     "tau_on_coordinate": ("targets", [{**COORD, "tau": 0.5}], "targets[0].tau"),
     "tau_of_one": ("targets", [{"kind": "gpd_quantile", "tau": 1}], "targets[0].tau"),
     "gpd_quantile_on_one_parameter": (
@@ -173,7 +186,6 @@ MALFORMED = {
 FLAT_MALFORMED = {
     "fractional_pilot_m": ("pilot_m", 2000.5, "pilot.m"),
     "string_pilot_fraction": ("pilot_accept_fraction", "0.05", "pilot.accept_fraction"),
-    "negative_pilot_expand": ("pilot_expand", -0.5, "pilot.expand"),
     "zero_construct_m": ("construct_m", 0, "construct.m"),
     "boolean_main_m": ("main_m", True, "main.m"),
     "zero_main_fraction": ("main_accept_fraction", 0, "main.accept_fraction"),
@@ -249,31 +261,29 @@ def test_library_config_normalises_like_the_parser():
 # literals are the config hash and the SHA-256 of serialize_config.
 EVERY_SECTION = {
     "model": {"name": "gpd", "params": {"sigma_true": 1.0, "xi_true": 0.2, "n_exceedances": 100}},
-    "pilot": {"m": 3000, "accept_fraction": 1, "expand": 0},
+    "pilot": {"m": 3000, "accept_fraction": 1},
     "construct": {"m": 4000},
     "main": {"m": 5000, "accept_fraction": 0.05},
     "basis": {"kind": "polynomial", "degree": 2},
     "ridge_lambda": 1,
     "targets": [
-        {"kind": "gpd_quantile", "tau": 0.9, "name": "q90"},
-        {"kind": "coordinate", "index": 1, "transform": "log"},
+        {"kind": "gpd_quantile", "tau": 0.9},
+        {"kind": "coordinate", "index": 1},
     ],
     "adjust": {"regression": True},
-    "experiment": {
-        "strategies": ["separate"], "groups": [[1], [0]], "replications": 2, "seeds": [5, 6]
-    },
+    "experiment": {"strategies": ["separate"], "replications": 2},
     "seed": 11,
     "output_dir": "runs/every",
 }
 PINNED = {
     "gaussian_location.json": (
-        "ff41d13a26bb9051", "c22bd86176d805377883b8b4b55837a9257f43aa6bdb9e9ffbb4b6320c553357"
+        "e5ea8a1bb807848f", "035a3ed4cbb997ce3e63dc87f7e604ffddca49d948ac077fc7939fa94c8d5324"
     ),
     "gpd_quantiles.json": (
-        "248822e21902d021", "b6bea475f5b6440dc7e97c13a577b9b2ae7eded4adfa15287ae20583b91de002"
+        "e171504612bcd7de", "11f215c4bf5bc6ce6ebf29473a528de79cf2fcb12e171f7510fe1d26d245a851"
     ),
     "every_section": (
-        "dee7fea17215c93d", "1ee2a8570907a2de439c1ed5202605b87358122e642f4ecfeb666f47cc90e574"
+        "2f6df5388235d821", "191bbdf7c813255c5265010a6ac18c83ad09a87c4575ff05cb8c677fd771c070"
     ),
 }
 REPO = Path(__file__).resolve().parent.parent
@@ -300,13 +310,57 @@ def test_readme_configuration_block_parses_and_names_every_path():
         assert section in document and (not key or key in document[section]), path
 
 
-def test_target_named_like_its_default_hashes_like_an_unnamed_one():
-    unnamed = parse_config_dict(dict(MINIMAL))
-    named = parse_config_dict({**MINIMAL, "targets": [{**COORD, "name": "theta_0"}]})
-    renamed = parse_config_dict({**MINIMAL, "targets": [{**COORD, "name": "mu"}]})
-    assert named.targets == unnamed.targets
-    assert named.config_hash() == unnamed.config_hash() != renamed.config_hash()
-    assert renamed.targets[0].to_dict() == {**COORD, "name": "mu"}
+# The RunConfig fields that hold a typed object, with the path prefix of
+# that object's keys in the JSON document.
+TYPED = {"targets": ("targets[]", TargetSpec), "basis": ("basis", BasisSpec),
+         "experiment": ("experiment", ExperimentConfig)}
+
+
+def parser_key_paths() -> set[str]:
+    """Every key path the parser reads, a list's elements written `[]`."""
+    paths = set()
+    for name, (path, _, _) in _LAYOUT.items():
+        if name in TYPED:
+            prefix, cls = TYPED[name]
+            paths.update(f"{prefix}.{f.name}" for f in fields(cls))
+        else:
+            paths.add(path)
+    return paths
+
+
+def document_key_paths(value, prefix: str = "") -> set[str]:
+    """Every key path set in a JSON value, a list's elements written `[]`."""
+    if isinstance(value, list):
+        return set().union(*(document_key_paths(v, f"{prefix}[]") for v in value))
+    if not isinstance(value, dict):
+        return set()
+    paths = set()
+    for key, v in value.items():
+        path = f"{prefix}.{key}" if prefix else key
+        paths |= {path} | document_key_paths(v, path)
+    return paths
+
+
+def load_workloads():
+    path = REPO / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_every_parser_key_is_set_by_a_shipped_config_or_workload():
+    # a key that no shipped config or benchmark workload sets is a knob
+    # that nothing runs; each one is a path through the code to delete
+    documents = [json.loads(p.read_text()) for p in sorted((REPO / "configs").glob("*.json"))]
+    for workload in load_workloads().WORKLOADS.values():
+        documents += [workload.overrides, workload.small_overrides]
+    set_paths = set().union(*map(document_key_paths, documents))
+    assert sorted(parser_key_paths() - set_paths) == []
 
 
 def sample_batch():
@@ -535,5 +589,6 @@ def test_config_dataclass_helpers():
     )
     assert config.with_seed(9).seed == 9
     assert config.with_seed(9).config_hash() != config.config_hash()
-    assert TargetSpec("coordinate", index=0, transform="log").name == "log_theta_0"
+    assert TargetSpec("coordinate", index=0).name == "theta_0"
+    assert TargetSpec("gpd_quantile", tau=0.95).name == "gpd_q0.95"
     assert json.dumps(config.to_json_dict())

@@ -379,23 +379,24 @@ class TestTruncationFromPilot:
         )
 
     def test_hand_arithmetic(self):
-        region = truncation_from_pilot(self.make_posterior([1.0, 3.0]), expand=0.1)
-        assert region.lo[0] == pytest.approx(0.8)
-        assert region.hi[0] == pytest.approx(3.2)
+        region = truncation_from_pilot(self.make_posterior([3.0, 1.0, 2.5]))
+        assert (region.lo[0], region.hi[0]) == (1.0, 3.0)
+        region = truncation_from_pilot(self.make_posterior([4.0, 4.0]))
+        assert (region.lo[0], region.hi[0]) == (4.0 - 4e-8, 4.0 + 4e-8)
 
     def test_exact_bounding_box(self):
-        region = truncation_from_pilot(self.make_posterior([1.0, 2.0, 5.0]), expand=0.0)
+        region = truncation_from_pilot(self.make_posterior([1.0, 2.0, 5.0]))
         np.testing.assert_array_equal(region.lo, [1.0])
         np.testing.assert_array_equal(region.hi, [5.0])
 
     def test_degenerate_widening(self):
-        region = truncation_from_pilot(self.make_posterior([4.0, 4.0]), expand=0.0)
+        region = truncation_from_pilot(self.make_posterior([4.0, 4.0]))
         assert region.lo[0] < 4.0 < region.hi[0]
 
     def test_contains_all_pilot_draws(self):
         rng = np.random.default_rng(7)
         post = self.make_posterior(rng.standard_normal(100))
-        region = truncation_from_pilot(post, expand=0.0)
+        region = truncation_from_pilot(post)
         assert np.all((region.lo <= post.thetas) & (post.thetas <= region.hi))
 
 

@@ -46,17 +46,6 @@ def derived_seeds(config):
 
 
 class TestPlan:
-    def test_groups_must_partition(self):
-        with pytest.raises(ConfigError, match="'groups' must partition"):
-            ExperimentConfig(groups=((0,), (0, 1)), replications=1, seeds=(1,))
-        with pytest.raises(ConfigError, match="'seeds' must list one .* seed per replicate"):
-            ExperimentConfig(groups=((0,),), replications=2, seeds=(1,))
-        # a partition of 0..1 does not cover three targets
-        targets = lg_config().targets + (TargetSpec("coordinate", index=1, transform="log"),)
-        config = with_plan(lg_config(targets=targets), groups=((0,), (1,)))
-        with pytest.raises(ConfigError, match="'experiment.groups' must partition"):
-            run_experiment(config)
-
     def test_run_experiment_defaults_to_singletons(self):
         config = with_plan(lg_config(seed=9), strategies=("separate",), replications=3)
         report = run_experiment(config)
@@ -137,8 +126,8 @@ class TestRun:
 
         cells = []
         monkeypatch.setattr(experiment, "_run_one", lambda *args: cells.append(args) or [])
-        log_target = TargetSpec("coordinate", index=1, transform="log")
-        config = lg_config(targets=(TargetSpec("coordinate", index=0), log_target))
+        quantile = TargetSpec("gpd_quantile", tau=0.9)  # no closed form on this model
+        config = lg_config(targets=(TargetSpec("coordinate", index=0), quantile))
         with pytest.raises(ConfigError, match=r"'targets\[1\]' has no oracle value"):
             run_experiment(with_plan(config, replications=1))
         assert not cells
@@ -167,6 +156,17 @@ class TestRun:
         with pytest.raises(TypeError, match="a bug"):
             run_experiment(config)
 
+    def test_value_errors_of_the_shared_stages_propagate(self, monkeypatch):
+        # the draw counts are checked up front, so a ValueError in the
+        # target-free stages is a bug, not a recorded failure
+        def broken(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together with shapes (3,) (4,)")
+
+        monkeypatch.setattr(semiauto, "stage_pilot", broken)
+        config = with_plan(lg_config(), strategies=("joint", "separate"), replications=1)
+        with pytest.raises(ValueError, match="could not be broadcast"):
+            run_experiment(config)
+
     def test_trivial_adjustment_records_no_condition(self, monkeypatch):
         from semiabc import experiment
 
@@ -191,6 +191,23 @@ class TestRun:
         table = report.cross_strategy_discrepancy()
         assert set(table) == {"theta_0", "theta_1"}
         assert all(v["n"] == 2 for v in table.values())
+
+    def test_error_by_target_table(self):
+        config = with_plan(lg_config(), strategies=("joint", "separate"), replications=2)
+        report = run_experiment(config)
+        assert len(report.rows) == 8 and not report.failures
+        table = report.error_by_target()
+        keys = [(s, t) for s in ("joint", "separate") for t in ("theta_0", "theta_1")]
+        assert list(table) == keys
+        for strategy, target in keys:
+            errors = [r.abs_error for r in report.rows
+                      if (r.strategy, r.target) == (strategy, target)]
+            assert len(errors) == 2
+            assert table[(strategy, target)] == {
+                "mean": (errors[0] + errors[1]) / 2,
+                "median": (errors[0] + errors[1]) / 2,
+                "n": 2,
+            }
 
     def test_threads_do_not_change_results(self):
         config = with_plan(lg_config(), strategies=("joint", "separate"), replications=2)

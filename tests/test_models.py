@@ -298,13 +298,6 @@ class TestGpdFixture:
             b = fine.target_mean(target)
             assert abs(a - b) / abs(b) < 0.005
 
-    def test_grid_oracle_refuses_a_target_not_finite_on_the_grid(self):
-        fixture = gpd_fixture(n_exceedances=50, grid_shape=(20, 20))
-        log_sigma = fixture.oracle.target_mean(TargetSpec("coordinate", index=0, transform="log"))
-        assert np.isfinite(log_sigma)
-        with pytest.raises(NotImplementedError, match="log_theta_1"):  # xi < 0 on the grid
-            fixture.oracle.target_mean(TargetSpec("coordinate", index=1, transform="log"))
-
     def test_grid_posterior_is_computed_on_first_use(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise RuntimeError("grid posterior computed")
@@ -367,14 +360,14 @@ class TestRegistry:
 
 
     def test_gaussian_oracles_serve_raw_coordinates_only(self):
-        # E[log theta] is not log E[theta]: at xbar_obs=5 the posterior is
-        # N(4, 0.2), so the log target's mean is about 1.38, not 4.0
+        # a GPD quantile of the two coordinates is not the quantile at their
+        # posterior means, and the Gaussian oracles have no closed form for it
         fixture = make_fixture("gaussian_location", {"xbar_obs": 5.0})
         assert fixture.oracle.target_mean(TargetSpec("coordinate", index=0)) == 4.0
-        log_target = TargetSpec("coordinate", index=0, transform="log")
-        with pytest.raises(NotImplementedError, match="log_theta_0"):
-            fixture.oracle.target_mean(log_target)
+        quantile = TargetSpec("gpd_quantile", tau=0.9)
+        with pytest.raises(NotImplementedError, match="gpd_q0.9"):
+            fixture.oracle.target_mean(quantile)
         linear = make_fixture("linear_gaussian")
         assert linear.oracle.target_mean(TargetSpec("coordinate", index=1)) == linear.oracle.mean[1]
-        with pytest.raises(NotImplementedError, match="log_theta_1"):
-            linear.oracle.target_mean(TargetSpec("coordinate", index=1, transform="log"))
+        with pytest.raises(NotImplementedError, match="gpd_q0.9"):
+            linear.oracle.target_mean(quantile)

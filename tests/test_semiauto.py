@@ -76,9 +76,10 @@ class TestTargets:
         np.testing.assert_array_equal(values, [[2.0, 1.0]])
 
     def test_non_finite_target_raises_with_name(self):
-        thetas = np.array([[-1.0, 0.5]])
-        with pytest.raises(NumericalError, match="log_theta_0"):
-            evaluate_targets(thetas, [TargetSpec("coordinate", index=0, transform="log")])
+        # (1 - tau)^(-xi) overflows at xi = 1000
+        thetas = np.array([[1.0, 1000.0]])
+        with pytest.raises(NumericalError, match="gpd_q0.9"):
+            evaluate_targets(thetas, [TargetSpec("gpd_quantile", tau=0.9)])
 
     def test_specs_to_targets(self):
         targets = targets_from_specs(
@@ -117,8 +118,8 @@ class TestProjector:
         stats = thetas @ rng.standard_normal((2, 3)) + 0.1 * rng.standard_normal((300, 3))
         batch = make_batch(thetas, stats)
         targets = [
-            TargetSpec("coordinate", index=0, name="a"),
-            TargetSpec("coordinate", index=0, name="b"),
+            TargetSpec("coordinate", index=0),
+            TargetSpec("coordinate", index=0),
         ]
         projector = construct_projector(batch, targets, BasisSpec())
         out = project_matrix(projector, stats)
@@ -129,7 +130,7 @@ class TestProjector:
         thetas = rng.standard_normal((100, 2))
         stats = rng.standard_normal((100, 4))
         targets = [TargetSpec("coordinate", index=0), TargetSpec("coordinate", index=1),
-                   TargetSpec("coordinate", index=0, name="theta_0_again")]
+                   TargetSpec("coordinate", index=0)]
         projector = construct_projector(batch := make_batch(thetas, stats), targets, BasisSpec())
         assert projector.out_dim == 3
         assert project(projector, stats[0]).shape == (3,)
@@ -224,8 +225,8 @@ def assert_blockwise_matches_whole_matrix():
     stats = thetas @ rng.standard_normal((2, 4)) + 0.3 * rng.standard_normal((m, 4))
     basis = BasisSpec("polynomial", degree=2)
     design = expand_design(stats, basis)
-    log_theta_1 = TargetSpec("coordinate", index=1, transform="log")
-    for targets in ([log_theta_1], [TargetSpec("coordinate", index=0), log_theta_1]):
+    quantile = TargetSpec("gpd_quantile", tau=0.9)
+    for targets in ([quantile], [TargetSpec("coordinate", index=0), quantile]):
         projector = construct_projector(make_batch(thetas, stats), targets, basis)
 
         whole = projector.intercept + design @ projector.coef.T
