@@ -275,14 +275,14 @@ def save_experiment_report(directory, report, config_hash: str) -> None:
     )
     header = [
         "strategy", "replicate", "seed", "group", "target", "p_prime",
-        "estimate", "oracle", "abs_error", "summary_dim", "n_accepted",
+        "estimate", "oracle", "abs_error", "n_accepted",
         "epsilon", "construction_condition", "adjustment_condition",
     ]
     rows = (
         [
             r.strategy, str(r.replicate), str(r.seed), r.group_label, r.target,
             str(r.p_prime), fmt(r.estimate), fmt(r.oracle_value), fmt(r.abs_error),
-            str(r.summary_dim), str(r.n_accepted), fmt(r.epsilon),
+            str(r.n_accepted), fmt(r.epsilon),
             fmt(r.construction_condition),
             fmt(r.adjustment_condition) if r.adjustment_condition is not None else "",
         ]

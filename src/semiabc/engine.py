@@ -120,7 +120,7 @@ class MarginalPrior:
             return min(max((x - self.a) / (self.b - self.a), 0.0), 1.0)
         if self.kind == "normal":
             return float(ndtr((x - self.a) / self.b))
-        # an expanded pilot box can reach below the lognormal support
+        # a box a caller passes in can reach below the lognormal support
         return float(ndtr((math.log(x) - self.a) / self.b)) if x > 0 else 0.0
 
 
@@ -497,7 +497,7 @@ def regression_adjust(
     if stats.shape[1] != s_obs.shape[0]:
         raise ValueError("s_obs length must match the statistic dimension")
     if posterior.n < stats.shape[1] + 2:
-        raise ValueError(
+        raise NumericalError(
             f"need at least {stats.shape[1] + 2} accepted draws to adjust, got {posterior.n}"
         )
     if np.max(np.abs(stats - s_obs)) == 0.0:

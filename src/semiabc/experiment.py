@@ -1,16 +1,17 @@
 """Replicated accuracy studies: how estimation degrades as targets multiply.
 
-Two strategies are compared. "joint" builds one projector and runs one
-ABC pass over all targets at once, so the summary dimension grows with
-the target count; "separate" runs an independent pipeline per target.
-Per-replicate errors against the fixture oracle, summary dimensions,
-acceptance counts, and regression condition numbers are recorded;
-directional findings are reported, not asserted.
+Two strategies are compared. "joint" runs one ABC pass over all targets
+at once, so the summary dimension grows with the target count;
+"separate" runs one ABC pass per target on that target's summary alone.
+Per-replicate errors against the fixture oracle, acceptance counts, and
+regression condition numbers are recorded; directional findings are
+reported, not asserted.
 
-The study runs replicate by replicate. None of a replicate's stage
-batches (pilot, construct and main) depends on the targets, nor does its
-pilot rejection on the raw statistics: each is computed once and shared
-by all of its cells, and only one replicate's batches are held at a time.
+The study runs replicate by replicate. A replicate's stage batches and
+its pilot rejection on the raw statistics do not depend on the targets,
+and a group's projector is its rows of the all-target fit: all are
+computed once (`shared_stages`) and shared by the replicate's cells, and
+only one replicate's are held at a time.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .semiauto import (
     build_fixture,
     check_draw_counts,
     run_semiauto,
-    target_free_stages,
+    shared_stages,
     targets_from_specs,
 )
 
@@ -44,7 +45,6 @@ class ExperimentRow:
     estimate: float
     oracle_value: float
     abs_error: float
-    summary_dim: int
     n_accepted: int
     epsilon: float
     construction_condition: float
@@ -133,14 +133,16 @@ def _run_one(
     replicate: int,
     seed: int,
     group: tuple[int, ...],
-    held: dict | None,
+    shared: dict | None,
     oracle_values: dict,
 ) -> list[ExperimentRow]:
     group_targets = tuple(config.targets[i] for i in group)
-    # The run seed depends only on (replicate seed); a separate-strategy
-    # singleton therefore reproduces the joint run on the same single
-    # target bit for bit.
+    # `shared` is the replicate's all-target `shared_stages`, or None to run
+    # alone. Every cell of a replicate runs at its seed, so in a one-target
+    # study a separate cell reproduces the joint cell bit for bit; with more
+    # targets its projector row matches a one-target fit only to rounding.
     sub = replace(config, targets=group_targets, seed=seed, experiment=None)
+    held = None if shared is None else {**shared, "projector": shared["projector"].rows(group)}
     result = run_semiauto(sub, fixture, held=held)
     # a trivial adjustment (zero innovation) fits nothing and has no condition number
     adjustment = result.posterior.provenance.get("adjustment", {})
@@ -160,7 +162,6 @@ def _run_one(
                 estimate=estimate,
                 oracle_value=oracle_value,
                 abs_error=abs(estimate - oracle_value),
-                summary_dim=result.projector.out_dim,
                 n_accepted=result.posterior.n,
                 epsilon=result.posterior.epsilon,
                 construction_condition=result.projector.condition_number,
@@ -183,16 +184,17 @@ def run_experiment(
     TAG_EXPERIMENT, r)`. The oracle value of each target is computed once,
     before any cell runs. A config without an `experiment` section, a
     target the fixture's oracle cannot evaluate, and too few draws for the
-    pilot or the basis fit (`check_draw_counts`), which every cell would
-    meet, are refused with a ConfigError before anything is simulated.
+    pilot, the basis fit or a 2-draw posterior (`check_draw_counts`), which
+    every cell would meet, are refused with a ConfigError before anything
+    is simulated.
 
     Replicates are independent deterministic units keyed by their seed,
-    run one after another: a replicate's `target_free_stages` are computed
-    once (the simulations spread over `threads`) and shared by its cells,
-    which then run on `threads` workers. Rows keep the strategy-major cell
-    order. Numerical and validation failures (NumericalError, ValueError)
-    are recorded in the report instead of aborting the study; any other
-    exception is a bug and propagates.
+    run one after another: a replicate's `shared_stages` for all targets
+    are computed once (the simulations spread over `threads`) and shared
+    by its cells, which then run on `threads` workers; if they raise a
+    NumericalError, each cell runs alone. Rows keep the strategy-major
+    cell order. A NumericalError in a cell is recorded in the report; any
+    other exception is a bug and propagates.
     """
     plan = config.experiment
     if plan is None:
@@ -200,8 +202,8 @@ def run_experiment(
     seeds = [derive_seed(config.seed, TAG_EXPERIMENT, r) for r in range(plan.replications)]
     fixture = fixture if fixture is not None else build_fixture(config)
     targets = targets_from_specs(config.targets, fixture.simulator.param_dim)
-    # A group's adjustment draw count is recorded per cell, so only the
-    # pilot and basis counts are checked here.
+    # A group's adjustment draw count is recorded per cell, so the main
+    # run is checked here only for the draws every cell needs.
     check_draw_counts(replace(config, regression_adjust=False), fixture.simulator.stat_dim)
     oracle_values = {}
     for i, target in enumerate(targets):
@@ -218,15 +220,15 @@ def run_experiment(
         for group in groups[strategy]
     ]
 
-    def run_cell(cell, held):
+    def run_cell(cell, shared):
         strategy, replicate, seed, group = cell
         label = "+".join(config.targets[i].name for i in group)
         try:
             rows = _run_one(
-                config, fixture, strategy, replicate, seed, group, held, oracle_values
+                config, fixture, strategy, replicate, seed, group, shared, oracle_values
             )
             return rows, None
-        except (NumericalError, ValueError) as exc:  # recorded, not fatal
+        except NumericalError as exc:  # recorded, not fatal
             return [], ExperimentFailure(
                 strategy=strategy,
                 replicate=replicate,
@@ -238,9 +240,12 @@ def run_experiment(
     def run_replicate(replicate, seed):
         # The stage outputs are local to this call: one replicate's are freed
         # before the next replicate simulates its own. Cells only read them.
-        held = target_free_stages(replace(config, seed=seed), fixture, threads=threads)
+        try:
+            shared = shared_stages(replace(config, seed=seed), fixture, threads=threads)
+        except NumericalError:
+            shared = None
         mine = [i for i, cell in enumerate(cells) if cell[1] == replicate]
-        run = lambda i: run_cell(cells[i], held)  # noqa: E731
+        run = lambda i: run_cell(cells[i], shared)  # noqa: E731
         if threads > 1:
             # A pool per replicate: its threads end before the next
             # replicate's simulation threads start, which then reuse their

@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -80,7 +79,8 @@ def check_draw_counts(config: RunConfig, stat_dim: int) -> None:
     or more, and the truncation box needs 2 of the draws it accepts. The
     construct fit of q basis columns by least squares needs q + 2 of its
     `construct.m` draws. Regression adjustment fits the p' projected
-    statistics on the accepted main draws, so it needs p' + 2 of them.
+    statistics on the accepted main draws, so it needs p' + 2 of them; a
+    marginal estimate needs 2.
     """
     accepted = accepted_count(config.pilot_accept_fraction, config.pilot_m)
     if config.pilot_m < MIN_SCALE_DRAWS or accepted < 2:
@@ -98,11 +98,15 @@ def check_draw_counts(config: RunConfig, stat_dim: int) -> None:
         )
     p_prime = len(config.targets)
     accepted = accepted_count(config.main_accept_fraction, config.main_m)
-    if config.regression_adjust and accepted < p_prime + 2:
+    need, use = (
+        (p_prime + 2, f"regression adjustment on {p_prime} summaries needs")
+        if config.regression_adjust
+        else (2, "the posterior and each marginal estimate need")
+    )
+    if accepted < need:
         raise ConfigError(
             f"is {config.main_m}, which accepts {accepted} draws at accept_fraction "
-            f"{config.main_accept_fraction:g}; regression adjustment on {p_prime} summaries "
-            f"needs at least {p_prime + 2}",
+            f"{config.main_accept_fraction:g}; {use} at least {need}",
             "main.m",
         )
 
@@ -154,6 +158,17 @@ class SummaryProjector:
     @property
     def out_dim(self) -> int:
         return len(self.target_names)
+
+    def rows(self, indices) -> "SummaryProjector":
+        """The targets at `indices`: a fit's row j reads only target j's response."""
+        i = list(indices)
+        return replace(
+            self,
+            intercept=self.intercept[i],
+            coef=self.coef[i],
+            target_names=tuple(self.target_names[j] for j in i),
+            residual_mss=self.residual_mss[i],
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -300,30 +315,6 @@ def stage_batch(
     return simulate_batch(prior, fixture.simulator, m, seed, threads=threads)
 
 
-def target_free_stages(config: RunConfig, fixture: ModelFixture, *, threads: int = 1) -> dict:
-    """The stage outputs of `config` that do not depend on its targets,
-    keyed by `PipelineResult` field name for `run_semiauto(..., held=...)`.
-
-    These are `pilot_batch`, `pilot_posterior`, `region`,
-    `construct_batch` and `main_batch`: the pilot rejects on the raw
-    statistics. Runs that differ only in their targets thus simulate each
-    batch and reject on the pilot once. A numerical failure stops the
-    filling: a run given the partial dict computes the rest and meets the
-    same failure itself. Any other exception propagates: the draw counts
-    are checked before these stages run (`check_draw_counts`), so it is a
-    bug, not a data point.
-    """
-    held: dict = {}
-    try:
-        held["pilot_batch"] = stage_batch(config, fixture, "pilot_batch", threads=threads)
-        held["pilot_posterior"], held["region"] = stage_pilot(config, fixture, held["pilot_batch"])
-        for name in ("construct_batch", "main_batch"):
-            held[name] = stage_batch(config, fixture, name, held["region"], threads=threads)
-    except NumericalError:
-        pass
-    return held
-
-
 def stage_pilot(
     config: RunConfig, fixture: ModelFixture, pilot_batch: SimulationBatch
 ) -> tuple[WeightedPosterior, TruncationRegion]:
@@ -374,6 +365,26 @@ def stage_infer(
     return posterior
 
 
+def shared_stages(config: RunConfig, fixture: ModelFixture, *, threads: int = 1) -> dict:
+    """Every stage output of `config` but the posterior, keyed by
+    `PipelineResult` field name for `run_semiauto(..., held=...)`. Only the
+    projector depends on the targets, so runs on subsets of them share
+    these, each with its `SummaryProjector.rows`."""
+    out = {"pilot_batch": stage_batch(config, fixture, "pilot_batch", threads=threads)}
+    out["pilot_posterior"], out["region"] = stage_pilot(config, fixture, out["pilot_batch"])
+    out["construct_batch"] = stage_batch(
+        config, fixture, "construct_batch", out["region"], threads=threads
+    )
+    out["projector"] = stage_construct(config, out["construct_batch"])
+    # The main batch is simulated after the construct fit, so that it is
+    # not held through the fit: simulated before it, it raised the peak RSS
+    # (VmHWM) of a fresh `infer --full` process on the degree-3 GPD config
+    # (q = 559, a 2.4 MB main batch) from 95.9-96.1 to 98.2-98.4 MiB in 3
+    # of 3 pairs of runs on a 2-core host.
+    out["main_batch"] = stage_batch(config, fixture, "main_batch", out["region"], threads=threads)
+    return out
+
+
 def posterior_target_estimates(posterior: WeightedPosterior, targets) -> dict:
     """Posterior-mean estimate and Monte Carlo sd per target."""
     values = evaluate_targets(posterior.thetas, targets)
@@ -395,33 +406,12 @@ def run_semiauto(
     """Full pipeline: pilot -> truncation -> construction -> main ABC run.
 
     Deterministic: (config, seed) fully determines every stage; `threads`
-    never changes values. `held` maps `PipelineResult` field names to
-    stage outputs already computed for this config, such as those of
-    `target_free_stages`; it is only read. Its `pilot_batch`,
-    `pilot_posterior` with `region`, `construct_batch` and `main_batch`
-    are copied into the result instead of computed, which gives the same
-    values; any other key is ignored. Nothing is written to disk, whatever
-    `config.output_dir` holds; the CLI is the persisted path.
+    never changes values. `held`, when given, is every other stage output,
+    as `shared_stages` returns them; it is only read. Nothing is written to
+    disk, whatever `config.output_dir` holds; the CLI is the persisted path.
     """
     fixture = fixture if fixture is not None else build_fixture(config)
     targets = targets_from_specs(config.targets, fixture.simulator.param_dim)
-    inputs = ("pilot_batch", "pilot_posterior", "region", "construct_batch", "main_batch")
-    out = {k: v for k, v in (held or {}).items() if k in inputs}
-    simulate = partial(stage_batch, config, fixture, threads=threads)
-    if "pilot_batch" not in out:
-        out["pilot_batch"] = simulate("pilot_batch")
-    if "region" not in out:
-        out["pilot_posterior"], out["region"] = stage_pilot(config, fixture, out["pilot_batch"])
-    if "construct_batch" not in out:
-        out["construct_batch"] = simulate("construct_batch", out["region"])
-    out["projector"] = stage_construct(config, out["construct_batch"])
-    # The main batch is simulated after the construct fit, so that it is
-    # not held through the fit: simulated before it, as in
-    # `target_free_stages`, it raised the peak RSS (VmHWM) of a fresh
-    # `infer --full` process on the degree-3 GPD config (q = 559, a 2.4 MB
-    # main batch) from 95.9-96.1 to 98.2-98.4 MiB in 3 of 3 pairs of runs
-    # on a 2-core host.
-    if "main_batch" not in out:
-        out["main_batch"] = simulate("main_batch", out["region"])
+    out = dict(held) if held is not None else shared_stages(config, fixture, threads=threads)
     out["posterior"] = stage_infer(config, fixture, out["projector"], out["main_batch"])
     return PipelineResult(**out, estimates=posterior_target_estimates(out["posterior"], targets))

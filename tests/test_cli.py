@@ -492,6 +492,14 @@ class TestTooFewDraws:
         )
         assert "accepts 2 draws" in err and "at least 7" in err
 
+    def test_one_accepted_draw_without_adjustment(self, tmp_path, capsys):
+        # a one-draw posterior would pass `infer` and crash the marginal stage
+        err = self.assert_refused(
+            tmp_path, capsys, "main.m",
+            main={"m": 100, "accept_fraction": 0.01}, adjust={"regression": False},
+        )
+        assert "accepts 1 draws" in err and "at least 2" in err and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize(
         "pilot, phrase",
         [

@@ -3,11 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from semiabc import artifacts, experiment, semiauto
+from semiabc import experiment, semiauto
 from semiabc.engine import derive_seed, regression_adjust
-from semiabc.errors import ConfigError
+from semiabc.errors import ConfigError, NumericalError
 from semiabc.experiment import _run_one, run_experiment
-from semiabc.semiauto import TAG_EXPERIMENT, build_fixture
+from semiabc.semiauto import TAG_EXPERIMENT, build_fixture, shared_stages
 from semiabc.runconfig import ExperimentConfig, RunConfig, TargetSpec
 
 
@@ -73,29 +73,40 @@ class TestRun:
 
     def test_separate_singletons_reproduce_joint_single_target_bitwise(self):
         single = lg_config(targets=(TargetSpec("coordinate", index=0),))
-        joint_report = run_experiment(with_plan(single, strategies=("joint",), replications=2))
+        plan = with_plan(single, strategies=("joint", "separate"), replications=2)
+        report = run_experiment(plan)
+        joint_rows = {r.replicate: r for r in report.rows if r.strategy == "joint"}
+        single_rows = {r.replicate: r for r in report.rows if r.strategy == "separate"}
+        assert joint_rows.keys() == single_rows.keys() == {0, 1}
+        for rep, jr in joint_rows.items():
+            sr = single_rows[rep]
+            assert sr.estimate == jr.estimate  # bit-for-bit
+            assert sr.epsilon == jr.epsilon
+            assert sr.n_accepted == jr.n_accepted
 
+        # In a two-target study the separate cell projects with its row of
+        # the two-target fit, which matches the one-target fit only to
+        # rounding: at seeds 1, 2, 3 and 7 epsilon differed by at most
+        # 8e-15 relative, with the same accepted draws.
         both = lg_config()
         separate_report = run_experiment(
             with_plan(both, strategies=("separate",), replications=2)
         )
-
-        joint_rows = {r.replicate: r for r in joint_report.rows}
         sep_rows = {
             r.replicate: r for r in separate_report.rows if r.target == "theta_0"
         }
         assert joint_rows.keys() == sep_rows.keys()
         for rep, jr in joint_rows.items():
             sr = sep_rows[rep]
-            assert sr.estimate == jr.estimate  # bit-for-bit
-            assert sr.epsilon == jr.epsilon
+            assert sr.estimate == pytest.approx(jr.estimate, rel=1e-13, abs=0)
+            assert sr.epsilon == pytest.approx(jr.epsilon, rel=1e-13, abs=0)
             assert sr.n_accepted == jr.n_accepted
 
     def test_joint_strategy_handles_all_targets_at_once(self):
         config = with_plan(lg_config(), strategies=("joint",), replications=2)
         report = run_experiment(config)
         assert len(report.rows) == 4  # 2 replicates x 2 targets
-        assert all(r.summary_dim == 2 and r.p_prime == 2 for r in report.rows)
+        assert all(r.p_prime == 2 for r in report.rows)
 
     def test_failures_recorded_not_fatal(self):
         # 3 accepted draws, too few to adjust on the 2 summaries of each
@@ -163,6 +174,17 @@ class TestRun:
             raise ValueError("operands could not be broadcast together with shapes (3,) (4,)")
 
         monkeypatch.setattr(semiauto, "stage_pilot", broken)
+        config = with_plan(lg_config(), strategies=("joint", "separate"), replications=1)
+        with pytest.raises(ValueError, match="could not be broadcast"):
+            run_experiment(config)
+
+    def test_value_errors_of_a_cell_propagate(self, monkeypatch):
+        # only a NumericalError is a recorded failure: numpy raises
+        # ValueError for a shape bug
+        def broken(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together with shapes (3,) (4,)")
+
+        monkeypatch.setattr(semiauto, "stage_infer", broken)
         config = with_plan(lg_config(), strategies=("joint", "separate"), replications=1)
         with pytest.raises(ValueError, match="could not be broadcast"):
             run_experiment(config)
@@ -248,17 +270,43 @@ class TestRun:
         assert len(report.rows) == 8 and not report.failures
         assert sorted(calls) == sorted(derived_seeds(config))
 
-    def test_shared_stages_leave_the_report_bytes_unchanged(self, tmp_path, monkeypatch):
+    def test_each_replicate_fits_its_projector_once(self, monkeypatch):
+        # the joint cell and both separate cells take rows of one fit
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].seed)
+            return stage_construct(*args, **kwargs)
+
+        stage_construct = semiauto.stage_construct
+        monkeypatch.setattr(semiauto, "stage_construct", counting)
         config = with_plan(lg_config(), strategies=("joint", "separate"), replications=2)
         report = run_experiment(config, threads=2)
-        artifacts.save_experiment_report(tmp_path / "shared", report, config.config_hash())
-        # every cell simulates its batches and rejects on its pilot itself
-        monkeypatch.setattr(experiment, "target_free_stages", lambda *args, **kwargs: {})
-        report = run_experiment(config, threads=2)
-        artifacts.save_experiment_report(tmp_path / "alone", report, config.config_hash())
-        for name in ("experiment_report.json", "experiment_rows.csv"):
-            shared, alone = (tmp_path / run / name for run in ("shared", "alone"))
-            assert shared.read_bytes() == alone.read_bytes()
+        assert len(report.rows) == 8 and not report.failures
+        assert sorted(calls) == sorted(derived_seeds(config))
+
+    def test_a_replicate_whose_shared_stages_fail_runs_each_cell_alone(self, monkeypatch):
+        config = lg_config()
+        fixture = build_fixture(config)
+        config = with_plan(config, strategies=("joint", "separate"), replications=2)
+        failing = derived_seeds(config)[0]
+
+        def failing_first(sub, *args, **kwargs):
+            if sub.seed == failing:
+                raise NumericalError("shared stages failed")
+            return shared_stages(sub, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "shared_stages", failing_first)
+        report = run_experiment(config, fixture, threads=2)
+        assert len(report.rows) == 8 and not report.failures
+        oracle_values = {t.name: fixture.oracle.target_mean(t) for t in config.targets}
+        alone = [
+            row
+            for strategy in config.experiment.strategies
+            for group in (((0, 1),) if strategy == "joint" else ((0,), (1,)))
+            for row in _run_one(config, fixture, strategy, 0, failing, group, None, oracle_values)
+        ]
+        assert [r for r in report.rows if r.replicate == 0] == alone
 
     def test_rows_equal_cells_run_alone(self):
         config = lg_config()
@@ -266,13 +314,15 @@ class TestRun:
         config = with_plan(config, strategies=("joint", "separate"), replications=2)
         report = run_experiment(config, fixture, threads=2)
         oracle_values = {t.name: fixture.oracle.target_mean(t) for t in config.targets}
+        seeds = derived_seeds(config)
+        shared = [shared_stages(replace(config, seed=seed), fixture) for seed in seeds]
         alone = [
             row
             for strategy in config.experiment.strategies
-            for replicate, seed in enumerate(derived_seeds(config))
+            for replicate, seed in enumerate(seeds)
             for group in (((0, 1),) if strategy == "joint" else ((0,), (1,)))
             for row in _run_one(
-                config, fixture, strategy, replicate, seed, group, None, oracle_values
+                config, fixture, strategy, replicate, seed, group, shared[replicate], oracle_values
             )
         ]
         assert report.rows == alone

@@ -28,15 +28,15 @@ def test_gpd_dimension_sweep_smoke(tmp_path, monkeypatch, capsys):
 
 
 def test_gpd_dimension_sweep_level_without_rows_exits_two(tmp_path, monkeypatch, capsys):
-    # 50 main draws accept one, too few to regression-adjust: every cell fails
+    # 100 main draws accept two, too few to regression-adjust: every cell fails
     out = tmp_path / "sweep"
     code = run_sweep(
-        monkeypatch, "--levels", "1", "--replications", "1", "--main-m", "50", "--out", str(out)
+        monkeypatch, "--levels", "1", "--replications", "1", "--main-m", "100", "--out", str(out)
     )
     assert code == 2
     assert (out / "p1" / "experiment_report.json").is_file()
     printed = capsys.readouterr().out
-    assert "p'=  1: no rows, 1 failures, first: ValueError: " in printed
+    assert "p'=  1: no rows, 1 failures, first: NumericalError: " in printed
 
 
 def test_gpd_dimension_sweep_bad_argument_exits_one(tmp_path, monkeypatch, capsys):

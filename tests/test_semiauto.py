@@ -18,7 +18,7 @@ from semiabc.engine import (
     simulate_batch,
 )
 from semiabc.errors import ConfigError, NumericalError
-from semiabc.models import ModelFixture, gaussian_location_fixture, gpd_fixture
+from semiabc.models import ModelFixture, gaussian_location_fixture, gpd_fixture, make_fixture
 from semiabc.regression import BasisSpec, expand_design, fit_linear
 from semiabc.runconfig import RunConfig, TargetSpec
 from semiabc.semiauto import (
@@ -35,8 +35,8 @@ from semiabc.semiauto import (
     project,
     project_matrix,
     run_semiauto,
+    shared_stages,
     stage_batch,
-    target_free_stages,
     targets_from_specs,
 )
 
@@ -210,6 +210,47 @@ class TestProjector:
         s = rng.standard_normal(2)
         np.testing.assert_array_equal(project(clone, s), project(projector, s))
         assert clone.projector_id() == projector.projector_id()
+
+
+def linear_gaussian_batch(m=3000):
+    """A batch of the two-parameter `linear_gaussian` model."""
+    fixture = make_fixture(
+        "linear_gaussian",
+        {"p": 2, "d": 3, "coeffs": [[1.0, 0.0], [1.0, 1.0], [0.5, -1.0]], "noise_sd": 1.0,
+         "s_obs": [1.0, 2.0, 0.0]},
+    )
+    return simulate_batch(fixture.prior, fixture.simulator, m, derive_seed(11, TAG_CONSTRUCT))
+
+
+class TestProjectorRows:
+    TARGETS = (TargetSpec("coordinate", index=0), TargetSpec("coordinate", index=1))
+
+    def test_rows_of_every_target_project_as_the_whole_projector(self):
+        batch = linear_gaussian_batch()
+        projector = construct_projector(batch, self.TARGETS, BasisSpec("polynomial", degree=2))
+        whole = projector.rows(range(projector.out_dim))
+        assert whole.target_names == projector.target_names
+        assert whole.projector_id() == projector.projector_id()
+        assert (
+            project_matrix(whole, batch.stats).tobytes()
+            == project_matrix(projector, batch.stats).tobytes()
+        )
+
+    def test_a_row_matches_the_fit_of_its_target_alone(self):
+        batch = linear_gaussian_batch()
+        row = construct_projector(batch, self.TARGETS, BasisSpec()).rows([0])
+        alone = construct_projector(batch, self.TARGETS[:1], BasisSpec())
+        assert row.target_names == alone.target_names == ("theta_0",)
+        assert row.coef.flags.f_contiguous
+
+        def assert_close(a, b):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+        assert_close(row.intercept, alone.intercept)
+        assert_close(row.coef, alone.coef)
+        assert_close(row.residual_mss, alone.residual_mss)
+        assert_close(project_matrix(row, batch.stats), project_matrix(alone, batch.stats))
 
 
 def assert_blockwise_matches_whole_matrix():
@@ -531,12 +572,13 @@ class TestPipeline:
         redo = posterior_target_estimates(result.posterior, targets)
         assert redo == result.estimates
 
-    def test_held_target_free_stages_change_no_bit(self):
+    def test_held_shared_stages_change_no_bit(self):
         config = gaussian_config(main_m=5000, regression_adjust=True)
         fixture = build_fixture(config)
-        held = target_free_stages(config, fixture)
+        held = shared_stages(config, fixture)
         assert set(held) == {
-            "pilot_batch", "pilot_posterior", "region", "construct_batch", "main_batch"
+            "pilot_batch", "pilot_posterior", "region", "construct_batch", "projector",
+            "main_batch",
         }
         fresh = run_semiauto(config, fixture)
         given = run_semiauto(config, fixture, held=held)
