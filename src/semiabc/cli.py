@@ -5,9 +5,9 @@ Subcommands: simulate | pilot | construct | infer | marginal | experiment
 output directory and refuses inputs whose config hash differs from the
 current run. `infer --full` computes all four stages with one
 `run_semiauto` call and then writes them through the same four stage
-commands, so both paths write the same bytes; `marginal` then runs
-chained on the joint posterior that `infer` wrote. Exit codes: 0
-success, 1 validation error, 2 numerical failure.
+commands, so both paths write the same bytes; `marginal` remaps the
+joint posterior that `infer` wrote, on stages recomputed from (config,
+seed). Exit codes: 0 success, 1 validation error, 2 numerical failure.
 `--threads` affects speed only, never any computed value.
 """
 
@@ -127,11 +127,9 @@ def _cmd_infer(config, fixture, out, threads, held):
 def _cmd_marginal(config, fixture, out, threads, held):
     h = config.config_hash()
     joint = artifacts.load_posterior(out, "posterior_main", h)
-    marginals = []
-    for i in range(fixture.simulator.param_dim):
-        marginal = estimate_marginal(i, config, fixture, threads=threads)
-        artifacts.save_marginal(out, f"marginal_{i}", marginal, h)
-        marginals.append(marginal)
+    marginals = estimate_marginal(config, fixture, threads=threads)
+    for marginal in marginals:
+        artifacts.save_marginal(out, f"marginal_{marginal.coordinate}", marginal, h)
     adjusted = marginal_remap(joint, marginals)
     artifacts.save_posterior(out, "posterior_marginal", adjusted, h)
     print(f"marginal: remapped {len(marginals)} margins, posterior written to {out}")

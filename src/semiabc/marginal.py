@@ -1,10 +1,11 @@
 """Marginal adjustment: replace the margins of a joint posterior sample.
 
-Each parameter coordinate gets its own low-dimensional-summary run whose
-accepted draws estimate the marginal posterior far more precisely than
-the joint run does. Rank/quantile matching then substitutes those margins
-into the joint sample while preserving its per-row rank (copula)
-structure exactly.
+Coordinate i's summary is row i of one fit of every coordinate on the
+joint run's construct batch (Nott, Fan, Marshall and Sisson 2014); an ABC
+run on that summary alone, over the joint run's main batch, estimates the
+marginal posterior more precisely than the joint run does. Rank/quantile
+matching then substitutes those margins into the joint sample while
+preserving its per-row rank (copula) structure exactly.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .engine import WeightedPosterior, derive_seed
+from .engine import WeightedPosterior
 from .models import ModelFixture
 from .runconfig import RunConfig, TargetSpec
-from .semiauto import TAG_MARGINAL, build_fixture, run_semiauto
+from .semiauto import build_fixture, run_semiauto, shared_stages
 
 
 @dataclass(frozen=True)
@@ -41,40 +42,35 @@ class MarginalEstimate:
 
 
 def estimate_marginal(
-    coordinate: int,
     config: RunConfig,
     fixture: ModelFixture | None = None,
     *,
     threads: int = 1,
-) -> MarginalEstimate:
-    """Run the pipeline with a single summary targeting one coordinate.
+) -> list[MarginalEstimate]:
+    """One estimate per parameter coordinate, in order.
 
-    The constructed statistic for the coordinate alone is, by default, the
-    per-coordinate summary; the run is seeded independently per coordinate
-    so marginals for different coordinates can be computed in parallel.
+    The stages of `config` are computed once with every coordinate as a
+    target (`shared_stages`): only the projector depends on the targets,
+    so the pilot, region and batches are the joint run's. Coordinate i's
+    main ABC pass then reads row i of that projector alone.
     """
     fixture = fixture if fixture is not None else build_fixture(config)
-    if not 0 <= coordinate < fixture.simulator.param_dim:
-        raise ValueError(f"coordinate {coordinate} out of range")
-    sub_config = replace(
-        config,
-        targets=(TargetSpec(kind="coordinate", index=coordinate),),
-        seed=derive_seed(config.seed, TAG_MARGINAL, coordinate),
-    )
-    result = run_semiauto(sub_config, fixture, threads=threads)
-    posterior = result.posterior
-    return MarginalEstimate(
-        coordinate=coordinate,
-        samples=posterior.thetas[:, coordinate].copy(),
-        provenance={
+    coordinates = [TargetSpec("coordinate", index=i) for i in range(fixture.simulator.param_dim)]
+    shared = shared_stages(replace(config, targets=tuple(coordinates)), fixture, threads=threads)
+    out = []
+    for i, target in enumerate(coordinates):
+        held = {**shared, "projector": shared["projector"].rows([i])}
+        result = run_semiauto(replace(config, targets=(target,)), fixture, held=held)
+        posterior = result.posterior
+        provenance = {
             "stage": "marginal",
-            "coordinate": coordinate,
-            "seed": sub_config.seed,
+            "coordinate": i,
             "projector_id": result.projector.projector_id(),
             "epsilon": posterior.epsilon,
             "n": posterior.n,
-        },
-    )
+        }
+        out.append(MarginalEstimate(i, posterior.thetas[:, i].copy(), provenance))
+    return out
 
 
 def _stable_ranks(column: np.ndarray) -> np.ndarray:

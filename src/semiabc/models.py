@@ -72,11 +72,12 @@ def gpd_logpdf(x, sigma, xi):
     xi_safe = np.where(small, 1.0, xi)
     z = x / sigma
     arg = 1.0 + xi_safe * z
-    inside = (x >= 0.0) & (np.where(small, True, arg > 0.0))
+    inside = (x >= 0.0) & (small | (arg > 0.0))
+    # a point with arg <= 0 is outside the support: its log is masked below
     with np.errstate(divide="ignore", invalid="ignore"):
-        general = -np.log(sigma) - (1.0 / xi_safe + 1.0) * np.log(np.where(arg > 0, arg, 1.0))
-    limit = -np.log(sigma) - z
-    out = np.where(small, limit, general)
+        out = -np.log(sigma) - (1.0 / xi_safe + 1.0) * np.log(arg)
+    if small.any():
+        out = np.where(small, -np.log(sigma) - z, out)
     return np.where(inside, out, -np.inf)
 
 

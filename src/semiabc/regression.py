@@ -10,6 +10,7 @@ assumed.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -49,8 +50,9 @@ class BasisSpec:
             raise ConfigError(f"must be an integer >= 1, got {self.degree!r}", "degree")
 
     def width(self, d: int) -> int:
-        """The number of design columns this basis makes of d statistics."""
-        return d if self.kind == "identity" else len(_plan(self, d)[0])
+        """The number of design columns this basis makes of d statistics,
+        counted without listing its monomials."""
+        return d if self.kind == "identity" else math.comb(d + self.degree, self.degree) - 1
 
 
 def _is_int(value) -> bool:

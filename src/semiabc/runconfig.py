@@ -83,8 +83,9 @@ class ExperimentConfig:
     def __post_init__(self):
         for key, ok, rule in (
             ("strategies",
-             self.strategies and all(s in ("joint", "separate") for s in self.strategies),
-             "must list 'joint' and/or 'separate'"),
+             self.strategies and all(s in ("joint", "separate") for s in self.strategies)
+             and len(set(self.strategies)) == len(self.strategies),
+             "must list 'joint' and/or 'separate', each once"),
             ("replications", _is_int(self.replications) and self.replications >= 1,
              "must be a positive integer"),
         ):

@@ -41,7 +41,6 @@ from .runconfig import RunConfig, TargetSpec
 TAG_PILOT = 1
 TAG_CONSTRUCT = 2
 TAG_MAIN = 3
-TAG_MARGINAL = 4
 TAG_EXPERIMENT = 6
 
 

@@ -259,9 +259,7 @@ def test_criterion_6_marginal_adjustment():
             fixture.prior, fixture.simulator, 20_000, seed=derive_seed(run_seed, 98)
         )
         joint = rejection_abc(joint_batch, fixture.s_obs, fraction=0.02)
-        marginals = [
-            estimate_marginal(i, config.with_seed(run_seed), fixture) for i in range(2)
-        ]
+        marginals = estimate_marginal(config.with_seed(run_seed), fixture)
         remapped = marginal_remap(joint, marginals)
 
         improved = True

@@ -125,6 +125,16 @@ class TestReport:
         assert main(["report", "--config", str(config), "--out", str(out)]) == 0
         assert "posterior_marginal" in capsys.readouterr().out
 
+    def test_one_parameter_marginal_equals_the_joint_posterior(self, tmp_path):
+        # `marginal` estimates on the stages `infer` ran: with one parameter
+        # its margin is the joint posterior's own, and the remap keeps it
+        config = str(REPO / "configs" / "gaussian_location.json")
+        out = str(tmp_path / "run")
+        assert main(["infer", "--full", "--config", config, "--out", out]) == 0
+        assert main(["marginal", "--config", config, "--out", out]) == 0
+        main_csv = (tmp_path / "run" / "posterior_main.csv").read_bytes()
+        assert (tmp_path / "run" / "posterior_marginal.csv").read_bytes() == main_csv
+
     def test_report_reads_a_sidecar_that_still_holds_distances(self, tmp_path):
         # earlier versions wrote the accepted draws' distances into the sidecar
         config = write_config(tmp_path)
@@ -485,6 +495,14 @@ class TestTooFewDraws:
             basis={"kind": "polynomial", "degree": 3}, construct={"m": 500},
         )
         assert "559 basis columns" in err and "561" in err
+
+    def test_a_large_degree_is_refused_before_its_monomials_are_listed(self, tmp_path, capsys):
+        # degree 15 on 13 statistics has C(28, 15) - 1 = 37442159 columns;
+        # listing them would exhaust memory before the count is checked
+        err = self.assert_refused(
+            tmp_path, capsys, "construct.m", basis={"kind": "polynomial", "degree": 15},
+        )
+        assert "37442159 basis columns" in err
 
     def test_too_few_accepted_draws_to_adjust(self, tmp_path, capsys):
         err = self.assert_refused(

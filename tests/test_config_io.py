@@ -171,6 +171,10 @@ MALFORMED = {
     "unknown_transform": ("targets", [{**COORD, "transform": "sqrt"}], "targets[0].transform"),
     "raw_transform": ("targets", [{**COORD, "transform": "raw"}], "targets[0].transform"),
     "unknown_strategy": ("experiment", {"strategies": ["both"]}, "experiment.strategies"),
+    # a repeated strategy would write each of its rows twice
+    "repeated_strategy": (
+        "experiment", {"strategies": ["joint", "joint"]}, "experiment.strategies"
+    ),
     "tau_on_coordinate": ("targets", [{**COORD, "tau": 0.5}], "targets[0].tau"),
     "tau_of_one": ("targets", [{"kind": "gpd_quantile", "tau": 1}], "targets[0].tau"),
     "gpd_quantile_on_one_parameter": (

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+import semiabc.marginal
+import semiabc.semiauto
 from semiabc.engine import WeightedPosterior
 from semiabc.marginal import MarginalEstimate, estimate_marginal, marginal_remap
 from semiabc.runconfig import RunConfig, TargetSpec
+from semiabc.semiauto import run_semiauto
 
 
 def uniform_posterior(thetas):
@@ -130,21 +133,24 @@ def marginal_config(**over):
     return RunConfig(**base)
 
 
+def gaussian_config():
+    return RunConfig(
+        model="gaussian_location",
+        model_params={"n_noise_stats": 1},
+        pilot_m=2000,
+        pilot_accept_fraction=0.1,
+        construct_m=3000,
+        main_m=20_000,
+        main_accept_fraction=0.02,
+        targets=(TargetSpec("coordinate", index=0),),
+        regression_adjust=True,
+        seed=31,
+    )
+
+
 class TestEstimateMarginal:
     def test_gaussian_fixture_marginal_mean(self):
-        config = RunConfig(
-            model="gaussian_location",
-            model_params={"n_noise_stats": 1},
-            pilot_m=2000,
-            pilot_accept_fraction=0.1,
-            construct_m=3000,
-            main_m=20_000,
-            main_accept_fraction=0.02,
-            targets=(TargetSpec("coordinate", index=0),),
-            regression_adjust=True,
-            seed=31,
-        )
-        marginal = estimate_marginal(0, config)
+        [marginal] = estimate_marginal(gaussian_config())
         n = marginal.n
         mc_sd = marginal.samples.std(ddof=1) / np.sqrt(n)
         assert abs(marginal.samples.mean() - 0.8) < 3 * mc_sd
@@ -152,16 +158,42 @@ class TestEstimateMarginal:
     def test_flat_coordinate_recovers_prior_margin(self):
         # theta_2 never enters the statistics: its marginal is the prior
         config = marginal_config(main_m=100_000, main_accept_fraction=0.1)
-        marginal = estimate_marginal(1, config)
+        marginal = estimate_marginal(config)[1]
+        assert marginal.coordinate == 1
         assert marginal.n == 10_000
         assert ks_distance(marginal.samples, norm.cdf) < 0.05
 
     def test_fixed_seed_reproducible(self):
         config = marginal_config(main_m=5000)
-        a = estimate_marginal(0, config)
-        b = estimate_marginal(0, config)
-        np.testing.assert_array_equal(a.samples, b.samples)
+        a = estimate_marginal(config)
+        b = estimate_marginal(config)
+        assert [m.coordinate for m in a] == [m.coordinate for m in b] == [0, 1]
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x.samples, y.samples)
 
-    def test_coordinate_validated(self):
-        with pytest.raises(ValueError, match="out of range"):
-            estimate_marginal(5, marginal_config())
+    def test_one_parameter_marginal_is_the_joint_posterior_bitwise(self):
+        # the marginal run reuses the joint run's stages, and with one
+        # parameter its one-row projector is the joint projector
+        config = gaussian_config()
+        [marginal] = estimate_marginal(config)
+        np.testing.assert_array_equal(
+            marginal.samples, run_semiauto(config).posterior.thetas[:, 0]
+        )
+
+    def test_stages_run_once_for_every_coordinate(self, monkeypatch):
+        calls = {"shared_stages": 0, "stage_construct": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        counting(semiabc.marginal, "shared_stages")
+        counting(semiabc.semiauto, "stage_construct")
+        marginals = estimate_marginal(marginal_config(main_m=5000))
+        assert [m.coordinate for m in marginals] == [0, 1]
+        assert calls == {"shared_stages": 1, "stage_construct": 1}

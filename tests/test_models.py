@@ -221,6 +221,26 @@ class TestGpdFixture:
             digest.update(np.ascontiguousarray(part, dtype=np.float64).tobytes())
         assert digest.hexdigest() == self.PINNED_DIGEST
 
+    # SHA-256 of the grid oracle's weights, and of gpd_logpdf on a grid
+    # with x < 0, x = 0, points beyond the upper endpoint of xi < 0 and xi
+    # on both sides of GPD_SMALL_XI. Both were taken before gpd_logpdf
+    # stopped guarding its log and building the small-xi limit for every
+    # point: never regenerate either digest from changed code.
+    PINNED_WEIGHTS_DIGEST = "23d93f3171c20f98c9c875f27abe50b964c3e982ebf6d58fd8ad6173101cbd36"
+    PINNED_LOGPDF_DIGEST = "91c94971ef741d4a3e2c3cc1313d37264511ce1b9da8e5a05c48c26d4ea1d4a1"
+
+    def test_oracle_weights_are_pinned(self):
+        weights = np.ascontiguousarray(gpd_fixture().oracle.weights, dtype=np.float64)
+        assert hashlib.sha256(weights.tobytes()).hexdigest() == self.PINNED_WEIGHTS_DIGEST
+
+    def test_logpdf_bits_are_pinned(self):
+        x = np.linspace(-1.0, 12.0, 53)[:, None, None]
+        sigma = np.array([0.5, 1.0, 2.5])[None, :, None]
+        xi = np.array([-0.5, -0.2, -2e-6, -1e-6, -5e-7, 0.0, 5e-7, 1e-6, 2e-6, 0.3])
+        out = np.ascontiguousarray(gpd_logpdf(x, sigma, xi[None, None, :]))
+        assert out.shape == (53, 3, 10) and np.isneginf(out).sum() == 303
+        assert hashlib.sha256(out.tobytes()).hexdigest() == self.PINNED_LOGPDF_DIGEST
+
     @pytest.mark.parametrize("small_xi, arrays", [(False, 2.5), (True, 3.5)],
                              ids=["general", "small_xi"])
     def test_simulate_holds_block_arrays(self, small_xi, arrays):

@@ -417,3 +417,9 @@ class TestExpandDesignBits:
     def test_width_counts_the_columns(self):
         for spec in (BasisSpec("identity"), BasisSpec("polynomial", degree=3)):
             assert spec.width(3) == expand_design(np.ones((2, 3)), spec).shape[1]
+
+    @pytest.mark.parametrize("d", [2, 13])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_width_counts_the_monomials_it_does_not_list(self, d, degree):
+        spec = BasisSpec("polynomial", degree=degree)
+        assert spec.width(d) == len(monomial_exponents(d, degree))
