@@ -33,7 +33,8 @@ class BayesLinearModel:
 
     Moments are stored at fit time and reused for every query; refitting
     is explicit. `n_fit` is None for models built from closed-form moments
-    rather than a simulation batch.
+    rather than a simulation batch. `jitter` is the `linalg.JITTER_LADDER`
+    level the solve for `coef` added to `var_s` (0.0 when none was needed).
     """
 
     intercept: np.ndarray  # (p,)
@@ -44,6 +45,7 @@ class BayesLinearModel:
     cov_theta_s: np.ndarray  # (p, d)
     var_theta: np.ndarray  # (p, p)
     n_fit: int | None = None
+    jitter: float = 0.0
 
     def __post_init__(self):
         p, d = self.coef.shape
@@ -74,7 +76,8 @@ def from_moments(mean_theta, mean_s, var_theta, var_s, cov_theta_s) -> BayesLine
     var_theta = as_matrix(var_theta, "var_theta")
     var_s = as_matrix(var_s, "var_s")
     cov_theta_s = as_matrix(cov_theta_s, "cov_theta_s")
-    coef = solve_spd(var_s, cov_theta_s.T).T
+    coef_t, jitter = solve_spd(var_s, cov_theta_s.T)
+    coef = coef_t.T
     return BayesLinearModel(
         intercept=mean_theta - coef @ mean_s,
         coef=coef,
@@ -84,6 +87,7 @@ def from_moments(mean_theta, mean_s, var_theta, var_s, cov_theta_s) -> BayesLine
         cov_theta_s=cov_theta_s,
         var_theta=var_theta,
         n_fit=None,
+        jitter=jitter,
     )
 
 

@@ -94,17 +94,14 @@ def _condition_estimate(a: np.ndarray) -> float:
     return np.inf if lo == 0.0 else hi / lo
 
 
-def solve_spd(a, b) -> np.ndarray:
+def solve_spd(a, b) -> tuple[np.ndarray, float]:
     """Solve A X = B for symmetric positive definite A via Cholesky.
 
     Never forms an explicit inverse. If the plain factorization fails or
     the solution's residual against the *original* A is poor, retries up
-    the jitter ladder; raises SingularMatrixError once exhausted.
+    the jitter ladder; raises SingularMatrixError once exhausted. Returns
+    X together with the ladder level it applied (0.0 when A needed none).
     """
-    # Imported here, not at module level: only the Bayes linear fit calls
-    # this, and no CLI stage should pay for loading scipy.linalg.
-    import scipy.linalg
-
     aa = as_matrix(a, "a")
     k = aa.shape[0]
     if aa.shape[1] != k:
@@ -122,13 +119,13 @@ def solve_spd(a, b) -> np.ndarray:
     for lam in JITTER_LADDER:
         aj = aa if lam == 0.0 else aa + (lam * scale) * np.eye(k)
         try:
-            factor = scipy.linalg.cho_factor(aj, lower=True, check_finite=False)
+            factor = np.linalg.cholesky(aj)
         except np.linalg.LinAlgError:
             continue
-        x = scipy.linalg.cho_solve(factor, b2, check_finite=False)
+        x = np.linalg.solve(factor.T, np.linalg.solve(factor, b2))
         residual = float(np.max(np.abs(aa @ x - b2), initial=0.0))
         if residual <= SOLVE_RESIDUAL_RTOL * b_norm:
-            return x.reshape(bb.shape) if bb.ndim == 1 else x
+            return (x.reshape(bb.shape) if bb.ndim == 1 else x), lam
     raise SingularMatrixError(
         "singular statistic covariance", condition=_condition_estimate(aa)
     )

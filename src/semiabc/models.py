@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
-from .engine import PriorSpec, SimulatorContract, lognormal, normal, uniform
+from .engine import PriorSpec, SimulatorContract, lognormal, ndtr, ndtri, normal, uniform
 from .errors import ConfigError
 
 # Below this |xi| the exponential-limit branch of the GPD quantile/density

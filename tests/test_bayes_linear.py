@@ -52,6 +52,22 @@ class TestFit:
         with pytest.raises(ValueError, match="insufficient draws for 2 statistics"):
             fit_bayes_linear(make_batch(np.zeros((3, 1)), np.ones((3, 2))))
 
+    def test_duplicated_statistic_records_jitter(self):
+        rng = np.random.default_rng(4)
+        thetas = rng.standard_normal((2_000, 1))
+        s = thetas + rng.standard_normal((2_000, 1))
+        model = fit_bayes_linear(make_batch(thetas, np.hstack([s, s])))
+        assert model.jitter > 0.0
+        single = fit_bayes_linear(make_batch(thetas, s))
+        assert single.jitter == 0.0
+        assert model.coef.sum() == pytest.approx(single.coef[0, 0], rel=1e-6)
+
+    def test_well_conditioned_fit_records_no_jitter(self):
+        rng = np.random.default_rng(5)
+        thetas = rng.standard_normal((2_000, 2))
+        stats = thetas + rng.standard_normal((2_000, 2))
+        assert fit_bayes_linear(make_batch(thetas, stats)).jitter == 0.0
+
     def test_model_invariant_enforced(self):
         with pytest.raises(ValueError, match="intercept"):
             BayesLinearModel(

@@ -614,21 +614,28 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
 
 
-def test_cli_path_leaves_scipy_linalg_unloaded():
-    # No CLI stage solves an SPD system, so parsing each committed config
-    # and building its fixture must not pay for importing scipy.linalg.
+def test_cli_path_leaves_scipy_unloaded():
+    # semiabc depends on numpy alone: importing it, building each committed
+    # config's fixture and drawing from its truncated prior loads no scipy.
     code = textwrap.dedent("""
         import sys
         from pathlib import Path
 
+        import semiabc
         import semiabc.cli
+        from semiabc.engine import TruncationRegion, simulate_batch
         from semiabc.runconfig import parse_config
         from semiabc.semiauto import build_fixture
 
         configs = sorted(Path(sys.argv[1]).glob("*.json"))
         for path in configs:
-            build_fixture(parse_config(path))
-        print(len(configs), sorted(m for m in sys.modules if m.startswith("scipy.linalg")))
+            fixture = build_fixture(parse_config(path))
+            margs = fixture.prior.marginals
+            box = TruncationRegion(
+                lo=[float(g.ppf(0.2)) for g in margs], hi=[float(g.ppf(0.8)) for g in margs]
+            )
+            simulate_batch(fixture.prior.truncated(box), fixture.simulator, 100, seed=1)
+        print(len(configs), sorted(m for m in sys.modules if m.startswith("scipy")))
     """)
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(

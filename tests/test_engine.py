@@ -1,4 +1,5 @@
 import math
+import statistics
 import warnings
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy import stats
+from scipy import special, stats
 
 from semiabc.engine import (
     CHUNK,
@@ -20,6 +21,8 @@ from semiabc.engine import (
     compute_scales,
     derive_seed,
     lognormal,
+    ndtr,
+    ndtri,
     normal,
     regression_adjust,
     rejection_abc,
@@ -84,6 +87,57 @@ class TestPriors:
                 (uniform(0.0, 1.0),),
                 truncation_box=TruncationRegion(lo=[0.5], hi=[0.5]),
             )
+
+
+def ulps(x, reference) -> np.ndarray:
+    return np.abs(x - reference) / np.spacing(np.abs(reference))
+
+
+class TestNormalFunctions:
+    def probe_points(self) -> np.ndarray:
+        # AS 241's branches meet at min(p, 1 - p) = 0.075 and at
+        # r = sqrt(-log min(p, 1 - p)) = 5
+        edges = np.array([0.075, math.exp(-25.0)])[:, None] * (1.0 + np.array(
+            [-1e-9, -1e-15, 0.0, 1e-15, 1e-9]))
+        return np.concatenate([
+            np.linspace(0.001, 0.999, 4001),
+            edges.ravel(),
+            1.0 - edges.ravel(),
+            np.logspace(-300, -1, 2000),
+            1.0 - np.logspace(-16, -1, 2000),
+            [1e-300, 1.0 - 1e-16],
+        ])
+
+    def test_ndtri_matches_stdlib_as241(self):
+        p = self.probe_points()
+        reference = np.array([statistics.NormalDist().inv_cdf(float(v)) for v in p])
+        assert ulps(ndtri(p), reference).max() <= 2
+
+    def test_ndtri_matches_scipy(self):
+        p = self.probe_points()
+        assert ulps(ndtri(p), special.ndtri(p)).max() <= 8
+
+    def test_ndtri_grid_quantile_is_exact(self):
+        # the GPD grid oracle's log-sigma edge; its pinned digests depend on it
+        assert float(ndtri(0.001)) == -3.090232306167813
+
+    def test_ndtri_keeps_shape(self):
+        u = np.array([[0.01, 0.5], [0.9, 1e-20]])
+        z = ndtri(u)
+        assert z.shape == (2, 2)
+        np.testing.assert_array_equal(z.ravel(), ndtri(u.ravel()))
+
+    def test_ndtr_matches_scipy(self):
+        x = np.linspace(-10.0, 8.0, 4001)
+        np.testing.assert_allclose(ndtr(x), special.ndtr(x), rtol=1e-14, atol=0)
+        # Below -10 scipy's Cephes erfc is itself off by up to 5.7e-14
+        # relative (against 40-digit mpmath), where math.erfc stays within 4e-16.
+        x = np.linspace(-37.0, -10.0, 4001)
+        np.testing.assert_allclose(ndtr(x), special.ndtr(x), rtol=1e-13, atol=0)
+
+    def test_ndtr_symmetry(self):
+        x = np.linspace(0.0, 8.0, 801)
+        np.testing.assert_allclose(ndtr(-x) + ndtr(x), 1.0, rtol=0, atol=2e-16)
 
 
 class TestSimulateBatch:

@@ -90,21 +90,23 @@ class TestSampleCov:
 class TestSolveSpd:
     def test_identity_solve(self):
         b = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        np.testing.assert_array_equal(solve_spd(np.eye(3), b), b)
+        x, jitter = solve_spd(np.eye(3), b)
+        np.testing.assert_array_equal(x, b)
+        assert jitter == 0.0
 
     def test_diagonal_inversion_oracle(self):
-        x = solve_spd([[2.0, 0.0], [0.0, 4.0]], [[1.0], [1.0]])
+        x, _ = solve_spd([[2.0, 0.0], [0.0, 4.0]], [[1.0], [1.0]])
         np.testing.assert_allclose(x, [[0.5], [0.25]])
 
     def test_vector_rhs_keeps_shape(self):
-        x = solve_spd([[2.0, 0.0], [0.0, 4.0]], [1.0, 1.0])
+        x, _ = solve_spd([[2.0, 0.0], [0.0, 4.0]], [1.0, 1.0])
         assert x.shape == (2,)
         np.testing.assert_allclose(x, [0.5, 0.25])
 
     def test_rank_one_rhs_in_range(self):
         a = np.array([[1.0, 1.0], [1.0, 1.0]])
         b = np.array([[2.0], [2.0]])
-        x = solve_spd(a, b)
+        x, _ = solve_spd(a, b)
         assert np.max(np.abs(a @ x - b)) <= 1e-8 * np.max(np.abs(b))
 
     def test_rank_one_rhs_not_in_range_raises(self):
@@ -131,5 +133,5 @@ class TestSolveSpd:
         a = (q * 10.0**exponents) @ q.T
         assert np.linalg.cond(a) < 1.1e6
         x0 = rng.standard_normal((k, 3))
-        x = solve_spd(a, a @ x0)
+        x, _ = solve_spd(a, a @ x0)
         assert np.max(np.abs(x - x0)) < 1e-8
