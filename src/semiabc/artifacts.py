@@ -8,7 +8,8 @@ numpy's C reader, which rounds exactly as `float()` does. Every artifact
 embeds the config hash; loaders refuse artifacts whose provenance does
 not match the requesting run, or a malformed table, and ignore keys
 they do not read. Each fact is stored once: the truncation region only
-in `region.json`.
+in `region.json`, a batch's seed, model and prior hash only in its
+sidecar, and no table a column of its row numbers.
 """
 
 from __future__ import annotations
@@ -87,18 +88,17 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 _BLOCK_ROWS = 4096
 
 
-def _write_table(path: Path, header: list[str], index, *columns) -> None:
-    """Write an integer index column, then the float columns of the 2-d
-    arrays `columns`, one block of rows at a time (repr is exactly `fmt`)."""
+def _write_table(path: Path, header: list[str], *columns) -> None:
+    """Write the columns of the 2-d arrays `columns`, one block of rows at a
+    time, each cell as `repr` of its Python value: a float as `fmt` does,
+    an integer of an object column as its digits."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
-        for start in range(0, len(index), _BLOCK_ROWS):
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
             block = slice(start, start + _BLOCK_ROWS)
-            rows = np.hstack([c[block] for c in columns], dtype=np.float64).tolist()
-            f.writelines(
-                f"{i},{','.join(map(repr, row))}\n" for i, row in zip(index[block].tolist(), rows)
-            )
+            rows = np.hstack([c[block] for c in columns]).tolist()
+            f.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def _read_table(path: Path, header: list[str], n: int) -> np.ndarray:
@@ -108,16 +108,22 @@ def _read_table(path: Path, header: list[str], n: int) -> np.ndarray:
     try:
         with open(path) as f:
             found = f.readline().rstrip("\n").split(",")
-            body = f.tell()
-            if f.readline().strip():
-                f.seek(body)
-                data = np.loadtxt(f, delimiter=",", dtype=np.float64, ndmin=2, comments=None)
-            else:  # no rows: loadtxt would warn and count one column
-                data = np.empty((0, len(found)))
+            if found == header:
+                body = f.tell()
+                if f.readline().strip():
+                    f.seek(body)
+                    data = np.loadtxt(f, delimiter=",", dtype=np.float64, ndmin=2, comments=None)
+                else:  # no rows: loadtxt would warn and count one column
+                    data = np.empty((0, len(header)))
     except ValueError as exc:
         raise ArtifactError(f"{path} is malformed: {exc}") from None
     if found != header:
-        raise ArtifactError(f"{path} header is not {','.join(header)}")
+        # earlier versions led each batch table with its row numbers
+        old = found == ["draw_index", *header]
+        raise ArtifactError(
+            f"{path} header is not {','.join(header)}"
+            + ("; it has the draw_index column of an earlier version, so rerun" if old else "")
+        )
     if data.shape != (n, len(header)):
         raise ArtifactError(
             f"{path} has {data.shape[0]} rows of {data.shape[1]} columns, "
@@ -129,15 +135,13 @@ def _read_table(path: Path, header: list[str], n: int) -> np.ndarray:
 
 
 def _batch_header(p: int, d: int) -> list[str]:
-    return ["draw_index", *(f"theta_{i + 1}" for i in range(p)), *(f"stat_{j + 1}" for j in range(d))]
+    return [*(f"theta_{i + 1}" for i in range(p)), *(f"stat_{j + 1}" for j in range(d))]
 
 
 def save_batch(directory, name: str, batch: SimulationBatch, config_hash: str) -> None:
     directory = Path(directory)
     p, d = batch.param_dim, batch.stat_dim
-    _write_table(
-        directory / f"{name}.csv", _batch_header(p, d), np.arange(batch.m), batch.thetas, batch.stats
-    )
+    _write_table(directory / f"{name}.csv", _batch_header(p, d), batch.thetas, batch.stats)
     sidecar = {
         "kind": "simulation_batch",
         "seed": batch.seed,
@@ -159,8 +163,8 @@ def load_batch(directory, name: str, config_hash: str | None = None) -> Simulati
         p, d = sidecar["param_dim"], sidecar["stat_dim"]
         data = _read_table(directory / f"{name}.csv", _batch_header(p, d), sidecar["m"])
         return SimulationBatch(
-            thetas=data[:, 1 : p + 1],
-            stats=data[:, p + 1 :],
+            thetas=data[:, :p],
+            stats=data[:, p:],
             seed=sidecar["seed"],
             model_name=sidecar["model"],
             prior_hash=sidecar["prior_hash"],
@@ -174,10 +178,9 @@ def _posterior_header(p: int) -> list[str]:
 def save_posterior(directory, name: str, posterior: WeightedPosterior, config_hash: str) -> None:
     directory = Path(directory)
     p = posterior.thetas.shape[1]
-    _write_table(
-        directory / f"{name}.csv", _posterior_header(p), np.asarray(posterior.accepted_indices),
-        posterior.thetas,
-    )
+    # an object column keeps the indices Python ints, written as digits
+    indices = np.asarray(posterior.accepted_indices, dtype=object)[:, None]
+    _write_table(directory / f"{name}.csv", _posterior_header(p), indices, posterior.thetas)
     sidecar = {
         "kind": "posterior",
         "config_hash": config_hash,
@@ -250,20 +253,14 @@ def load_projector(
 
 
 def save_marginal(directory, name: str, marginal, config_hash: str) -> None:
+    """Record a marginal estimate's draws; its provenance names the
+    coordinate and the draw count. Nothing reads them back."""
     directory = Path(directory)
-    _write_table(
-        directory / f"{name}.csv", ["draw_index", "value"], np.arange(marginal.n),
-        marginal.samples[:, None],
-    )
+    _write_table(directory / f"{name}.csv", ["value"], marginal.samples[:, None])
     dump_json(
         directory / f"{name}.json",
-        {
-            "kind": "marginal_estimate",
-            "config_hash": config_hash,
-            "coordinate": marginal.coordinate,
-            "n": marginal.n,
-            "provenance": marginal.provenance,
-        },
+        {"kind": "marginal_estimate", "config_hash": config_hash,
+         "provenance": marginal.provenance},
     )
 
 
@@ -297,15 +294,11 @@ def save_observed(directory, fixture, config_hash: str) -> None:
     config, so the files only document the run."""
     directory = Path(directory)
     values = np.asarray(fixture.observed_data).reshape(-1, 1)
-    _write_table(directory / "observed.csv", ["index", "value"], np.arange(len(values)), values)
+    _write_table(directory / "observed.csv", ["value"], values)
     dump_json(
         directory / "observed.json",
-        {
-            "kind": "observed_data",
-            "config_hash": config_hash,
-            "model": fixture.name,
-            "s_obs": [float(v) for v in fixture.s_obs],
-        },
+        {"kind": "observed_data", "config_hash": config_hash,
+         "s_obs": [float(v) for v in fixture.s_obs]},
     )
 
 

@@ -427,30 +427,33 @@ def _distance_matrix(stats: np.ndarray, s_obs: np.ndarray, scales: np.ndarray) -
     return np.sqrt(np.einsum("ij,ij->i", z, z))
 
 
-def scales_from_matrix(stats: np.ndarray) -> np.ndarray:
+def scales_from_matrix(stats: np.ndarray) -> tuple[np.ndarray, int]:
     """Per-column robust scale: 1.4826 * MAD, falling back to the standard
-    deviation, then to 1.0 (with a warning) for fully degenerate columns."""
+    deviation, then to 1.0 (with a warning) for fully degenerate columns;
+    also the number of those constant columns."""
     x = as_matrix(stats, "stats")
     # medians along contiguous rows of the transpose: same values, faster
     xt = np.ascontiguousarray(x.T)
     med = np.median(xt, axis=1, keepdims=True)
     scales = 1.4826 * np.median(np.abs(xt - med), axis=1)
     zero = scales == 0.0
+    constant = 0
     if zero.any():
         scales = np.where(zero, x.std(axis=0, ddof=1) if x.shape[0] > 1 else 0.0, scales)
         still_zero = scales == 0.0
-        if still_zero.any():
+        constant = int(still_zero.sum())
+        if constant:
             warnings.warn(
-                f"{int(still_zero.sum())} constant statistic column(s); "
-                "using scale 1.0 for them",
+                f"{constant} constant statistic column(s); using scale 1.0 for them",
                 stacklevel=2,
             )
             scales = np.where(still_zero, 1.0, scales)
-    return scales
+    return scales, constant
 
 
-def compute_scales(batch: SimulationBatch) -> np.ndarray:
-    """Robust per-statistic distance scales from a simulation batch."""
+def compute_scales(batch: SimulationBatch) -> tuple[np.ndarray, int]:
+    """Robust per-statistic distance scales from a simulation batch, and
+    the number of constant statistics among them (see scales_from_matrix)."""
     if batch.m < MIN_SCALE_DRAWS:
         raise ValueError(f"need at least {MIN_SCALE_DRAWS} draws to estimate scales")
     return scales_from_matrix(batch.stats)
@@ -476,8 +479,10 @@ def rejection_abc(
 
     Exactly one of `epsilon` (absolute distance threshold) or `fraction`
     (keep the ceil(fraction*M) smallest distances, ties broken by draw
-    index) must be given. Scales default to compute_scales(batch). The
-    accepted draws, in draw order, form an equally weighted posterior.
+    index) must be given. Scales default to compute_scales(batch), and the
+    provenance then counts its constant statistics as `constant_columns`.
+    The accepted draws, in draw order, form an equally weighted posterior;
+    their batch's seed, model and prior hash stay with the batch.
     """
     if (epsilon is None) == (fraction is None):
         raise ValueError("give exactly one of epsilon or fraction")
@@ -486,7 +491,11 @@ def rejection_abc(
         raise ValueError(
             f"s_obs has length {s_obs.shape[0]}, batch statistics have {batch.stat_dim}"
         )
-    sc = as_vector(scales, "scales") if scales is not None else compute_scales(batch)
+    info = {}
+    if scales is None:
+        sc, info["constant_columns"] = compute_scales(batch)
+    else:
+        sc = as_vector(scales, "scales")
     if np.any(sc <= 0):
         raise ValueError("scales must be strictly positive")
     distances = _distance_matrix(batch.stats, s_obs, sc)
@@ -510,14 +519,11 @@ def rejection_abc(
     accepted = np.flatnonzero(mask)
 
     realized = float(distances[accepted].max())
-    info = {
-        "seed": batch.seed,
-        "model": batch.model_name,
-        "prior_hash": batch.prior_hash,
-        "mode": "fraction" if fraction is not None else "epsilon",
-        "requested": fraction if fraction is not None else epsilon,
-        "n_simulated": batch.m,
-    }
+    info.update(
+        mode="fraction" if fraction is not None else "epsilon",
+        requested=fraction if fraction is not None else epsilon,
+        n_simulated=batch.m,
+    )
     if provenance:
         info.update(provenance)
     return WeightedPosterior(

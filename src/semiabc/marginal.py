@@ -113,7 +113,8 @@ def marginal_remap(
     row index) receives the r-th of N evenly-spaced type-7 quantiles of
     the marginal sample; row pairing, and hence the joint rank structure,
     is untouched, and the result stays equally weighted. Every coordinate
-    must be covered by a marginal.
+    must be covered by a marginal. The provenance records only the
+    coordinates remapped: the joint's and the marginals' are their own.
     """
     p = joint.thetas.shape[1]
     covered = {m.coordinate for m in marginals}
@@ -125,7 +126,6 @@ def marginal_remap(
         raise ValueError(f"coordinates {sorted(missing)} are not covered by a marginal")
     n = joint.n
     thetas = joint.thetas.copy()
-    sources = {}
     for marginal in marginals:
         if marginal.n < n:
             raise ValueError(
@@ -135,7 +135,4 @@ def marginal_remap(
         i = marginal.coordinate
         ranks = _stable_ranks(thetas[:, i])
         thetas[:, i] = _marginal_order_stats(marginal.samples, n)[ranks]
-        sources[str(i)] = dict(marginal.provenance)
-    info = dict(joint.provenance)
-    info["marginal_adjustment"] = {"sources": sources}
-    return replace(joint, thetas=thetas, provenance=info)
+    return replace(joint, thetas=thetas, provenance={"remapped_coordinates": sorted(covered)})

@@ -34,6 +34,7 @@ GPD_XI_PRIOR = (-0.4, 0.9)
 _SIM_BLOCK_BYTES = 1 << 19
 
 _OBS_TAG = 7  # stream tag for fixture observed-data generation
+GPD_OBS_SEED = 20260101  # seed of the GPD fixture's observed exceedances
 
 
 def gpd_quantile(u, sigma, xi):
@@ -379,14 +380,13 @@ def gpd_fixture(
     sigma_true: float = 1.0,
     xi_true: float = 0.2,
     n_exceedances: int = 100,
-    obs_seed: int = 20260101,
-    grid_shape=(200, 200),
 ) -> ModelFixture:
     """Generalized Pareto exceedance model with a grid-posterior oracle.
 
     Simulates n exceedances by inverse CDF, reports the fixed quantile
     ladder plus mean and sd (13 statistics). Prior: sigma ~ lognormal(0,1),
-    xi ~ uniform(*GPD_XI_PRIOR).
+    xi ~ uniform(*GPD_XI_PRIOR). The observed exceedances are drawn from
+    `GPD_OBS_SEED`, and the oracle is `GpdGridOracle`'s default grid.
     """
     if sigma_true <= 0:
         raise ConfigError("sigma_true must be positive")
@@ -420,11 +420,11 @@ def gpd_fixture(
     # keeping the grid oracle well posed.
     prior = PriorSpec((lognormal(0.0, 1.0), uniform(*GPD_XI_PRIOR)))
 
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((int(obs_seed), _OBS_TAG))))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((GPD_OBS_SEED, _OBS_TAG))))
     observed = gpd_quantile(rng.random(n_exceedances), sigma_true, xi_true)
     s_obs = _gpd_stat_matrix(observed[None, :].copy())[0]  # keep the draw order
 
-    oracle = GpdGridOracle(observed, n_sigma=int(grid_shape[0]), n_xi=int(grid_shape[1]))
+    oracle = GpdGridOracle(observed)
     return ModelFixture(
         name="gpd",
         simulator=simulator,
@@ -432,11 +432,7 @@ def gpd_fixture(
         observed_data=observed,
         s_obs=s_obs,
         oracle=oracle,
-        params={
-            "sigma_true": sigma_true, "xi_true": xi_true,
-            "n_exceedances": n_exceedances,
-            "obs_seed": int(obs_seed), "grid_shape": list(grid_shape),
-        },
+        params={"sigma_true": sigma_true, "xi_true": xi_true, "n_exceedances": n_exceedances},
     )
 
 

@@ -347,12 +347,14 @@ def stage_infer(
     that projection, since a BLAS product rounds by row position."""
     projected = project_matrix(projector, batch.stats)
     s_obs_proj = project(projector, fixture.s_obs)
+    scales, constant = scales_from_matrix(projected)
     posterior = rejection_abc(
         replace(batch, stats=projected),
         s_obs_proj,
         fraction=config.main_accept_fraction,
-        scales=scales_from_matrix(projected),
-        provenance={"stage": "infer", "projector_id": projector.projector_id()},
+        scales=scales,
+        provenance={"stage": "infer", "projector_id": projector.projector_id(),
+                    "constant_columns": constant},
     )
     if config.regression_adjust:
         posterior = regression_adjust(

@@ -5,6 +5,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from semiabc import cli, semiauto
@@ -135,6 +136,40 @@ class TestReport:
         main_csv = (tmp_path / "run" / "posterior_main.csv").read_bytes()
         assert (tmp_path / "run" / "posterior_marginal.csv").read_bytes() == main_csv
 
+    def test_each_fact_of_a_run_is_stored_once(self, tmp_path):
+        config = write_config(
+            tmp_path,
+            model={"name": "linear_gaussian", "params": {
+                "p": 2, "d": 2, "coeffs": [[1.0, 0.0], [1.0, 1.0]],
+                "noise_sd": 1.0, "s_obs": [1.0, 2.0]}},
+            targets=[{"kind": "coordinate", "index": 0}, {"kind": "coordinate", "index": 1}],
+        )
+        out = tmp_path / "run"
+        for command in (["infer", "--full"], ["marginal"]):
+            assert main(command + ["--config", str(config), "--out", str(out)]) == 0
+        tables = sorted(out.glob("*.csv"))
+        assert {p.stem for p in tables} >= {"batch_main", "marginal_1", "observed"}
+        for path in tables:
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            rows = np.arange(data.shape[0])
+            assert not any(np.array_equal(column, rows) for column in data.T), path.name
+
+        def provenance(name):
+            return json.loads((out / f"{name}.json").read_text())["provenance"]
+
+        for name in ("posterior_pilot", "posterior_main", "posterior_marginal"):
+            assert not provenance(name).keys() & {"seed", "model", "prior_hash"}, name
+        assert provenance("posterior_pilot")["constant_columns"] == 0
+        remapped = provenance("posterior_marginal")
+        assert remapped == {"remapped_coordinates": [0, 1]}
+        text = (out / "posterior_marginal.json").read_text()
+        for name in ("posterior_main", "marginal_0", "marginal_1"):
+            other = provenance(name)
+            assert not [key for key, value in remapped.items() if other.get(key) == value]
+            assert other["projector_id"] not in text
+        assert not json.loads((out / "marginal_0.json").read_text()).keys() & {"coordinate", "n"}
+        assert "model" not in json.loads((out / "observed.json").read_text())
+
     def test_report_reads_a_sidecar_that_still_holds_distances(self, tmp_path):
         # earlier versions wrote the accepted draws' distances into the sidecar
         config = write_config(tmp_path)
@@ -153,8 +188,10 @@ class TestReport:
 
     def test_chain_reads_sidecars_that_still_hold_dropped_keys(self, tmp_path):
         # earlier versions also wrote each sidecar's stage, the run seed, a
-        # copy of the region in batch and projector, and the config hash in
-        # the main posterior's provenance
+        # copy of the region in batch and projector, the model in
+        # observed.json, and copies in posterior provenance: the config
+        # hash, each batch's seed, model and prior hash, and in the
+        # remapped posterior the joint's whole provenance
         config = write_config(tmp_path, main={"m": 2000, "accept_fraction": 0.05})
         untouched, restored = tmp_path / "untouched", tmp_path / "restored"
 
@@ -163,26 +200,32 @@ class TestReport:
                 for command in commands:
                     assert main([command, "--config", str(config), "--out", str(out)]) == 0
 
-        def restore(name, hash_in_provenance=False, **keys):
-            path = restored / f"{name}.json"
-            sidecar = json.loads(path.read_text())
+        def read(name):
+            return json.loads((restored / f"{name}.json").read_text())
+
+        def restore(name, provenance=None, **keys):
+            sidecar = read(name)
             assert not keys.keys() & sidecar.keys()
             sidecar.update(keys)
-            if hash_in_provenance:
-                assert "config_hash" not in sidecar["provenance"]
-                sidecar["provenance"]["config_hash"] = sidecar["config_hash"]
-            path.write_text(json.dumps(sidecar))
+            if provenance:
+                assert not provenance.keys() & sidecar["provenance"].keys()
+                sidecar["provenance"].update(provenance)
+            (restored / f"{name}.json").write_text(json.dumps(sidecar))
+
+        def batch_facts(name):
+            batch = read(name)
+            return {"seed": batch["seed"], "model": batch["model"], "prior_hash": batch["prior_hash"]}
 
         def same_bytes(*edited):
             a, b = tree_bytes(untouched), tree_bytes(restored)
             return {k for k in a.keys() | b.keys() if a.get(k) != b.get(k)} == set(edited)
 
         run("simulate", "pilot", "construct")
-        region = json.loads((restored / "region.json").read_text())
+        region = read("region")
         box = {"lo": region["lo"], "hi": region["hi"]}
-        restore("observed", seed=11)
+        restore("observed", seed=11, model="gaussian_location")
         restore("batch_pilot", stage="simulate", region=None)
-        restore("posterior_pilot", stage="pilot")
+        restore("posterior_pilot", batch_facts("batch_pilot"), stage="pilot")
         restore("region", seed=11)
         restore("batch_construct", stage="construct", region=box)
         restore("projector", seed=11, region=box)
@@ -191,16 +234,15 @@ class TestReport:
         run("infer")
         assert same_bytes(*edited)
         restore("batch_main", stage="infer", region=box)
-        restore("posterior_main", True, stage="infer")
+        h = read("posterior_main")["config_hash"]
+        restore("posterior_main", {"config_hash": h, **batch_facts("batch_main")}, stage="infer")
         edited += ["batch_main.json", "posterior_main.json"]
         run("marginal")
-        # the remapped posterior keeps the provenance of the joint it read
-        assert same_bytes(*edited, "posterior_marginal.json")
-        marginal = [json.loads((out / "posterior_marginal.json").read_text())
-                    for out in (untouched, restored)]
-        del marginal[1]["provenance"]["config_hash"]
-        assert marginal[0] == marginal[1]
-        restore("posterior_marginal", stage="marginal")
+        # the remapped posterior copies nothing from the joint it read
+        assert same_bytes(*edited)
+        sources = {"0": read("marginal_0")["provenance"]}
+        joint = {**read("posterior_main")["provenance"], "marginal_adjustment": {"sources": sources}}
+        restore("posterior_marginal", joint, stage="marginal")
         run("report")
         assert same_bytes(*edited, "posterior_marginal.json")
 
@@ -290,6 +332,19 @@ class TestExitCodes:
             assert (out / "region.json").exists()
             assert not (out / "projector.json").exists()
 
+    def test_pilot_records_its_constant_statistics(self, tmp_path):
+        # one observation per draw makes the sd statistic constant: the
+        # pilot scales it by 1.0, warns, and says so in its provenance
+        config = write_config(
+            tmp_path, model={"name": "gaussian_location", "params": {"n_noise_stats": 2, "n": 1}}
+        )
+        args = ["--config", str(config), "--out", str(tmp_path / "o")]
+        assert main(["simulate"] + args) == 0
+        with pytest.warns(UserWarning, match="1 constant statistic column"):
+            assert main(["pilot"] + args) == 0
+        sidecar = json.loads((tmp_path / "o" / "posterior_pilot.json").read_text())
+        assert sidecar["provenance"]["constant_columns"] == 1
+
     def test_unknown_command_is_one(self, tmp_path):
         assert main(["bogus"]) == 1
 
@@ -345,6 +400,21 @@ class TestMalformedArtifacts:
         header, *rows = (out / "batch_pilot.csv").read_text().splitlines()
         if not rows:
             assert f"0 rows of {header.count(',') + 1} columns" in err
+
+    def test_batch_with_the_earlier_row_number_column(self, tmp_path, capsys):
+        # earlier versions led every batch table with a draw_index column
+        config = write_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        path = out / "batch_pilot.csv"
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([f"draw_index,{header}"]
+                                  + [f"{i},{row}" for i, row in enumerate(rows)]) + "\n")
+        capsys.readouterr()
+        code = main(["pilot", "--config", str(config), "--out", str(out)])
+        err = self.assert_rejected(code, capsys, "batch_pilot.csv")
+        assert "draw_index column of an earlier version" in err and len(err.splitlines()) == 1
+        assert not (out / "posterior_pilot.json").exists()
 
     def test_non_integral_draw_index(self, tmp_path, capsys):
         config = write_config(tmp_path)

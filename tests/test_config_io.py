@@ -471,13 +471,14 @@ FINITE_CELLS = st.one_of(
 ANY_CELLS = st.one_of(FINITE_CELLS, st.sampled_from([np.nan, np.inf, -np.inf]))
 
 
-def per_cell_csv(header, index, values) -> bytes:
+def per_cell_csv(header, values, index=None) -> bytes:
     """The bytes the table writer is pinned to: one cell at a time, str of
-    each index and `fmt` (repr of the float) of each value."""
+    each index when there is one, then `fmt` (repr of the float) of each
+    value."""
     lines = [",".join(header)]
-    lines.extend(
-        ",".join([str(int(i))] + [repr(float(v)) for v in row]) for i, row in zip(index, values)
-    )
+    for k, row in enumerate(values):
+        cells = [repr(float(v)) for v in row]
+        lines.append(",".join(cells if index is None else [str(int(index[k]))] + cells))
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -486,9 +487,7 @@ def bits_equal(a, b) -> bool:
 
 
 def batch_header(p, d):
-    return (
-        ["draw_index"] + [f"theta_{i + 1}" for i in range(p)] + [f"stat_{j + 1}" for j in range(d)]
-    )
+    return [f"theta_{i + 1}" for i in range(p)] + [f"stat_{j + 1}" for j in range(d)]
 
 
 class TestTableBytes:
@@ -509,10 +508,10 @@ class TestTableBytes:
             artifacts.save_batch(out, "b", batch, "h")
             artifacts.save_posterior(out, "p", post, "h")
             assert (out / "b.csv").read_bytes() == per_cell_csv(
-                batch_header(p, d), range(m), np.hstack([thetas, stats])
+                batch_header(p, d), np.hstack([thetas, stats])
             )
             post_header = ["draw_index"] + [f"theta_{i + 1}" for i in range(p)]
-            assert (out / "p.csv").read_bytes() == per_cell_csv(post_header, 3 * np.arange(m), thetas)
+            assert (out / "p.csv").read_bytes() == per_cell_csv(post_header, thetas, 3 * np.arange(m))
             loaded = artifacts.load_batch(out, "b", "h")
             assert bits_equal(loaded.thetas, thetas) and bits_equal(loaded.stats, stats)
             reloaded = artifacts.load_posterior(out, "p", "h")
@@ -520,11 +519,11 @@ class TestTableBytes:
             np.testing.assert_array_equal(reloaded.accepted_indices, post.accepted_indices)
             # the writer formats nan and the infinities like `fmt`; the
             # reader refuses them, as batches and posteriors must be finite
-            header = ["index", "a", "b", "c"]
-            artifacts._write_table(out / "t.csv", header, np.arange(m), cells)
-            assert (out / "t.csv").read_bytes() == per_cell_csv(header, range(m), cells)
+            header = ["a", "b", "c"]
+            artifacts._write_table(out / "t.csv", header, cells)
+            assert (out / "t.csv").read_bytes() == per_cell_csv(header, cells)
             if np.isfinite(cells).all():
-                assert bits_equal(artifacts._read_table(out / "t.csv", header, m)[:, 1:], cells)
+                assert bits_equal(artifacts._read_table(out / "t.csv", header, m), cells)
             else:
                 with pytest.raises(ArtifactError, match="non-finite"):
                     artifacts._read_table(out / "t.csv", header, m)
@@ -538,7 +537,7 @@ class TestTableBytes:
         )
         artifacts.save_batch(tmp_path, "b", batch, "h")
         assert (tmp_path / "b.csv").read_bytes() == per_cell_csv(
-            batch_header(2, 3), range(m), np.hstack([batch.thetas, batch.stats])
+            batch_header(2, 3), np.hstack([batch.thetas, batch.stats])
         )
         loaded = artifacts.load_batch(tmp_path, "b", "h")
         assert bits_equal(loaded.thetas, batch.thetas) and bits_equal(loaded.stats, batch.stats)

@@ -314,14 +314,14 @@ class TestScales:
         stats = np.column_stack([np.full(50, 2.0), np.arange(50.0)])
         batch = make_batch(np.zeros((50, 1)), stats)
         with pytest.warns(UserWarning, match="constant statistic"):
-            scales = compute_scales(batch)
-        assert scales[0] == 1.0
+            scales, constant = compute_scales(batch)
+        assert scales[0] == 1.0 and constant == 1
 
     def test_standard_normal_scale_near_one(self):
         rng = np.random.default_rng(1)
         stats = rng.standard_normal((100_000, 1))
         batch = make_batch(np.zeros((100_000, 1)), stats)
-        assert 0.97 <= compute_scales(batch)[0] <= 1.03
+        assert 0.97 <= compute_scales(batch)[0][0] <= 1.03
 
     @settings(max_examples=80, deadline=None)
     @given(stat_matrices())
@@ -337,13 +337,15 @@ class TestScales:
         expected = np.where(mad == 0.0, np.where(sd == 0.0, 1.0, sd), mad)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            assert np.array_equal(scales_from_matrix(x), expected)
+            scales, constant = scales_from_matrix(x)
+        assert np.array_equal(scales, expected)
+        assert constant == np.count_nonzero((mad == 0.0) & (sd == 0.0))
 
     def test_mad_homogeneity_exact(self):
         rng = np.random.default_rng(2)
         col = rng.standard_normal(999)
-        s1 = compute_scales(make_batch(np.zeros((999, 1)), col[:, None]))
-        s2 = compute_scales(make_batch(np.zeros((999, 1)), 10.0 * col[:, None]))
+        s1, _ = compute_scales(make_batch(np.zeros((999, 1)), col[:, None]))
+        s2, _ = compute_scales(make_batch(np.zeros((999, 1)), 10.0 * col[:, None]))
         np.testing.assert_array_equal(s2, 10.0 * s1)
 
 
@@ -361,7 +363,7 @@ class TestRejection:
         batch = make_batch(rng.standard_normal((1000, 1)), rng.standard_normal((1000, 1)))
         post = rejection_abc(batch, [0.0], fraction=0.1)
         assert post.n == 100
-        distances = _distance_matrix(batch.stats, np.zeros(1), compute_scales(batch))
+        distances = _distance_matrix(batch.stats, np.zeros(1), compute_scales(batch)[0])
         assert post.epsilon == distances[post.accepted_indices].max()
 
     @pytest.mark.parametrize("fraction, kept", [(0.07, 7), (0.14, 14)])

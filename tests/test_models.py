@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from semiabc.engine import CHUNK
 from semiabc.errors import ConfigError
 from semiabc.models import (
+    GPD_OBS_SEED,
     GPD_QUANTILE_LADDER,
     GPD_SMALL_XI,
     GpdGridOracle,
@@ -266,7 +267,7 @@ class TestGpdFixture:
         # `random` fills row-major from one stream and every statistic is
         # per row, so the blocks give a one-shot chunk's bits; at n = 1000
         # a block has 65 rows, at n = 3 it has more than CHUNK
-        fixture = gpd_fixture(n_exceedances=n, grid_shape=(5, 5))
+        fixture = gpd_fixture(n_exceedances=n)
         block = max(1, _SIM_BLOCK_BYTES // (8 * n))
         for rows in (1, block - 1, block, block + 1, 2 * block + 1, CHUNK):
             rng = np.random.default_rng(rows)
@@ -284,8 +285,8 @@ class TestGpdFixture:
             assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     def test_observed_data_keeps_its_draw_order(self):
-        fixture = gpd_fixture(n_exceedances=50, obs_seed=9)
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((9, 7))))
+        fixture = gpd_fixture(n_exceedances=50)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((GPD_OBS_SEED, 7))))
         drawn = gpd_quantile(rng.random(50), 1.0, 0.2)
         assert np.array_equal(fixture.observed_data, drawn)
         assert np.any(np.diff(fixture.observed_data) < 0)
