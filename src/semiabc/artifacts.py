@@ -16,18 +16,15 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .engine import SimulationBatch, TruncationRegion, WeightedPosterior
 from .errors import ArtifactError
+from .experiment import ExperimentRow
 from .semiauto import SummaryProjector
-
-
-def fmt(value) -> str:
-    """Shortest round-trip decimal representation of a float."""
-    return repr(float(value))
 
 
 def dump_json(path: Path, payload: dict) -> None:
@@ -78,11 +75,20 @@ def _sidecar_values(path: Path):
         raise ArtifactError(f"{path} is malformed: {exc}") from None
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def _write_records(path: Path, header: list[str], records) -> None:
+    """Write a text table of `records`, mappings with a key per `header`
+    name: a float cell as its shortest round-trip decimal, None as an empty
+    cell, and anything else as `str` of it."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(",".join(_cell(r[name]) for name in header) + "\n" for r in records)
 
 
 _BLOCK_ROWS = 4096
@@ -90,8 +96,8 @@ _BLOCK_ROWS = 4096
 
 def _write_table(path: Path, header: list[str], *columns) -> None:
     """Write the columns of the 2-d arrays `columns`, one block of rows at a
-    time, each cell as `repr` of its Python value: a float as `fmt` does,
-    an integer of an object column as its digits."""
+    time, each cell as `repr` of its Python value: a float as its shortest
+    round-trip decimal, an integer of an object column as its digits."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
@@ -270,22 +276,9 @@ def save_experiment_report(directory, report, config_hash: str) -> None:
         directory / "experiment_report.json",
         {"kind": "experiment_report", "config_hash": config_hash, **report.to_dict()},
     )
-    header = [
-        "strategy", "replicate", "seed", "group", "target", "p_prime",
-        "estimate", "oracle", "abs_error", "n_accepted",
-        "epsilon", "construction_condition", "adjustment_condition",
-    ]
-    rows = (
-        [
-            r.strategy, str(r.replicate), str(r.seed), r.group_label, r.target,
-            str(r.p_prime), fmt(r.estimate), fmt(r.oracle_value), fmt(r.abs_error),
-            str(r.n_accepted), fmt(r.epsilon),
-            fmt(r.construction_condition),
-            fmt(r.adjustment_condition) if r.adjustment_condition is not None else "",
-        ]
-        for r in report.rows
-    )
-    _write_csv(directory / "experiment_rows.csv", header, rows)
+    # the columns are the row fields, named as the JSON rows name them
+    header = [f.name for f in fields(ExperimentRow)]
+    _write_records(directory / "experiment_rows.csv", header, map(vars, report.rows))
 
 
 def save_observed(directory, fixture, config_hash: str) -> None:
@@ -305,13 +298,4 @@ def save_observed(directory, fixture, config_hash: str) -> None:
 def save_report_table(directory, rows: list[dict]) -> None:
     """Machine-readable companion of the human-readable report table."""
     header = ["target", "estimate", "oracle", "abs_error", "mc_sd"]
-    csv_rows = (
-        [
-            r["target"], fmt(r["estimate"]),
-            fmt(r["oracle"]) if r["oracle"] is not None else "",
-            fmt(r["abs_error"]) if r["abs_error"] is not None else "",
-            fmt(r["mc_sd"]),
-        ]
-        for r in rows
-    )
-    _write_csv(Path(directory) / "report_table.csv", header, csv_rows)
+    _write_records(Path(directory) / "report_table.csv", header, rows)

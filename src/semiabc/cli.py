@@ -27,6 +27,7 @@ from .semiauto import (
     build_fixture,
     check_draw_counts,
     posterior_target_estimates,
+    project,
     run_semiauto,
     stage_batch,
     stage_construct,
@@ -154,33 +155,31 @@ def _cmd_report(config, fixture, out, threads, held):
     name = "posterior_marginal" if (out / "posterior_marginal.json").exists() else "posterior_main"
     posterior = artifacts.load_posterior(out, name, h)
     estimates = posterior_target_estimates(posterior, config.targets)
+    projector = artifacts.load_projector(out, h, stat_dim=fixture.simulator.stat_dim)
     rows = []
     for target in config.targets:
         try:
-            oracle_value = float(fixture.oracle.target_mean(target))
+            oracle = float(fixture.oracle.target_mean(target))
         except NotImplementedError:
-            oracle_value = None
+            oracle = None
         est = estimates[target.name]
-        rows.append(
-            {
-                "target": target.name,
-                "estimate": est["estimate"],
-                "oracle": oracle_value,
-                "abs_error": (
-                    abs(est["estimate"] - oracle_value) if oracle_value is not None else None
-                ),
-                "mc_sd": est["mc_sd"],
-            }
-        )
+        error = abs(est["estimate"] - oracle) if oracle is not None else None
+        rows.append({"target": target.name, **est, "oracle": oracle, "abs_error": error})
     artifacts.save_report_table(out, rows)
     print(f"posterior: {name} (n={posterior.n}, epsilon={posterior.epsilon:.6g})")
-    print(f"{'target':<16}{'estimate':>14}{'oracle':>14}{'abs error':>14}{'mc sd':>12}")
-    for r in rows:
+    print(
+        f"{'target':<16}{'estimate':>14}{'oracle':>14}{'abs error':>14}{'mc sd':>12}"
+        f"{'adj. expect.':>14}{'adj. sd':>12}"
+    )
+    # beside each ABC estimate, the Bayes linear one under the truncated
+    # prior: the projector's adjusted expectation at s_obs and adjusted sd
+    expectations = project(projector, fixture.s_obs)
+    for r, expectation, mss in zip(rows, expectations, projector.residual_mss):
         oracle_s = f"{r['oracle']:.6g}" if r["oracle"] is not None else "-"
         err_s = f"{r['abs_error']:.6g}" if r["abs_error"] is not None else "-"
         print(
             f"{r['target']:<16}{r['estimate']:>14.6g}{oracle_s:>14}{err_s:>14}"
-            f"{r['mc_sd']:>12.3g}"
+            f"{r['mc_sd']:>12.3g}{expectation:>14.6g}{mss**0.5:>12.3g}"
         )
 
 

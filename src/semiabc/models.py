@@ -122,11 +122,15 @@ class ConjugateNormalOracle:
 
 
 class LinearGaussianOracle:
-    """Exact Gaussian posterior from the conditioning formulas."""
+    """Exact Gaussian posterior: the joint prior `moments` of (theta, s)
+    (`mean_theta`, `mean_s`, `var_theta`, `var_s`, `cov_theta_s`)
+    conditioned on `s_obs`."""
 
-    def __init__(self, mean: np.ndarray, cov: np.ndarray):
-        self.mean = np.asarray(mean, dtype=np.float64)
-        self.cov = np.asarray(cov, dtype=np.float64)
+    def __init__(self, moments: dict, s_obs: np.ndarray):
+        self.moments = moments
+        gain = np.linalg.solve(moments["var_s"], moments["cov_theta_s"].T).T  # p x d
+        self.mean = moments["mean_theta"] + gain @ (s_obs - moments["mean_s"])
+        self.cov = moments["var_theta"] - gain @ moments["cov_theta_s"].T
 
     def target_mean(self, target) -> float:
         return float(self.mean[_coordinate_index(target, "linear-Gaussian")])
@@ -289,21 +293,20 @@ def linear_gaussian_fixture(
         raise ConfigError("prior_mean and prior_sd must be length-p with positive sds")
 
     prior_cov = np.diag(sd0**2)
-    mean_s = c @ m0
-    cov_theta_s = prior_cov @ c.T
-    var_s = c @ prior_cov @ c.T + noise_sd**2 * np.eye(d)
+    moments = {
+        "mean_theta": m0,
+        "mean_s": c @ m0,
+        "var_theta": prior_cov,
+        "var_s": c @ prior_cov @ c.T + noise_sd**2 * np.eye(d),
+        "cov_theta_s": prior_cov @ c.T,
+    }
 
     if s_obs is None:
-        s_obs_arr = mean_s + np.sqrt(np.diag(var_s))
+        s_obs_arr = moments["mean_s"] + np.sqrt(np.diag(moments["var_s"]))
     else:
         s_obs_arr = np.asarray(s_obs, dtype=np.float64)
         if s_obs_arr.shape != (d,):
             raise ConfigError(f"s_obs must have length {d}")
-
-    gain = np.linalg.solve(var_s, cov_theta_s.T).T  # p x d
-    post_mean = m0 + gain @ (s_obs_arr - mean_s)
-    post_cov = prior_cov - gain @ cov_theta_s.T
-    oracle = LinearGaussianOracle(post_mean, post_cov)
 
     def simulate(thetas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         noise = rng.standard_normal((thetas.shape[0], d))
@@ -313,38 +316,19 @@ def linear_gaussian_fixture(
         name="linear_gaussian", param_dim=p, stat_dim=d, simulate=simulate
     )
     prior = PriorSpec(tuple(normal(m0[i], sd0[i]) for i in range(p)))
-    fixture = ModelFixture(
+    return ModelFixture(
         name="linear_gaussian",
         simulator=simulator,
         prior=prior,
         observed_data=s_obs_arr,
         s_obs=s_obs_arr,
-        oracle=oracle,
+        oracle=LinearGaussianOracle(moments, s_obs_arr),
         params={
             "p": p, "d": d, "coeffs": c.tolist(), "noise_sd": noise_sd,
             "prior_mean": m0.tolist(), "prior_sd": sd0.tolist(),
             "s_obs": s_obs_arr.tolist(),
         },
     )
-    return fixture
-
-
-def linear_gaussian_moments(fixture: ModelFixture) -> dict:
-    """Analytic joint moments of (theta, s) for a linear-Gaussian fixture."""
-    if fixture.name != "linear_gaussian":
-        raise ValueError("analytic moments are defined for the linear_gaussian fixture")
-    prm = fixture.params
-    c = np.asarray(prm["coeffs"])
-    m0 = np.asarray(prm["prior_mean"])
-    sd0 = np.asarray(prm["prior_sd"])
-    prior_cov = np.diag(sd0**2)
-    return {
-        "mean_theta": m0,
-        "mean_s": c @ m0,
-        "var_theta": prior_cov,
-        "var_s": c @ prior_cov @ c.T + prm["noise_sd"] ** 2 * np.eye(c.shape[0]),
-        "cov_theta_s": prior_cov @ c.T,
-    }
 
 
 def _gpd_stat_matrix(samples: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ import numpy as np
 
 from semiabc.bayes_linear import (
     adjusted_expectation,
+    adjusted_variance,
     criterion_value,
     fit_bayes_linear,
     from_moments,
@@ -29,7 +30,6 @@ from semiabc.models import (
     gaussian_location_fixture,
     gpd_fixture,
     linear_gaussian_fixture,
-    linear_gaussian_moments,
 )
 from semiabc.regression import fit_linear
 from semiabc.runconfig import ExperimentConfig, RunConfig, TargetSpec
@@ -61,7 +61,7 @@ def test_criterion_1_bayes_linear_exactness():
     fixture = linear_gaussian_fixture(**LG_PARAMS)
     exact_mean = fixture.oracle.mean
 
-    analytic = from_moments(**linear_gaussian_moments(fixture))
+    analytic = from_moments(**fixture.oracle.moments)
     analytic_err = float(
         np.max(np.abs(adjusted_expectation(analytic, fixture.s_obs) - exact_mean))
     )
@@ -454,5 +454,36 @@ def test_criterion_9_discrete_abc_oracle():
         ok,
         "zero-tolerance rejection on the two-point toy matches brute-force "
         f"enumeration exactly ({expected_idx.size} of 64 draws), {elapsed:.2f}s (< 1s)",
+    )
+    assert ok
+
+
+def test_criterion_10_adjusted_draws_carry_the_bayes_linear_moments():
+    # Nott, Fan, Marshall and Sisson (JCGS 2014): the mean and covariance of
+    # regression-adjusted draws are the adjusted expectation and adjusted
+    # variance of the Bayes linear fit to the draws the adjustment read
+    start = time.time()
+    worst = 0.0
+    for number, fixture in enumerate((linear_gaussian_fixture(**LG_PARAMS), gpd_fixture())):
+        batch = simulate_batch(fixture.prior, fixture.simulator, 20_000, seed=1000 + number)
+        for fraction in (1.0, 0.1):
+            post = rejection_abc(batch, fixture.s_obs, fraction=fraction)
+            stats = batch.stats[post.accepted_indices]
+            adjusted = regression_adjust(post, stats, fixture.s_obs, ridge_lambda=0.0)
+            model = fit_bayes_linear(make_batch(post.thetas, stats))
+            mean = adjusted_expectation(model, fixture.s_obs)
+            cov = adjusted_variance(model)
+            mean_err = np.max(np.abs(adjusted.thetas.mean(axis=0) - mean) / np.abs(mean))
+            cov_err = np.max(np.abs(np.cov(adjusted.thetas, rowvar=False, ddof=1) - cov))
+            worst = max(worst, float(mean_err), float(cov_err / np.max(np.abs(cov))))
+    elapsed = time.time() - start
+    ok = worst <= 1e-12 and elapsed < 10.0
+    report_line(
+        10,
+        ok,
+        "regression-adjusted draws carry the adjusted expectation and variance of "
+        "the Bayes linear fit to the accepted draws (linear-Gaussian and GPD, "
+        f"fractions 1.0 and 0.1, ridge 0): worst relative gap {worst:.1e} (<= 1e-12), "
+        f"{elapsed:.1f}s (< 10s)",
     )
     assert ok

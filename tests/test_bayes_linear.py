@@ -10,7 +10,7 @@ from semiabc.bayes_linear import (
     from_moments,
 )
 from semiabc.engine import SimulationBatch
-from semiabc.models import linear_gaussian_fixture, linear_gaussian_moments
+from semiabc.models import linear_gaussian_fixture
 from semiabc.regression import fit_linear
 
 
@@ -210,7 +210,7 @@ class TestEquivalences:
         fixture = linear_gaussian_fixture(
             p=2, d=2, coeffs=[[1.0, 0.0], [1.0, 1.0]], noise_sd=1.0, s_obs=[1.0, 2.0]
         )
-        model = from_moments(**linear_gaussian_moments(fixture))
+        model = from_moments(**fixture.oracle.moments)
         expectation = adjusted_expectation(model, fixture.s_obs)
         np.testing.assert_allclose(expectation, fixture.oracle.mean, atol=1e-8)
 

@@ -49,16 +49,54 @@ def test_benchmark_hook_resolves(module, attr):
     assert callable(getattr(importlib.import_module(module), attr))
 
 
-def test_staged_run_keeps_every_file_the_benchmark_sizes(tmp_path):
+# the modules whose `run_semiauto` the benchmark counts as its calls
+RUN_SEMIAUTO_MODULES = sorted(m for m, attr, _name, _hook in spans.PATCHES if attr == "run_semiauto")
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """run(name) -> (out, ledger, run_semiauto calls) of one reduced-size
+    run of the workload `name`, made on first use."""
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            workload = workloads.WORKLOADS[name]
+            work = tmp_path_factory.mktemp(name)
+            config = work / "config.json"
+            config.write_text(json.dumps(workload.config(seed=1, small=True)))
+            out, ledger, calls = work / "out", workloads.Ledger(), []
+            with pytest.MonkeyPatch.context() as patch:
+                for module_name in RUN_SEMIAUTO_MODULES:
+                    module = importlib.import_module(module_name)
+
+                    def counted(*args, _original=module.run_semiauto, **kwargs):
+                        calls.append(1)
+                        return _original(*args, **kwargs)
+
+                    patch.setattr(module, "run_semiauto", counted)
+                assert workloads.run_workload(workload, config, out, ledger)
+            runs[name] = out, ledger, len(calls)
+        return runs[name]
+
+    return run
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_every_workload_calls_run_semiauto(small_run, name):
+    # the benchmark requires a counted `run_semiauto` call in every workload:
+    # a change that routes a CLI command around it fails here, not only in
+    # the benchmark's own tests
+    _out, ledger, calls = small_run(name)
+    assert ledger.failed == 0, ledger.misses
+    assert calls >= 1
+
+
+def test_staged_run_keeps_every_file_the_benchmark_sizes(small_run):
     # a traced run sizes each batch and posterior the staged workload saves
     # or reloads as its `{name}.csv` plus `{name}.json`: a format change
     # that drops or renames one of them would break `--trace 1`
-    workload = workloads.WORKLOADS["gaussian_staged"]
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(workload.config(seed=1, small=True)))
-    out = tmp_path / "out"
-    ledger = workloads.Ledger()
-    assert workloads.run_workload(workload, config, out, ledger)
+    out, ledger, _calls = small_run("gaussian_staged")
     assert ledger.failed == 0, ledger.misses
     for name in workloads.RELOAD_BATCHES + workloads.RELOAD_POSTERIORS:
         assert (out / f"{name}.csv").is_file() and (out / f"{name}.json").is_file()

@@ -21,6 +21,7 @@ from semiabc.engine import (
     WeightedPosterior,
 )
 from semiabc.errors import ArtifactError, ConfigError
+from semiabc.experiment import ExperimentReport, ExperimentRow
 from semiabc.regression import BasisSpec
 from semiabc.runconfig import (
     _LAYOUT,
@@ -473,8 +474,7 @@ ANY_CELLS = st.one_of(FINITE_CELLS, st.sampled_from([np.nan, np.inf, -np.inf]))
 
 def per_cell_csv(header, values, index=None) -> bytes:
     """The bytes the table writer is pinned to: one cell at a time, str of
-    each index when there is one, then `fmt` (repr of the float) of each
-    value."""
+    each index when there is one, then repr of the float of each value."""
     lines = [",".join(header)]
     for k, row in enumerate(values):
         cells = [repr(float(v)) for v in row]
@@ -517,7 +517,7 @@ class TestTableBytes:
             reloaded = artifacts.load_posterior(out, "p", "h")
             assert bits_equal(reloaded.thetas, thetas)
             np.testing.assert_array_equal(reloaded.accepted_indices, post.accepted_indices)
-            # the writer formats nan and the infinities like `fmt`; the
+            # the writer formats nan and the infinities as repr does; the
             # reader refuses them, as batches and posteriors must be finite
             header = ["a", "b", "c"]
             artifacts._write_table(out / "t.csv", header, cells)
@@ -562,6 +562,32 @@ class TestTableBytes:
             tracemalloc.stop()
         assert save_peak < 12 * 2**20
         assert load_peak < 8 * 2**20
+
+
+def test_experiment_rows_table_shares_the_json_rows_schema(tmp_path):
+    # the flat table names each fact as the JSON rows do; a float cell
+    # reads back to its row's value bit for bit, and None is an empty cell
+    rows = [
+        ExperimentRow("joint", 0, 11, "theta_0+theta_1", "theta_0", 2, 0.1, 1 / 3,
+                      abs(0.1 - 1 / 3), 40, 0.25, 1e16, 2.5e-7),
+        ExperimentRow("separate", 1, 12, "theta_1", "theta_1", 1, -0.0, 5e-324,
+                      1e-5, 7, 9999999999999998.0, 0.1 + 0.2, None),
+    ]
+    artifacts.save_experiment_report(tmp_path, ExperimentReport(rows=rows), "h")
+    header, *lines = (tmp_path / "experiment_rows.csv").read_text().splitlines()
+    names = [f.name for f in fields(ExperimentRow)]
+    assert header.split(",") == names
+    json_rows = json.loads((tmp_path / "experiment_report.json").read_text())["rows"]
+    assert [sorted(r) for r in json_rows] == [sorted(names)] * len(rows)
+    for line, row in zip(lines, rows, strict=True):
+        for cell, name in zip(line.split(","), names, strict=True):
+            value = getattr(row, name)
+            if value is None:
+                assert cell == ""
+            elif isinstance(value, float):
+                assert float(cell).hex() == value.hex(), name
+            else:
+                assert cell == str(value), name
 
 
 def test_run_semiauto_writes_no_files(tmp_path):

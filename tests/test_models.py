@@ -19,7 +19,6 @@ from semiabc.models import (
     gpd_logpdf,
     gpd_quantile,
     linear_gaussian_fixture,
-    linear_gaussian_moments,
     make_fixture,
     _SIM_BLOCK_BYTES,
     _gpd_stat_matrix,
@@ -91,7 +90,7 @@ class TestLinearGaussianFixture:
         fixture = linear_gaussian_fixture(
             p=2, d=3, coeffs=[[1.0, 0.0], [1.0, 1.0], [0.0, 0.0]], noise_sd=0.5
         )
-        moments = linear_gaussian_moments(fixture)
+        moments = fixture.oracle.moments
         batch = simulate_batch(fixture.prior, fixture.simulator, 50_000, seed=1)
         np.testing.assert_allclose(batch.stats.mean(axis=0), moments["mean_s"], atol=0.02)
         emp = np.cov(np.hstack([batch.thetas, batch.stats]), rowvar=False)
