@@ -1,20 +1,12 @@
 """semiabc: likelihood-free inference with constructed summary statistics.
 
-Core pieces: optimal affine (Bayes linear) estimation of parameters from
-statistics, regression-based construction of one summary per target
-functional, rejection ABC with optional regression adjustment, marginal
-adjustment of joint posterior samples, oracle test models, and a
-replicated experiment harness.
+Core pieces: regression-based construction of one summary per target
+functional (its optimal affine, Bayes linear, estimate), rejection ABC
+with optional regression adjustment, marginal adjustment of joint
+posterior samples, oracle test models, and a replicated experiment
+harness.
 """
 
-from .bayes_linear import (
-    BayesLinearModel,
-    adjusted_expectation,
-    adjusted_variance,
-    criterion_value,
-    fit_bayes_linear,
-    from_moments,
-)
 from .engine import (
     MarginalPrior,
     PriorSpec,

@@ -3,9 +3,9 @@
 Every fit is the paper's affine estimator a + B s: an unpenalized
 intercept and an unweighted least squares coefficient matrix. With no
 penalty, regressing parameters on raw statistics reproduces the
-intercept and coefficient matrix of the optimal affine estimator in
-`bayes_linear`, and this equivalence is property-tested rather than
-assumed.
+intercept and coefficient matrix of the optimal affine (Bayes linear)
+estimator, and the tests check this against an independent fit from
+sample moments rather than assume it.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .errors import ConfigError, NumericalError, RankDeficientError
 # solve_spd is unused here but stays importable: the benchmark tracer patches it by name.
@@ -186,8 +187,9 @@ def fit_linear(design, responses, ridge_lambda: float = 0.0) -> LinearFit:
     1e12, for zero-variance columns and in an exact null direction).
     Response j's residual sum of squares is ||z_j - Rx b_j||^2 + ||Ryy_j||^2.
 
-    numpy's QR holds each [R; block] stack three times, so `_design_blocks`
-    caps blocks by bytes; the fit rounds by where the blocks split.
+    Each step is LAPACK dgeqrf, in place, on one buffer the fit owns that
+    holds R above the block: the fit holds one [R; block] stack, whose
+    size `_design_blocks` caps by bytes, and rounds by where blocks split.
     """
     y = as_matrix(responses, "responses")
     if ridge_lambda < 0:
@@ -199,8 +201,10 @@ def fit_linear(design, responses, ridge_lambda: float = 0.0) -> LinearFit:
     if m < 2:
         raise ValueError("need at least 2 rows")
 
-    # R of [1 | X - c | Y - c_y], each block stacked under the R so far in one
-    # reused buffer; the raw squared norms `_zero_variance` needs alongside.
+    # R of [1 | X - c | Y - c_y] by LAPACK dgeqrf in place on one buffer: a
+    # C-ordered (n, capacity) array is the column-major capacity x n matrix
+    # whose first `top` rows hold R and whose next rows take a block. The
+    # raw squared norms `_zero_variance` needs are summed alongside.
     raw_sq_norms = 0.0
     rows_seen = 0
     for _, block in design:
@@ -213,24 +217,29 @@ def fit_linear(design, responses, ridge_lambda: float = 0.0) -> LinearFit:
         y_block = y[rows_seen : rows_seen + b]
         if not rows_seen:
             q = block.shape[1]
+            n, top = 1 + q + p, 0
             c, c_y = block.mean(axis=0), y_block.mean(axis=0)
-            r = buf = np.empty((0, 1 + q + p))
-        top = r.shape[0]
-        if buf.shape[0] < top + b:
-            del buf
-            buf = np.empty((1 + q + p + b, 1 + q + p))
-        stacked = buf[: top + b]
-        stacked[:top] = r
-        stacked[top:, 0] = 1.0
-        np.subtract(block, c, out=stacked[top:, 1 : q + 1])
-        np.subtract(y_block, c_y, out=stacked[top:, q + 1 :])
+            buf, tau, work = np.empty((n, n + b)), np.empty(n), np.empty(1)
+            _dgeqrf(n, buf, tau, work, -1)  # the optimal work size, which sets the blocking
+            work = np.empty(max(n, int(work[0])))
+        if buf.shape[1] < top + b:
+            grown = np.empty((n, top + b))
+            grown[:, :top] = buf[:, :top]
+            buf = grown
+        rows = slice(top, top + b)
+        buf[0, rows] = 1.0
+        np.subtract(block.T, c[:, None], out=buf[1 : q + 1, rows])
+        np.subtract(y_block.T, c_y[:, None], out=buf[q + 1 :, rows])
         raw_sq_norms = raw_sq_norms + np.einsum("ij,ij->j", block, block)
         rows_seen += b
         del block  # before the next block is made
-        r = np.linalg.qr(stacked, mode="r")
-        del stacked
+        _dgeqrf(top + b, buf, tau, work, work.size)
+        top = min(top + b, n)  # a wide fit's R has fewer than n rows until it sees n
+        for j in range(top):  # dgeqrf leaves Householder vectors below R's diagonal
+            buf[j, j + 1 : top] = 0.0
     if rows_seen != m:
         raise ValueError(f"design has {rows_seen} rows, responses {m}")
+    r = buf[:, :top].T.copy()
     del buf
     if ridge_lambda == 0.0 and m < q + 2:
         raise ValueError(f"need at least {q + 2} rows to fit {q} columns by OLS, got {m}")
@@ -260,6 +269,15 @@ def fit_linear(design, responses, ridge_lambda: float = 0.0) -> LinearFit:
         vifs=_vifs(sq_norms, m, sv, vt, _zero_variance(sq_norms, raw_sq_norms, m)),
         residual_mss=(np.einsum("ij,ij->j", resid, resid) + np.einsum("ij,ij->j", ryy, ryy)) / m,
     )
+
+
+def _dgeqrf(rows: int, buf: np.ndarray, tau: np.ndarray, work: np.ndarray, lwork: int):
+    """LAPACK dgeqrf, in place, on the first `rows` rows of the
+    column-major capacity x n matrix a C-ordered (n, capacity) `buf` is."""
+    n, capacity = buf.shape
+    info = lapack_lite.dgeqrf(rows, n, buf, capacity, tau, work, lwork, 0)["info"]
+    if info:
+        raise ValueError(f"dgeqrf rejected argument {-info}")
 
 
 def _zero_variance(sq_norms: np.ndarray, raw_sq_norms: np.ndarray, m: int) -> np.ndarray:

@@ -233,8 +233,9 @@ def construct_projector(
 
 
 # The most bytes a float64 design block may hold: `CHUNK` rows of up to
-# 256 columns. A wider basis gets fewer rows per block, so the construct
-# fit's QR of [R; block] stays near 11 MB at q = 559 instead of 21 MB.
+# 256 columns. A wider basis gets fewer rows per block, so the one
+# [R; block] stack the construct fit holds stays near 11 MB at q = 559.
+# It also fixes where blocks split, and so `project_matrix`'s bits.
 _BLOCK_BYTES = 8 << 20
 
 

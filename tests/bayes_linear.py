@@ -1,12 +1,15 @@
-"""Optimal affine estimation of parameters from summary statistics.
+"""Optimal affine estimation of parameters from summary statistics: the
+tests' independent route to the paper's estimator.
 
 Fits the estimator a + B s minimizing the expected squared error
 E[(theta - a - B s)^T (theta - a - B s)] over the joint distribution of
 parameters and statistics, via empirical first and second moments. The
 query E(theta) + Cov(theta, s) Var(s)^{-1} (s - E(s)) is the adjusted
 expectation of theta given s. On a Monte Carlo batch this coincides with
-ordinary least squares of theta on s; the regression module's fit must
-reproduce it and the test suite checks that equivalence.
+ordinary least squares of theta on s, so `semiabc.regression.fit_linear`,
+the pipeline's one affine estimator, must reproduce it; the acceptance
+criteria check that equivalence against this module, which shares no
+code path with the fit.
 
 Expectations are always with respect to whatever distribution generated
 the fitted batch; batches drawn from a truncated prior therefore need no
@@ -20,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, sample_cov, sample_mean, solve_spd
+from semiabc.linalg import as_matrix, as_vector, sample_cov, sample_mean, solve_spd
 
 # Relative slack allowed between the stored intercept and
 # mean_theta - coef @ mean_s.

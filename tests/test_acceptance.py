@@ -9,13 +9,6 @@ import time
 
 import numpy as np
 
-from semiabc.bayes_linear import (
-    adjusted_expectation,
-    adjusted_variance,
-    criterion_value,
-    fit_bayes_linear,
-    from_moments,
-)
 from semiabc.cli import main
 from semiabc.engine import (
     SimulationBatch,
@@ -34,6 +27,14 @@ from semiabc.models import (
 from semiabc.regression import fit_linear
 from semiabc.runconfig import ExperimentConfig, RunConfig, TargetSpec
 from semiabc.semiauto import run_semiauto
+
+from bayes_linear import (
+    adjusted_expectation,
+    adjusted_variance,
+    criterion_value,
+    fit_bayes_linear,
+    from_moments,
+)
 
 
 def report_line(number: int, ok: bool, message: str) -> None:

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from semiabc.bayes_linear import (
+from semiabc.engine import SimulationBatch
+from semiabc.models import linear_gaussian_fixture
+from semiabc.regression import fit_linear
+
+from bayes_linear import (
     BayesLinearModel,
     adjusted_expectation,
     adjusted_variance,
@@ -9,9 +13,6 @@ from semiabc.bayes_linear import (
     fit_bayes_linear,
     from_moments,
 )
-from semiabc.engine import SimulationBatch
-from semiabc.models import linear_gaussian_fixture
-from semiabc.regression import fit_linear
 
 
 def make_batch(thetas, stats):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from semiabc import semiauto
-from semiabc.bayes_linear import fit_bayes_linear
 from semiabc.engine import (
     CHUNK,
     SimulationBatch,
@@ -39,6 +38,8 @@ from semiabc.semiauto import (
     stage_batch,
     targets_from_specs,
 )
+
+from bayes_linear import fit_bayes_linear
 
 
 def make_batch(thetas, stats, seed=0):
