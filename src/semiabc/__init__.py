@@ -31,7 +31,6 @@ from .errors import (
     SingularMatrixError,
 )
 from .experiment import ExperimentReport, run_experiment
-from .linalg import sample_cov, sample_mean, solve_spd
 from .marginal import MarginalEstimate, estimate_marginal, marginal_remap
 from .models import (
     ModelFixture,
@@ -40,7 +39,7 @@ from .models import (
     linear_gaussian_fixture,
     make_fixture,
 )
-from .regression import BasisSpec, LinearFit, condition_diagnostics, fit_linear
+from .regression import BasisSpec, LinearFit, fit_linear
 from .runconfig import ExperimentConfig, RunConfig, TargetSpec, parse_config, parse_config_dict
 from .semiauto import (
     SummaryProjector,

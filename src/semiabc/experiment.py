@@ -133,16 +133,15 @@ def _run_one(
     replicate: int,
     seed: int,
     group: tuple[int, ...],
-    shared: dict | None,
+    shared: dict,
     oracle_values: dict,
 ) -> list[ExperimentRow]:
     group_targets = tuple(config.targets[i] for i in group)
-    # `shared` is the replicate's all-target `shared_stages`, or None to run
-    # alone. Every cell of a replicate runs at its seed, so in a one-target
-    # study a separate cell reproduces the joint cell bit for bit; with more
-    # targets its projector row matches a one-target fit only to rounding.
+    # Every cell of a replicate runs at its seed, so in a one-target study a
+    # separate cell reproduces the joint cell bit for bit; with more targets
+    # its row of the all-target projector matches a one-target fit only to rounding.
     sub = replace(config, targets=group_targets, seed=seed, experiment=None)
-    held = None if shared is None else {**shared, "projector": shared["projector"].rows(group)}
+    held = {**shared, "projector": shared["projector"].rows(group)}
     result = run_semiauto(sub, fixture, held=held)
     # a trivial adjustment (zero innovation) fits nothing and has no condition number
     adjustment = result.posterior.provenance.get("adjustment", {})
@@ -191,10 +190,11 @@ def run_experiment(
     Replicates are independent deterministic units keyed by their seed,
     run one after another: a replicate's `shared_stages` for all targets
     are computed once (the simulations spread over `threads`) and shared
-    by its cells, which then run on `threads` workers; if they raise a
-    NumericalError, each cell runs alone. Rows keep the strategy-major
-    cell order. A NumericalError in a cell is recorded in the report; any
-    other exception is a bug and propagates.
+    by its cells, which then run on `threads` workers. A NumericalError is
+    recorded, never retried: in a cell it fails that cell; in the shared
+    stages, which do not depend on the targets, it fails every cell of the
+    replicate with one message. Any other exception is a bug and
+    propagates. Rows and failures keep the strategy-major cell order.
     """
     plan = config.experiment
     if plan is None:
@@ -213,55 +213,45 @@ def run_experiment(
             raise ConfigError(f"has no oracle value to score against: {exc}", f"targets[{i}]")
     indices = range(len(targets))
     groups = {"joint": (tuple(indices),), "separate": tuple((i,) for i in indices)}
-    cells = [
-        (strategy, replicate, seed, group)
-        for strategy in plan.strategies
-        for replicate, seed in enumerate(seeds)
-        for group in groups[strategy]
-    ]
+    cells = [(strategy, group) for strategy in plan.strategies for group in groups[strategy]]
 
-    def run_cell(cell, shared):
-        strategy, replicate, seed, group = cell
+    def failure(cell, replicate, seed, exc):
+        strategy, group = cell
         label = "+".join(config.targets[i].name for i in group)
-        try:
-            rows = _run_one(
-                config, fixture, strategy, replicate, seed, group, shared, oracle_values
-            )
-            return rows, None
-        except NumericalError as exc:  # recorded, not fatal
-            return [], ExperimentFailure(
-                strategy=strategy,
-                replicate=replicate,
-                seed=seed,
-                group_label=label,
-                message=f"{type(exc).__name__}: {exc}",
-            )
+        return ExperimentFailure(strategy, replicate, seed, label, f"{type(exc).__name__}: {exc}")
 
     def run_replicate(replicate, seed):
         # The stage outputs are local to this call: one replicate's are freed
         # before the next replicate simulates its own. Cells only read them.
         try:
             shared = shared_stages(replace(config, seed=seed), fixture, threads=threads)
-        except NumericalError:
-            shared = None
-        mine = [i for i, cell in enumerate(cells) if cell[1] == replicate]
-        run = lambda i: run_cell(cells[i], shared)  # noqa: E731
+        except NumericalError as exc:  # recorded, not fatal: every cell needs them
+            return [failure(cell, replicate, seed, exc) for cell in cells]
+
+        def run(cell):
+            strategy, group = cell
+            try:
+                return _run_one(
+                    config, fixture, strategy, replicate, seed, group, shared, oracle_values
+                )
+            except NumericalError as exc:  # recorded, not fatal
+                return failure(cell, replicate, seed, exc)
+
         if threads > 1:
             # A pool per replicate: its threads end before the next
             # replicate's simulation threads start, which then reuse their
             # malloc arenas rather than hold arenas of their own.
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                return zip(mine, list(pool.map(run, mine)))
-        return zip(mine, [run(i) for i in mine])
-
-    outcomes = [None] * len(cells)
-    for replicate, seed in enumerate(seeds):
-        for i, outcome in run_replicate(replicate, seed):
-            outcomes[i] = outcome
+                return list(pool.map(run, cells))
+        return [run(cell) for cell in cells]
 
     report = ExperimentReport()
-    for rows, failure in outcomes:
-        report.rows.extend(rows)
-        if failure is not None:
-            report.failures.append(failure)
+    for replicate, seed in enumerate(seeds):
+        for outcome in run_replicate(replicate, seed):
+            if isinstance(outcome, ExperimentFailure):
+                report.failures.append(outcome)
+            else:
+                report.rows.extend(outcome)
+    report.rows.sort(key=lambda row: plan.strategies.index(row.strategy))
+    report.failures.sort(key=lambda f: plan.strategies.index(f.strategy))
     return report

@@ -1,10 +1,4 @@
-"""Minimal dense linear algebra: means, cross-covariances, and SPD solves.
-
-Everything here is pure and operates on plain float64 ndarrays. Sums over
-sample rows are made order-canonical (sort, then numpy's fixed pairwise
-reduction) so that means and covariances are bitwise invariant under row
-permutation and independent of any upstream parallel schedule.
-"""
+"""Minimal dense linear algebra on float64 ndarrays: array checks and jittered SPD solves."""
 
 from __future__ import annotations
 
@@ -41,48 +35,6 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
-
-
-def _ordered_sum(values: np.ndarray) -> float:
-    # Canonical-order pairwise sum. `+ 0.0` maps -0.0 to +0.0 so the sorted
-    # sequence is bit-identical for any permutation of the same multiset.
-    return float(np.sum(np.sort(values + 0.0)))
-
-
-def sample_mean(samples) -> np.ndarray:
-    """Column means of an (M, k) sample matrix, permutation-stable."""
-    x = as_matrix(samples, "samples")
-    if x.shape[0] < 1:
-        raise ValueError("no samples")
-    m = x.shape[0]
-    return np.array([_ordered_sum(x[:, j]) / m for j in range(x.shape[1])])
-
-
-def sample_cov(x, y) -> np.ndarray:
-    """Sample cross-covariance of (M, p) and (M, d) matrices.
-
-    Entry (i, j) is sum_m (x_mi - xbar_i)(y_mj - ybar_j) / (M - 1). The
-    product multiset for (i, j) under x,y equals the one for (j, i) under
-    y,x, so sample_cov(x, y) == sample_cov(y, x).T bitwise.
-    """
-    xa = as_matrix(x, "x")
-    ya = as_matrix(y, "y")
-    if xa.shape[0] != ya.shape[0]:
-        raise ValueError(
-            f"covariance inputs disagree on sample count: {xa.shape[0]} vs {ya.shape[0]}"
-        )
-    m = xa.shape[0]
-    if m < 2:
-        raise ValueError("covariance needs >=2 samples")
-    xc = xa - sample_mean(xa)
-    yc = ya - sample_mean(ya)
-    p, d = xa.shape[1], ya.shape[1]
-    out = np.empty((p, d))
-    for i in range(p):
-        col = xc[:, i]
-        for j in range(d):
-            out[i, j] = _ordered_sum(col * yc[:, j]) / (m - 1)
-    return out
 
 
 def _condition_estimate(a: np.ndarray) -> float:

@@ -13,7 +13,9 @@ code path with the fit.
 
 Expectations are always with respect to whatever distribution generated
 the fitted batch; batches drawn from a truncated prior therefore need no
-special handling here.
+special handling here. Sums over sample rows are made order-canonical
+(sort, then numpy's fixed pairwise reduction), so the sample moments are
+bitwise invariant under row permutation.
 """
 
 from __future__ import annotations
@@ -23,11 +25,53 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from semiabc.linalg import as_matrix, as_vector, sample_cov, sample_mean, solve_spd
+from semiabc.linalg import as_matrix, as_vector, solve_spd
 
 # Relative slack allowed between the stored intercept and
 # mean_theta - coef @ mean_s.
 _INTERCEPT_RTOL = 1e-10
+
+
+def _ordered_sum(values: np.ndarray) -> float:
+    # Canonical-order pairwise sum. `+ 0.0` maps -0.0 to +0.0 so the sorted
+    # sequence is bit-identical for any permutation of the same multiset.
+    return float(np.sum(np.sort(values + 0.0)))
+
+
+def sample_mean(samples) -> np.ndarray:
+    """Column means of an (M, k) sample matrix, permutation-stable."""
+    x = as_matrix(samples, "samples")
+    if x.shape[0] < 1:
+        raise ValueError("no samples")
+    m = x.shape[0]
+    return np.array([_ordered_sum(x[:, j]) / m for j in range(x.shape[1])])
+
+
+def sample_cov(x, y) -> np.ndarray:
+    """Sample cross-covariance of (M, p) and (M, d) matrices.
+
+    Entry (i, j) is sum_m (x_mi - xbar_i)(y_mj - ybar_j) / (M - 1). The
+    product multiset for (i, j) under x,y equals the one for (j, i) under
+    y,x, so sample_cov(x, y) == sample_cov(y, x).T bitwise.
+    """
+    xa = as_matrix(x, "x")
+    ya = as_matrix(y, "y")
+    if xa.shape[0] != ya.shape[0]:
+        raise ValueError(
+            f"covariance inputs disagree on sample count: {xa.shape[0]} vs {ya.shape[0]}"
+        )
+    m = xa.shape[0]
+    if m < 2:
+        raise ValueError("covariance needs >=2 samples")
+    xc = xa - sample_mean(xa)
+    yc = ya - sample_mean(ya)
+    p, d = xa.shape[1], ya.shape[1]
+    out = np.empty((p, d))
+    for i in range(p):
+        col = xc[:, i]
+        for j in range(d):
+            out[i, j] = _ordered_sum(col * yc[:, j]) / (m - 1)
+    return out
 
 
 @dataclass(frozen=True)

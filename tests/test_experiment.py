@@ -6,7 +6,7 @@ import pytest
 from semiabc import experiment, semiauto
 from semiabc.engine import derive_seed, regression_adjust
 from semiabc.errors import ConfigError, NumericalError
-from semiabc.experiment import _run_one, run_experiment
+from semiabc.experiment import ExperimentFailure, _run_one, run_experiment
 from semiabc.semiauto import TAG_EXPERIMENT, build_fixture, shared_stages
 from semiabc.runconfig import ExperimentConfig, RunConfig, TargetSpec
 
@@ -285,11 +285,40 @@ class TestRun:
         assert len(report.rows) == 8 and not report.failures
         assert sorted(calls) == sorted(derived_seeds(config))
 
-    def test_a_replicate_whose_shared_stages_fail_runs_each_cell_alone(self, monkeypatch):
+    def test_a_replicate_whose_shared_stages_fail_records_each_cell_once(self, monkeypatch):
+        # One observation makes the sample sd the constant 0, so every
+        # replicate's construct fit is rank deficient, whatever its targets.
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2:4])  # (m, seed)
+            return simulate(*args, **kwargs)
+
+        simulate = semiauto.simulate_batch
+        monkeypatch.setattr(semiauto, "simulate_batch", counting)
+        config = RunConfig(
+            model="gaussian_location",
+            model_params={"n": 1},
+            pilot_m=2000,
+            construct_m=2000,
+            main_m=8000,
+            targets=(TargetSpec("coordinate", index=0),),
+            seed=3,
+        )
+        config = with_plan(config, strategies=("joint", "separate"), replications=2)
+        report = run_experiment(config)
+        assert not report.rows
+        assert len(report.failures) == 4
+        assert len({f.message for f in report.failures}) == 1
+        assert report.failures[0].message.startswith("RankDeficientError: ")
+        # the pilot and construct batches of each replicate, simulated once
+        assert len(calls) == 2 * config.experiment.replications
+
+    def test_a_replicate_whose_shared_stages_fail_keeps_the_cell_order(self, monkeypatch):
         config = lg_config()
         fixture = build_fixture(config)
         config = with_plan(config, strategies=("joint", "separate"), replications=2)
-        failing = derived_seeds(config)[0]
+        failing, passing = derived_seeds(config)
 
         def failing_first(sub, *args, **kwargs):
             if sub.seed == failing:
@@ -298,15 +327,21 @@ class TestRun:
 
         monkeypatch.setattr(experiment, "shared_stages", failing_first)
         report = run_experiment(config, fixture, threads=2)
-        assert len(report.rows) == 8 and not report.failures
+        message = "NumericalError: shared stages failed"
+        assert report.failures == [
+            ExperimentFailure("joint", 0, failing, "theta_0+theta_1", message),
+            ExperimentFailure("separate", 0, failing, "theta_0", message),
+            ExperimentFailure("separate", 0, failing, "theta_1", message),
+        ]
         oracle_values = {t.name: fixture.oracle.target_mean(t) for t in config.targets}
+        shared = shared_stages(replace(config, seed=passing), fixture)
         alone = [
             row
             for strategy in config.experiment.strategies
             for group in (((0, 1),) if strategy == "joint" else ((0,), (1,)))
-            for row in _run_one(config, fixture, strategy, 0, failing, group, None, oracle_values)
+            for row in _run_one(config, fixture, strategy, 1, passing, group, shared, oracle_values)
         ]
-        assert [r for r in report.rows if r.replicate == 0] == alone
+        assert report.rows == alone
 
     def test_rows_equal_cells_run_alone(self):
         config = lg_config()
