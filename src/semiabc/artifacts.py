@@ -5,11 +5,13 @@ an artifact and re-saving it is byte-identical, and a pipeline stage that
 reloads a persisted batch computes exactly what an in-memory run would.
 Numeric tables are streamed out in blocks of rows and parsed back by
 numpy's C reader, which rounds exactly as `float()` does. Every artifact
-embeds the config hash; loaders refuse artifacts whose provenance does
-not match the requesting run, or a malformed table, and ignore keys
-they do not read. Each fact is stored once: the truncation region only
-in `region.json`, a batch's seed, model and prior hash only in its
-sidecar, and no table a column of its row numbers.
+has a JSON sidecar holding its kind and config hash, written by
+`_save_sidecar` and read through the `_sidecar` guard alone. Loaders
+refuse a sidecar of another kind or run, one missing a key or holding a
+malformed value, and a malformed table; they ignore keys they do not
+read. Each fact is stored once: the truncation region only in
+`region.json`, a batch's seed, model and prior hash only in its sidecar,
+and no table a column of its row numbers.
 """
 
 from __future__ import annotations
@@ -27,27 +29,25 @@ from .experiment import ExperimentRow
 from .semiauto import SummaryProjector
 
 
-def dump_json(path: Path, payload: dict) -> None:
+def _save_sidecar(directory, name: str, kind: str, config_hash: str, /, **fields) -> None:
+    """Write the sidecar `{name}.json`: its kind, its config hash and `fields`."""
+    path = Path(directory) / f"{name}.json"
     path.parent.mkdir(parents=True, exist_ok=True)
+    payload = {"kind": kind, "config_hash": config_hash, **fields}
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-class _Sidecar(dict):
-    """A JSON object of the sidecar `path`; a key it lacks is an ArtifactError."""
-
-    def __init__(self, path: Path, items):
-        super().__init__(items)
-        self.path = path
-
-    def __missing__(self, key):
-        raise ArtifactError(f"{self.path} has no {key!r} entry")
-
-
-def load_json(path: Path, kind: str, config_hash: str | None) -> dict:
+@contextmanager
+def _sidecar(directory, name: str, kind: str, config_hash: str | None):
+    """Yield the JSON object of the sidecar `{name}.json` of this `kind`
+    and, unless None, this `config_hash` to a block that builds an object
+    from it. A key the block finds missing, or a value of the wrong type
+    or shape, becomes an ArtifactError naming the file."""
+    path = Path(directory) / f"{name}.json"
     if not path.exists():
         raise ArtifactError(f"expected artifact {path} is missing; run the earlier stage first")
     try:
-        data = json.loads(path.read_text(), object_hook=lambda items: _Sidecar(path, items))
+        data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ArtifactError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
@@ -59,18 +59,12 @@ def load_json(path: Path, kind: str, config_hash: str | None) -> dict:
             f"{path} was produced under config hash {data.get('config_hash')}, "
             f"this run has {config_hash}; refusing to mix runs"
         )
-    return data
-
-
-@contextmanager
-def _sidecar_values(path: Path):
-    """The block builds an object from the sidecar `path`: a TypeError or
-    ValueError raised by a value of the wrong type or shape becomes an
-    ArtifactError naming the file."""
     try:
-        yield
+        yield data
     except ArtifactError:
         raise
+    except KeyError as exc:
+        raise ArtifactError(f"{path} has no {exc.args[0]!r} entry") from None
     except (TypeError, ValueError) as exc:
         raise ArtifactError(f"{path} is malformed: {exc}") from None
 
@@ -145,29 +139,18 @@ def _batch_header(p: int, d: int) -> list[str]:
 
 
 def save_batch(directory, name: str, batch: SimulationBatch, config_hash: str) -> None:
-    directory = Path(directory)
     p, d = batch.param_dim, batch.stat_dim
-    _write_table(directory / f"{name}.csv", _batch_header(p, d), batch.thetas, batch.stats)
-    sidecar = {
-        "kind": "simulation_batch",
-        "seed": batch.seed,
-        "model": batch.model_name,
-        "prior_hash": batch.prior_hash,
-        "config_hash": config_hash,
-        "m": batch.m,
-        "param_dim": p,
-        "stat_dim": d,
-    }
-    dump_json(directory / f"{name}.json", sidecar)
+    _write_table(Path(directory) / f"{name}.csv", _batch_header(p, d), batch.thetas, batch.stats)
+    _save_sidecar(
+        directory, name, "simulation_batch", config_hash, seed=batch.seed,
+        model=batch.model_name, prior_hash=batch.prior_hash, m=batch.m, param_dim=p, stat_dim=d,
+    )
 
 
 def load_batch(directory, name: str, config_hash: str | None = None) -> SimulationBatch:
-    directory = Path(directory)
-    path = directory / f"{name}.json"
-    sidecar = load_json(path, "simulation_batch", config_hash)
-    with _sidecar_values(path):
+    with _sidecar(directory, name, "simulation_batch", config_hash) as sidecar:
         p, d = sidecar["param_dim"], sidecar["stat_dim"]
-        data = _read_table(directory / f"{name}.csv", _batch_header(p, d), sidecar["m"])
+        data = _read_table(Path(directory) / f"{name}.csv", _batch_header(p, d), sidecar["m"])
         return SimulationBatch(
             thetas=data[:, :p],
             stats=data[:, p:],
@@ -182,29 +165,20 @@ def _posterior_header(p: int) -> list[str]:
 
 
 def save_posterior(directory, name: str, posterior: WeightedPosterior, config_hash: str) -> None:
-    directory = Path(directory)
     p = posterior.thetas.shape[1]
     # an object column keeps the indices Python ints, written as digits
     indices = np.asarray(posterior.accepted_indices, dtype=object)[:, None]
-    _write_table(directory / f"{name}.csv", _posterior_header(p), indices, posterior.thetas)
-    sidecar = {
-        "kind": "posterior",
-        "config_hash": config_hash,
-        "n": posterior.n,
-        "param_dim": p,
-        "epsilon": posterior.epsilon,
-        "provenance": posterior.provenance,
-    }
-    dump_json(directory / f"{name}.json", sidecar)
+    _write_table(Path(directory) / f"{name}.csv", _posterior_header(p), indices, posterior.thetas)
+    _save_sidecar(
+        directory, name, "posterior", config_hash, n=posterior.n, param_dim=p,
+        epsilon=posterior.epsilon, provenance=posterior.provenance,
+    )
 
 
 def load_posterior(directory, name: str, config_hash: str | None = None) -> WeightedPosterior:
-    directory = Path(directory)
-    path = directory / f"{name}.json"
-    sidecar = load_json(path, "posterior", config_hash)
-    with _sidecar_values(path):
+    with _sidecar(directory, name, "posterior", config_hash) as sidecar:
         p = sidecar["param_dim"]
-        data = _read_table(directory / f"{name}.csv", _posterior_header(p), sidecar["n"])
+        data = _read_table(Path(directory) / f"{name}.csv", _posterior_header(p), sidecar["n"])
         idx = data[:, 0]
         if not (np.isfinite(idx).all() and (np.floor(idx) == idx).all()):
             raise ArtifactError(f"{name}.csv has a draw_index that is not an integer")
@@ -217,27 +191,19 @@ def load_posterior(directory, name: str, config_hash: str | None = None) -> Weig
 
 
 def save_region(directory, region: TruncationRegion, config_hash: str) -> None:
-    dump_json(
-        Path(directory) / "region.json",
-        {"kind": "truncation_region", "config_hash": config_hash, **region.to_dict()},
-    )
+    _save_sidecar(directory, "region", "truncation_region", config_hash, **region.to_dict())
 
 
 def load_region(directory, config_hash: str | None = None) -> TruncationRegion:
-    path = Path(directory) / "region.json"
-    data = load_json(path, "truncation_region", config_hash)
-    with _sidecar_values(path):
+    with _sidecar(directory, "region", "truncation_region", config_hash) as data:
         return TruncationRegion.from_dict(data)
 
 
 def save_projector(directory, projector: SummaryProjector, config_hash: str) -> None:
-    payload = {
-        "kind": "summary_projector",
-        "config_hash": config_hash,
-        "projector_id": projector.projector_id(),
-        **projector.to_dict(),
-    }
-    dump_json(Path(directory) / "projector.json", payload)
+    _save_sidecar(
+        directory, "projector", "summary_projector", config_hash,
+        projector_id=projector.projector_id(), **projector.to_dict(),
+    )
 
 
 def load_projector(
@@ -245,15 +211,13 @@ def load_projector(
 ) -> SummaryProjector:
     """The persisted projector for statistics of dimension `stat_dim`; one
     whose coef does not have a column per basis feature of them is refused."""
-    path = Path(directory) / "projector.json"
-    data = load_json(path, "summary_projector", config_hash)
-    with _sidecar_values(path):
+    with _sidecar(directory, "projector", "summary_projector", config_hash) as data:
         projector = SummaryProjector.from_dict(data)
         width = projector.coef.shape[1]
         if width != projector.basis.width(stat_dim):
             raise ArtifactError(
-                f"{path} has a coef of {width} columns, not one per "
-                f"{projector.basis.kind} basis feature of {stat_dim} statistics"
+                f"{Path(directory) / 'projector.json'} has a coef of {width} columns, not one "
+                f"per {projector.basis.kind} basis feature of {stat_dim} statistics"
             )
     return projector
 
@@ -261,37 +225,30 @@ def load_projector(
 def save_marginal(directory, name: str, marginal, config_hash: str) -> None:
     """Record a marginal estimate's draws; its provenance names the
     coordinate and the draw count. Nothing reads them back."""
-    directory = Path(directory)
-    _write_table(directory / f"{name}.csv", ["value"], marginal.samples[:, None])
-    dump_json(
-        directory / f"{name}.json",
-        {"kind": "marginal_estimate", "config_hash": config_hash,
-         "provenance": marginal.provenance},
+    _write_table(Path(directory) / f"{name}.csv", ["value"], marginal.samples[:, None])
+    _save_sidecar(
+        directory, name, "marginal_estimate", config_hash, provenance=marginal.provenance
     )
 
 
 def save_experiment_report(directory, report, config_hash: str) -> None:
-    directory = Path(directory)
-    dump_json(
-        directory / "experiment_report.json",
-        {"kind": "experiment_report", "config_hash": config_hash, **report.to_dict()},
+    _save_sidecar(
+        directory, "experiment_report", "experiment_report", config_hash, **report.to_dict()
     )
     # the columns are the row fields, named as the JSON rows name them
     header = [f.name for f in fields(ExperimentRow)]
-    _write_records(directory / "experiment_rows.csv", header, map(vars, report.rows))
+    _write_records(Path(directory) / "experiment_rows.csv", header, map(vars, report.rows))
 
 
 def save_observed(directory, fixture, config_hash: str) -> None:
     """Record the observed dataset and statistics a run compared against.
     Nothing reads them back: every stage rebuilds the fixture from the
     config, so the files only document the run."""
-    directory = Path(directory)
     values = np.asarray(fixture.observed_data).reshape(-1, 1)
-    _write_table(directory / "observed.csv", ["value"], values)
-    dump_json(
-        directory / "observed.json",
-        {"kind": "observed_data", "config_hash": config_hash,
-         "s_obs": [float(v) for v in fixture.s_obs]},
+    _write_table(Path(directory) / "observed.csv", ["value"], values)
+    _save_sidecar(
+        directory, "observed", "observed_data", config_hash,
+        s_obs=[float(v) for v in fixture.s_obs],
     )
 
 

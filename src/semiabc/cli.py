@@ -7,8 +7,10 @@ current run. `infer --full` computes all four stages with one
 `run_semiauto` call and then writes them through the same four stage
 commands, so both paths write the same bytes; `marginal` remaps the
 joint posterior that `infer` wrote, on stages recomputed from (config,
-seed). Exit codes: 0 success, 1 validation error, 2 numerical failure.
-`--threads` affects speed only, never any computed value.
+seed). Exit codes: 0 success; 1 validation error, which leaves the
+output directory as it was; 2 numerical failure, or an experiment whose
+every cell failed. `--threads` affects speed only, never any computed
+value.
 """
 
 from __future__ import annotations
@@ -139,6 +141,11 @@ def _cmd_marginal(config, fixture, out, threads, held):
 def _cmd_experiment(config, fixture, out, threads, held):
     report = run_experiment(config, fixture, threads=threads)
     artifacts.save_experiment_report(out, report, config.config_hash())
+    if not report.rows:
+        raise NumericalError(
+            f"experiment: 0 rows, {len(report.failures)} failures, report written to "
+            f"{out}; first failure: {report.failures[0].message}"
+        )
     print(
         f"experiment: {len(report.rows)} rows, {len(report.failures)} failures, "
         f"report written to {out}"
@@ -203,13 +210,10 @@ _STAGES = ("simulate", "pilot", "construct", "infer")
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    code = 0
     try:
         args = parser.parse_args(argv)
         config, out = _resolve(args)
-        out.mkdir(parents=True, exist_ok=True)
-        # echoed without the output path so artifact trees stay byte-identical
-        # wherever the run lands
-        (out / "config.json").write_text(serialize_config(replace(config, output_dir=None)))
         fixture = build_fixture(config)
         # before any stage writes
         targets_from_specs(config.targets, fixture.simulator.param_dim)
@@ -222,12 +226,18 @@ def main(argv=None) -> int:
         for name in stages:
             _COMMANDS[name](config, fixture, out, args.threads, held)
     except (ConfigError, ArtifactError) as exc:
+        # every command checks its inputs before it writes, and config.json
+        # comes last, so a refused command leaves its output directory as it was
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    return 0
+        code = 2
+    # echoed without the output path so artifact trees stay byte-identical
+    # wherever the run lands
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.json").write_text(serialize_config(replace(config, output_dir=None)))
+    return code
 
 
 if __name__ == "__main__":

@@ -288,6 +288,51 @@ class TestReport:
         assert row[0] == "gpd_q0.9" and row[2:4] == ["-", "-"]
 
 
+# each sidecar's kind and its keys beside `kind` and `config_hash`, by the
+# name its file starts with
+SIDECAR_KEYS = {
+    "observed": ("observed_data", {"s_obs"}),
+    "batch_": ("simulation_batch", {"seed", "model", "prior_hash", "m", "param_dim", "stat_dim"}),
+    "posterior_": ("posterior", {"n", "param_dim", "epsilon", "provenance"}),
+    "region": ("truncation_region", {"lo", "hi"}),
+    "projector": ("summary_projector", {
+        "projector_id", "basis", "intercept", "coef", "target_names", "condition_number",
+        "vifs", "residual_mss", "n_fit"}),
+    "marginal_": ("marginal_estimate", {"provenance"}),
+    "experiment_report": ("experiment_report", {
+        "rows", "failures", "error_by_p_prime", "condition_by_p_prime", "error_by_target",
+        "cross_strategy_discrepancy"}),
+}
+
+
+def test_every_sidecar_holds_exactly_its_keys(tmp_path):
+    # nothing reads back observed.json, marginal_<i>.json,
+    # experiment_report.json or the projector_id, so only this test sees
+    # a key that the writer drops or misspells
+    chain = ["simulate", "pilot", "construct", "infer", "marginal", "report"]
+    runs = [
+        (write_config(tmp_path, "chain.json"), [[c] for c in chain]),
+        (write_config(tmp_path, "gpd.json", **GPD_BLOCKS), [["infer", "--full"]]),
+        (write_config(tmp_path, "study.json", experiment={
+            "strategies": ["joint"], "replications": 1}), [["experiment"]]),
+    ]
+    stages = {"observed", "batch_pilot", "posterior_pilot", "region", "batch_construct",
+              "projector", "batch_main", "posterior_main"}
+    expected = [stages | {"marginal_0", "posterior_marginal"}, stages, {"experiment_report"}]
+    for (config, commands), names in zip(runs, expected):
+        out = tmp_path / config.stem
+        for command in commands:
+            assert main(command + ["--config", str(config), "--out", str(out)]) == 0
+        sidecars = {p.stem: json.loads(p.read_text()) for p in out.glob("*.json")}
+        assert sidecars.pop("config")
+        assert sidecars.keys() == names
+        h = parse_config(config).config_hash()
+        for name, sidecar in sidecars.items():
+            [(kind, keys)] = [v for k, v in SIDECAR_KEYS.items() if name.startswith(k)]
+            assert sidecar.keys() == keys | {"kind", "config_hash"}, name
+            assert sidecar["kind"] == kind and sidecar["config_hash"] == h, name
+
+
 class TestExitCodes:
     def test_success_is_zero(self, tmp_path):
         config = write_config(tmp_path)
@@ -310,6 +355,18 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
         assert main(["pilot", "--config", str(config), "--seed", "99", "--out", str(out)]) == 1
         assert "refusing to mix runs" in capsys.readouterr().err
+
+    def test_refused_command_leaves_the_run_as_it_was(self, tmp_path, capsys):
+        # the refused command's config.json would no longer describe the
+        # artifacts beside it
+        config = REPO / "configs" / "gpd_quantiles.json"
+        out = tmp_path / "o"
+        assert main(["infer", "--full", "--config", str(config), "--out", str(out)]) == 0
+        before = tree_bytes(out)
+        args = ["report", "--config", str(config), "--out", str(out), "--seed", "99"]
+        assert main(args) == 1
+        assert "refusing to mix runs" in capsys.readouterr().err
+        assert tree_bytes(out) == before
 
     @pytest.mark.filterwarnings("ignore:1 constant statistic column")
     @pytest.mark.parametrize("full", [False, True], ids=["chained", "full"])
@@ -544,7 +601,8 @@ class TestStageNames:
 
 class TestTooFewDraws:
     """A stage that would fit with too few draws is a validation error:
-    exit 1 and one `error:` line naming the key, before any stage writes."""
+    exit 1 and one `error:` line naming the key, before anything is
+    written."""
 
     def assert_refused(self, tmp_path, capsys, key, **over):
         data = json.loads((REPO / "configs" / "gpd_quantiles.json").read_text())
@@ -556,7 +614,7 @@ class TestTooFewDraws:
         err = capsys.readouterr().err
         assert err.startswith(f"error: '{key}' ")
         assert "Traceback" not in err
-        assert [p.name for p in out.iterdir()] == ["config.json"]
+        assert not out.exists()
         return err
 
     def test_construct_m_below_the_basis_width(self, tmp_path, capsys):
@@ -682,6 +740,30 @@ class TestExperimentCommand:
     def test_experiment_without_plan_is_one(self, tmp_path):
         config = write_config(tmp_path)
         assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.filterwarnings("ignore:1 constant statistic column")
+    def test_experiment_whose_every_cell_failed_is_two(self, tmp_path, capsys):
+        # one observation per draw makes the sd statistic constant, so
+        # every cell's construction regression is rank-deficient
+        config = write_config(
+            tmp_path,
+            model={"name": "gaussian_location", "params": {"n_noise_stats": 2, "n": 1}},
+            pilot={"m": 2000, "accept_fraction": 0.1},
+            construct={"m": 2000},
+            main={"m": 8000, "accept_fraction": 0.05},
+            ridge_lambda=0.0,
+            adjust={"regression": True},
+            experiment={"strategies": ["joint", "separate"], "replications": 2},
+            seed=3,
+        )
+        out = tmp_path / "o"
+        assert main(["experiment", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: experiment: 0 rows, 4 failures")
+        assert "rank deficient" in err and len(err.splitlines()) == 1
+        report = json.loads((out / "experiment_report.json").read_text())
+        assert report["rows"] == [] and len(report["failures"]) == 4
+        assert (out / "config.json").exists()
 
 
 def test_cli_path_leaves_scipy_unloaded():
