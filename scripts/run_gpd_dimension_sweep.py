@@ -3,10 +3,12 @@
 For each target count p' the joint strategy regresses all p' posterior
 quantile functionals at once and runs ABC in the resulting p'-dimensional
 constructed-summary space; errors are measured against the grid-posterior
-oracle. The sweep prints the error-vs-p' and condition-number-vs-p'
-tables and writes one experiment report per level. A level whose every
-cell failed prints its failure count and first failure, and the script
-then exits 2 after the last level; an invalid argument exits 1.
+oracle. The sweep prints the error-vs-p' and adjustment
+condition-number-vs-p' tables and writes one experiment report per
+level. A level whose every cell failed prints its failure count and
+first failure, and the script then exits 2 after the last level; an
+invalid argument exits 1. `--threads` n opens one pool of n worker
+threads for the whole sweep.
 
 Usage: python scripts/run_gpd_dimension_sweep.py [--levels 1 10 50]
        [--replications 20] [--out runs/gpd_sweep] [--seed 4242]
@@ -16,6 +18,7 @@ import argparse
 import sys
 
 from semiabc import artifacts
+from semiabc.engine import worker_pool
 from semiabc.errors import ConfigError
 from semiabc.experiment import run_experiment
 from semiabc.models import gpd_fixture
@@ -42,6 +45,12 @@ def main() -> int:
 
     fixture = gpd_fixture(sigma_true=1.0, xi_true=0.2, n_exceedances=100)
 
+    with worker_pool(args.threads) as pool:
+        return sweep(args, fixture, pool)
+
+
+def sweep(args, fixture, pool) -> int:
+    """Run and report each level of the sweep; 2 if a level has no rows."""
     code = 0
     for level in args.levels:
         taus = tau_ladder(level)
@@ -59,7 +68,7 @@ def main() -> int:
             experiment=ExperimentConfig(strategies=("joint",), replications=args.replications),
             seed=args.seed,
         )
-        report = run_experiment(config, fixture, threads=args.threads)
+        report = run_experiment(config, fixture, pool=pool)
         out = f"{args.out}/p{level}"
         artifacts.save_experiment_report(out, report, config.config_hash())
         if not report.rows:
@@ -71,11 +80,11 @@ def main() -> int:
             continue
 
         errors = report.error_by_p_prime()[("joint", level)]
-        conditions = report.condition_by_p_prime()[("joint", level)]
+        conditions = report.adjustment_condition_by_p_prime()[("joint", level)]
         print(
             f"p'={level:3d}: median |error| {errors['median']:.4f} "
             f"(mean {errors['mean']:.4f}, n={errors['n']}), "
-            f"median construction condition {conditions['median']:.3g}, "
+            f"median adjustment condition {conditions['median']:.3g}, "
             f"{len(report.failures)} failures -> {out}"
         )
     return code

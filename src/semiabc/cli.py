@@ -9,8 +9,8 @@ commands, so both paths write the same bytes; `marginal` remaps the
 joint posterior that `infer` wrote, on stages recomputed from (config,
 seed). Exit codes: 0 success; 1 validation error, which leaves the
 output directory as it was; 2 numerical failure, or an experiment whose
-every cell failed. `--threads` affects speed only, never any computed
-value.
+every cell failed. `--threads` sizes the one `engine.worker_pool` of the
+run, opened around its command: speed only, never any computed value.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import artifacts
+from .engine import worker_pool
 from .errors import ArtifactError, ConfigError, NumericalError
 from .experiment import run_experiment
 from .marginal import estimate_marginal, marginal_remap
@@ -67,23 +68,21 @@ def _resolve(args) -> tuple[RunConfig, Path]:
     out = args.out if args.out is not None else config.output_dir
     if out is None:
         raise ConfigError("no output directory: set 'output_dir' in the config or pass --out")
-    if args.threads < 1:
-        raise ConfigError("--threads must be >= 1")
     config = replace(config, output_dir=str(out))
     return config, Path(out)
 
 
-def _cmd_simulate(config, fixture, out, threads, held):
+def _cmd_simulate(config, fixture, out, pool, held):
     h = config.config_hash()
     if "pilot_batch" not in held:
-        held["pilot_batch"] = stage_batch(config, fixture, "pilot_batch", threads=threads)
+        held["pilot_batch"] = stage_batch(config, fixture, "pilot_batch", pool=pool)
     batch = held["pilot_batch"]
     artifacts.save_observed(out, fixture, h)
     artifacts.save_batch(out, "batch_pilot", batch, h)
     print(f"simulate: wrote batch_pilot ({batch.m} draws) to {out}")
 
 
-def _cmd_pilot(config, fixture, out, threads, held):
+def _cmd_pilot(config, fixture, out, pool, held):
     h = config.config_hash()
     if "region" not in held:
         batch = artifacts.load_batch(out, "batch_pilot", h)
@@ -94,13 +93,11 @@ def _cmd_pilot(config, fixture, out, threads, held):
     print(f"pilot: accepted {accepted.n} draws, region written to {out}")
 
 
-def _cmd_construct(config, fixture, out, threads, held):
+def _cmd_construct(config, fixture, out, pool, held):
     h = config.config_hash()
     if "projector" not in held:
         region = artifacts.load_region(out, h)
-        held["construct_batch"] = stage_batch(
-            config, fixture, "construct_batch", region, threads=threads
-        )
+        held["construct_batch"] = stage_batch(config, fixture, "construct_batch", region, pool=pool)
         held["projector"] = stage_construct(config, held["construct_batch"])
     projector = held["projector"]
     artifacts.save_batch(out, "batch_construct", held["construct_batch"], h)
@@ -111,12 +108,12 @@ def _cmd_construct(config, fixture, out, threads, held):
     )
 
 
-def _cmd_infer(config, fixture, out, threads, held):
+def _cmd_infer(config, fixture, out, pool, held):
     h = config.config_hash()
     if "posterior" not in held:
         region = artifacts.load_region(out, h)
         projector = artifacts.load_projector(out, h, stat_dim=fixture.simulator.stat_dim)
-        held["main_batch"] = stage_batch(config, fixture, "main_batch", region, threads=threads)
+        held["main_batch"] = stage_batch(config, fixture, "main_batch", region, pool=pool)
         held["posterior"] = stage_infer(config, fixture, projector, held["main_batch"])
     posterior = held["posterior"]
     artifacts.save_batch(out, "batch_main", held["main_batch"], h)
@@ -127,10 +124,10 @@ def _cmd_infer(config, fixture, out, threads, held):
     )
 
 
-def _cmd_marginal(config, fixture, out, threads, held):
+def _cmd_marginal(config, fixture, out, pool, held):
     h = config.config_hash()
     joint = artifacts.load_posterior(out, "posterior_main", h)
-    marginals = estimate_marginal(config, fixture, threads=threads)
+    marginals = estimate_marginal(config, fixture, pool=pool)
     for marginal in marginals:
         artifacts.save_marginal(out, f"marginal_{marginal.coordinate}", marginal, h)
     adjusted = marginal_remap(joint, marginals)
@@ -138,8 +135,8 @@ def _cmd_marginal(config, fixture, out, threads, held):
     print(f"marginal: remapped {len(marginals)} margins, posterior written to {out}")
 
 
-def _cmd_experiment(config, fixture, out, threads, held):
-    report = run_experiment(config, fixture, threads=threads)
+def _cmd_experiment(config, fixture, out, pool, held):
+    report = run_experiment(config, fixture, pool=pool)
     artifacts.save_experiment_report(out, report, config.config_hash())
     if not report.rows:
         raise NumericalError(
@@ -157,7 +154,7 @@ def _cmd_experiment(config, fixture, out, threads, held):
         )
 
 
-def _cmd_report(config, fixture, out, threads, held):
+def _cmd_report(config, fixture, out, pool, held):
     h = config.config_hash()
     name = "posterior_marginal" if (out / "posterior_marginal.json").exists() else "posterior_main"
     posterior = artifacts.load_posterior(out, name, h)
@@ -190,11 +187,11 @@ def _cmd_report(config, fixture, out, threads, held):
         )
 
 
-# Every command takes (config, fixture, out, threads, held). `held` maps
-# PipelineResult field names to stage outputs already computed: `infer
-# --full` fills it from one run_semiauto call, so its four stages only
-# write; a chained stage finds it empty, reloads its inputs from `out` and
-# computes its own outputs.
+# Every command takes (config, fixture, out, pool, held): `pool` is the run's
+# `engine.worker_pool`, None when it runs serially. `held` maps PipelineResult
+# field names to stage outputs already computed: `infer --full` fills it from
+# one run_semiauto call, so its four stages only write; a chained stage finds it
+# empty, reloads its inputs from `out` and computes its own outputs.
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "pilot": _cmd_pilot,
@@ -220,11 +217,12 @@ def main(argv=None) -> int:
         # experiment checks its basis fits itself and records each failing cell
         if args.command != "experiment":
             check_draw_counts(config, fixture.simulator.stat_dim)
-        stages, held = (args.command,), {}
-        if getattr(args, "full", False):
-            stages, held = _STAGES, vars(run_semiauto(config, fixture, threads=args.threads))
-        for name in stages:
-            _COMMANDS[name](config, fixture, out, args.threads, held)
+        with worker_pool(args.threads) as pool:
+            stages, held = (args.command,), {}
+            if getattr(args, "full", False):
+                stages, held = _STAGES, vars(run_semiauto(config, fixture, pool=pool))
+            for name in stages:
+                _COMMANDS[name](config, fixture, out, pool, held)
     except (ConfigError, ArtifactError) as exc:
         # every command checks its inputs before it writes, and config.json
         # comes last, so a refused command leaves its output directory as it was

@@ -3,8 +3,8 @@
 Reproducibility contract: every random value consumed for draw m is taken
 from a counter-based (Philox) stream keyed only by the batch seed, a fixed
 purpose tag, and m's fixed-size chunk. Identical (seed, draw index) give
-identical output for any batch size and any worker-thread count; the
-suite asserts byte equality at 1 vs 8 threads.
+identical output for any batch size and any `worker_pool` (one per run;
+no task on it submits to it); the suite asserts byte equality at 1 vs 8 threads.
 
 Thetas are exact inversion draws of the (truncated) prior, one uniform
 matrix per chunk from the stream keyed (seed, 0, chunk, 0).
@@ -12,6 +12,7 @@ matrix per chunk from the stream keyed (seed, 0, chunk, 0).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -47,6 +48,15 @@ PRIOR_KINDS = ("uniform", "normal", "lognormal")
 
 def _generator(*key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+
+
+def worker_pool(threads: int):
+    """A context manager giving a pool of `threads` worker threads, joined
+    on exit, or None (serial) at 1. The name ThreadPoolExecutor is looked
+    up at call time, so a tracer that swaps it sees every pool."""
+    if threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {threads}")
+    return ThreadPoolExecutor(threads) if threads > 1 else contextlib.nullcontext()
 
 
 def derive_seed(seed: int, *tags: int) -> int:
@@ -375,11 +385,11 @@ def simulate_batch(
     m: int,
     seed: int,
     *,
-    threads: int = 1,
+    pool: ThreadPoolExecutor | None = None,
 ) -> SimulationBatch:
     """Simulate M paired (theta, s) draws from p(s|theta) p(theta).
 
-    Output is a pure function of (prior, sim, m, seed); `threads` only
+    Output is a pure function of (prior, sim, m, seed); `pool` only
     distributes chunks across workers and never changes any value.
     """
     if m < 1:
@@ -395,23 +405,16 @@ def simulate_batch(
             f"(prior mass {mass:.2e} < {MIN_TRUNCATION_MASS:.0e})"
         )
 
-    n_chunks = (m + CHUNK - 1) // CHUNK
     thetas = np.empty((m, prior.dim))
     stats = np.empty((m, sim.stat_dim))
 
-    def run(chunk_index: int):
-        start = chunk_index * CHUNK
+    def run(start: int):
         n_keep = min(CHUNK, m - start)
-        t, s = _simulate_chunk(prior, sim, seed, chunk_index, n_keep)
+        t, s = _simulate_chunk(prior, sim, seed, start // CHUNK, n_keep)
         thetas[start : start + n_keep] = t
         stats[start : start + n_keep] = s
 
-    if threads > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, range(n_chunks)))
-    else:
-        for c in range(n_chunks):
-            run(c)
+    list((map if pool is None else pool.map)(run, range(0, m, CHUNK)))
 
     return SimulationBatch(
         thetas=thetas,

@@ -17,6 +17,7 @@ only one replicate's are held at a time.
 from __future__ import annotations
 
 import statistics
+# only a type here; the benchmark tracer still resolves and swaps this name
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -69,11 +70,10 @@ class ExperimentReport:
         """(strategy, p') -> {mean, median, n} of absolute errors."""
         return self._aggregate(lambda r: (r.strategy, r.p_prime), lambda r: r.abs_error)
 
-    def condition_by_p_prime(self) -> dict:
-        """(strategy, p') -> {mean, median, n} of construction condition numbers."""
-        return self._aggregate(
-            lambda r: (r.strategy, r.p_prime), lambda r: r.construction_condition
-        )
+    def adjustment_condition_by_p_prime(self) -> dict:
+        """(strategy, p') -> {mean, median, n} of adjustment condition numbers,
+        trivial adjustments skipped; all cells share their replicate's construct fit."""
+        return self._aggregate(lambda r: (r.strategy, r.p_prime), lambda r: r.adjustment_condition)
 
     def error_by_target(self) -> dict:
         """(strategy, target) -> {mean, median, n} of absolute errors."""
@@ -82,7 +82,8 @@ class ExperimentReport:
     def _aggregate(self, key, value) -> dict:
         buckets: dict = {}
         for row in self.rows:
-            buckets.setdefault(key(row), []).append(value(row))
+            if (v := value(row)) is not None:
+                buckets.setdefault(key(row), []).append(v)
         return {
             k: {
                 "mean": statistics.fmean(v),
@@ -112,18 +113,16 @@ class ExperimentReport:
         }
 
     def to_dict(self) -> dict:
+        tables = ("error_by_p_prime", "adjustment_condition_by_p_prime", "error_by_target")
         return {
             "rows": [vars(r) for r in self.rows],
             "failures": [vars(f) for f in self.failures],
-            "error_by_p_prime": _stringify_keys(self.error_by_p_prime()),
-            "condition_by_p_prime": _stringify_keys(self.condition_by_p_prime()),
-            "error_by_target": _stringify_keys(self.error_by_target()),
+            **{
+                name: {"/".join(map(str, k)): v for k, v in getattr(self, name)().items()}
+                for name in tables
+            },
             "cross_strategy_discrepancy": self.cross_strategy_discrepancy(),
         }
-
-
-def _stringify_keys(table: dict) -> dict:
-    return {"/".join(str(p) for p in k): v for k, v in table.items()}
 
 
 def _run_one(
@@ -174,7 +173,7 @@ def run_experiment(
     config: RunConfig,
     fixture: ModelFixture | None = None,
     *,
-    threads: int = 1,
+    pool: ThreadPoolExecutor | None = None,
 ) -> ExperimentReport:
     """Execute every (strategy, replicate, group) cell of `config.experiment`.
 
@@ -189,12 +188,13 @@ def run_experiment(
 
     Replicates are independent deterministic units keyed by their seed,
     run one after another: a replicate's `shared_stages` for all targets
-    are computed once (the simulations spread over `threads`) and shared
-    by its cells, which then run on `threads` workers. A NumericalError is
-    recorded, never retried: in a cell it fails that cell; in the shared
-    stages, which do not depend on the targets, it fails every cell of the
-    replicate with one message. Any other exception is a bug and
-    propagates. Rows and failures keep the strategy-major cell order.
+    are computed once and shared by its cells. `pool`, an `engine.worker_pool`
+    (None: serially), maps the simulation chunks, then the cells, which
+    never simulate. A NumericalError is recorded, never retried: in a cell
+    it fails that cell; in the shared stages, which do not depend on the
+    targets, it fails every cell of the replicate with one message. Any
+    other exception is a bug and propagates. Rows and failures keep the
+    strategy-major cell order.
     """
     plan = config.experiment
     if plan is None:
@@ -224,7 +224,7 @@ def run_experiment(
         # The stage outputs are local to this call: one replicate's are freed
         # before the next replicate simulates its own. Cells only read them.
         try:
-            shared = shared_stages(replace(config, seed=seed), fixture, threads=threads)
+            shared = shared_stages(replace(config, seed=seed), fixture, pool=pool)
         except NumericalError as exc:  # recorded, not fatal: every cell needs them
             return [failure(cell, replicate, seed, exc) for cell in cells]
 
@@ -237,13 +237,7 @@ def run_experiment(
             except NumericalError as exc:  # recorded, not fatal
                 return failure(cell, replicate, seed, exc)
 
-        if threads > 1:
-            # A pool per replicate: its threads end before the next
-            # replicate's simulation threads start, which then reuse their
-            # malloc arenas rather than hold arenas of their own.
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                return list(pool.map(run, cells))
-        return [run(cell) for cell in cells]
+        return list((map if pool is None else pool.map)(run, cells))
 
     report = ExperimentReport()
     for replicate, seed in enumerate(seeds):

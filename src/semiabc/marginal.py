@@ -10,6 +10,7 @@ preserving its per-row rank (copula) structure exactly.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -45,7 +46,7 @@ def estimate_marginal(
     config: RunConfig,
     fixture: ModelFixture | None = None,
     *,
-    threads: int = 1,
+    pool: ThreadPoolExecutor | None = None,
 ) -> list[MarginalEstimate]:
     """One estimate per parameter coordinate, in order.
 
@@ -56,7 +57,7 @@ def estimate_marginal(
     """
     fixture = fixture if fixture is not None else build_fixture(config)
     coordinates = [TargetSpec("coordinate", index=i) for i in range(fixture.simulator.param_dim)]
-    shared = shared_stages(replace(config, targets=tuple(coordinates)), fixture, threads=threads)
+    shared = shared_stages(replace(config, targets=tuple(coordinates)), fixture, pool=pool)
     out = []
     for i, target in enumerate(coordinates):
         held = {**shared, "projector": shared["projector"].rows([i])}

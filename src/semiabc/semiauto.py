@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -299,7 +300,7 @@ def stage_batch(
     name: str,
     region: TruncationRegion | None = None,
     *,
-    threads: int = 1,
+    pool: ThreadPoolExecutor | None = None,
 ) -> SimulationBatch:
     """Simulate the stage batch `name`, the `PipelineResult` field
     `pilot_batch`, `construct_batch` or `main_batch`, from the prior
@@ -312,7 +313,7 @@ def stage_batch(
     }[name]
     prior = fixture.prior if region is None else fixture.prior.truncated(region)
     seed = derive_seed(config.seed, tag)
-    return simulate_batch(prior, fixture.simulator, m, seed, threads=threads)
+    return simulate_batch(prior, fixture.simulator, m, seed, pool=pool)
 
 
 def stage_pilot(
@@ -367,15 +368,17 @@ def stage_infer(
     return posterior
 
 
-def shared_stages(config: RunConfig, fixture: ModelFixture, *, threads: int = 1) -> dict:
+def shared_stages(
+    config: RunConfig, fixture: ModelFixture, *, pool: ThreadPoolExecutor | None = None
+) -> dict:
     """Every stage output of `config` but the posterior, keyed by
     `PipelineResult` field name for `run_semiauto(..., held=...)`. Only the
     projector depends on the targets, so runs on subsets of them share
     these, each with its `SummaryProjector.rows`."""
-    out = {"pilot_batch": stage_batch(config, fixture, "pilot_batch", threads=threads)}
+    out = {"pilot_batch": stage_batch(config, fixture, "pilot_batch", pool=pool)}
     out["pilot_posterior"], out["region"] = stage_pilot(config, fixture, out["pilot_batch"])
     out["construct_batch"] = stage_batch(
-        config, fixture, "construct_batch", out["region"], threads=threads
+        config, fixture, "construct_batch", out["region"], pool=pool
     )
     out["projector"] = stage_construct(config, out["construct_batch"])
     # The main batch is simulated after the construct fit, so that it is
@@ -383,7 +386,7 @@ def shared_stages(config: RunConfig, fixture: ModelFixture, *, threads: int = 1)
     # (VmHWM) of a fresh `infer --full` process on the degree-3 GPD config
     # (q = 559, a 2.4 MB main batch) from 95.9-96.1 to 98.2-98.4 MiB in 3
     # of 3 pairs of runs on a 2-core host.
-    out["main_batch"] = stage_batch(config, fixture, "main_batch", out["region"], threads=threads)
+    out["main_batch"] = stage_batch(config, fixture, "main_batch", out["region"], pool=pool)
     return out
 
 
@@ -402,18 +405,18 @@ def run_semiauto(
     config: RunConfig,
     fixture: ModelFixture | None = None,
     *,
-    threads: int = 1,
+    pool: ThreadPoolExecutor | None = None,
     held: dict | None = None,
 ) -> PipelineResult:
     """Full pipeline: pilot -> truncation -> construction -> main ABC run.
 
-    Deterministic: (config, seed) fully determines every stage; `threads`
-    never changes values. `held`, when given, is every other stage output,
+    Deterministic: (config, seed) fully determines every stage; `pool`
+    (`engine.worker_pool`) never changes values. `held`, when given, is every other stage output,
     as `shared_stages` returns them; it is only read. Nothing is written to
     disk, whatever `config.output_dir` holds; the CLI is the persisted path.
     """
     fixture = fixture if fixture is not None else build_fixture(config)
     targets = targets_from_specs(config.targets, fixture.simulator.param_dim)
-    out = dict(held) if held is not None else shared_stages(config, fixture, threads=threads)
+    out = dict(held) if held is not None else shared_stages(config, fixture, pool=pool)
     out["posterior"] = stage_infer(config, fixture, out["projector"], out["main_batch"])
     return PipelineResult(**out, estimates=posterior_target_estimates(out["posterior"], targets))

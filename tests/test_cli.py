@@ -3,13 +3,16 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from semiabc import cli, semiauto
+from semiabc import artifacts, cli, engine, experiment, semiauto
 from semiabc.cli import main
+from semiabc.errors import ArtifactError
 from semiabc.runconfig import parse_config
 
 REPO = Path(__file__).resolve().parent.parent
@@ -300,8 +303,8 @@ SIDECAR_KEYS = {
         "vifs", "residual_mss", "n_fit"}),
     "marginal_": ("marginal_estimate", {"provenance"}),
     "experiment_report": ("experiment_report", {
-        "rows", "failures", "error_by_p_prime", "condition_by_p_prime", "error_by_target",
-        "cross_strategy_discrepancy"}),
+        "rows", "failures", "error_by_p_prime", "adjustment_condition_by_p_prime",
+        "error_by_target", "cross_strategy_discrepancy"}),
 }
 
 
@@ -342,6 +345,13 @@ class TestExitCodes:
         config = write_config(tmp_path, main={"m": 100, "accept_fraction": 1.5})
         code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 1
+
+    def test_no_worker_threads_is_one(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        args = ["simulate", "--config", str(config), "--out", str(tmp_path / "o")]
+        assert main(args + ["--threads", "0"]) == 1
+        assert capsys.readouterr().err == "error: --threads must be >= 1, got 0\n"
+        assert not (tmp_path / "o").exists()
 
     def test_missing_upstream_artifact_is_one(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -764,6 +774,76 @@ class TestExperimentCommand:
         report = json.loads((out / "experiment_report.json").read_text())
         assert report["rows"] == [] and len(report["failures"]) == 4
         assert (out / "config.json").exists()
+
+
+# a two-target linear-Gaussian study over three replicates whose main
+# batches span two simulation chunks
+POOLED_STUDY = dict(
+    model={"name": "linear_gaussian", "params": {
+        "p": 2, "d": 2, "coeffs": [[1.0, 0.0], [1.0, 1.0]], "noise_sd": 1.0, "s_obs": [1.0, 2.0]}},
+    pilot={"m": 800, "accept_fraction": 0.1},
+    construct={"m": 1000},
+    main={"m": 5000, "accept_fraction": 0.05},
+    targets=[{"kind": "coordinate", "index": 0}, {"kind": "coordinate", "index": 1}],
+    experiment={"strategies": ["joint", "separate"], "replications": 3},
+)
+
+
+class TestWorkerPool:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Every pool built through either module that may build one, with
+        the number of tasks submitted to it and how many of those a task on
+        the pool submitted, which could wait forever on a busy pool."""
+        pools = []
+
+        class Counting(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.submitted = self.nested = 0
+                pools.append(self)
+
+            def submit(self, *args, **kwargs):
+                self.submitted += 1
+                self.nested += threading.current_thread() is not threading.main_thread()
+                return super().submit(*args, **kwargs)
+
+        for module in (engine, experiment):
+            monkeypatch.setattr(module, "ThreadPoolExecutor", Counting)
+        return pools
+
+    @pytest.mark.parametrize("threads, n_pools", [(2, 1), (1, 0)])
+    def test_a_run_builds_one_pool_at_most(self, tmp_path, pools, threads, n_pools):
+        config = write_config(tmp_path, **POOLED_STUDY)
+        args = ["experiment", "--config", str(config), "--out", str(tmp_path / "o")]
+        assert main(args + ["--threads", str(threads)]) == 0
+        assert len(pools) == n_pools
+        assert all(pool.submitted > 0 and pool.nested == 0 for pool in pools)
+
+    @pytest.mark.filterwarnings("ignore:1 constant statistic column")
+    @pytest.mark.parametrize("code", [0, 1, 2])
+    def test_the_pool_is_joined_on_every_exit(self, tmp_path, monkeypatch, pools, code):
+        study = POOLED_STUDY
+        if code == 1:  # refused after every cell ran
+            def refuse(*args, **kwargs):
+                raise ArtifactError("refused")
+
+            monkeypatch.setattr(artifacts, "save_experiment_report", refuse)
+        if code == 2:  # a constant statistic: every construct fit is rank deficient
+            study = dict(
+                model={"name": "gaussian_location", "params": {"n_noise_stats": 2, "n": 1}},
+                pilot={"m": 2000, "accept_fraction": 0.1},
+                construct={"m": 2000},
+                main={"m": 8000, "accept_fraction": 0.05},
+                experiment={"strategies": ["joint", "separate"], "replications": 2},
+                seed=3,
+            )
+        config = write_config(tmp_path, **study)
+        before = threading.active_count()
+        args = ["experiment", "--config", str(config), "--out", str(tmp_path / "o")]
+        assert main(args + ["--threads", "2"]) == code
+        assert len(pools) == 1 and pools[0].submitted > 0
+        assert threading.active_count() == before
 
 
 def test_cli_path_leaves_scipy_unloaded():

@@ -30,6 +30,7 @@ from semiabc.engine import (
     simulate_batch,
     truncation_from_pilot,
     uniform,
+    worker_pool,
 )
 from semiabc.errors import NumericalError
 from semiabc.regression import fit_linear
@@ -153,8 +154,9 @@ class TestSimulateBatch:
         prior = PriorSpec((normal(0.0, 1.0),))
         sim = two_call_simulator()
         m = 3 * CHUNK + 17
-        serial = simulate_batch(prior, sim, m, seed=7, threads=1)
-        threaded = simulate_batch(prior, sim, m, seed=7, threads=8)
+        serial = simulate_batch(prior, sim, m, seed=7)
+        with worker_pool(8) as pool:
+            threaded = simulate_batch(prior, sim, m, seed=7, pool=pool)
         np.testing.assert_array_equal(serial.thetas, threaded.thetas)
         np.testing.assert_array_equal(serial.stats, threaded.stats)
 
@@ -250,8 +252,10 @@ class TestSimulateBatch:
         clean = simulate_batch(prior, echo_simulator(1), 3 * CHUNK, seed=8)
         calls = []
         sim = poisoned_echo_simulator(clean.thetas[CHUNK + 3], calls)
-        with pytest.raises(NumericalError, match="simulator 'poisoned' produced non-finite values"):
-            simulate_batch(prior, sim, 3 * CHUNK, seed=8, threads=threads)
+        with worker_pool(threads) as pool, pytest.raises(
+            NumericalError, match="simulator 'poisoned' produced non-finite values"
+        ):
+            simulate_batch(prior, sim, 3 * CHUNK, seed=8, pool=pool)
         if threads == 1:  # the check follows each chunk, so the third never runs
             assert calls == [CHUNK, CHUNK]
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from semiabc import experiment, semiauto
-from semiabc.engine import derive_seed, regression_adjust
+from semiabc.engine import derive_seed, regression_adjust, worker_pool
 from semiabc.errors import ConfigError, NumericalError
 from semiabc.experiment import ExperimentFailure, _run_one, run_experiment
 from semiabc.semiauto import TAG_EXPERIMENT, build_fixture, shared_stages
@@ -31,6 +31,13 @@ def lg_config(**over):
     )
     base.update(over)
     return RunConfig(**base)
+
+
+@pytest.fixture
+def pool():
+    """A pool of two worker threads, as `--threads 2` opens."""
+    with worker_pool(2) as pool:
+        yield pool
 
 
 def with_plan(config, **plan):
@@ -206,6 +213,18 @@ class TestRun:
         report = run_experiment(config)
         assert len(report.rows) == 4 and not report.failures
         assert all(r.adjustment_condition is None for r in report.rows)
+        assert report.adjustment_condition_by_p_prime() == {}
+
+    def test_condition_table_varies_with_p_prime(self):
+        # A replicate's cells share one construct fit, and so its condition
+        # number; the adjustment fits the cell's p' summaries, and one
+        # centred column has condition number 1.
+        config = lg_config(regression_adjust=True)
+        config = with_plan(config, strategies=("joint", "separate"), replications=2)
+        table = run_experiment(config).to_dict()["adjustment_condition_by_p_prime"]
+        assert set(table) == {"joint/2", "separate/1"}
+        assert table["separate/1"] == {"mean": 1.0, "median": 1.0, "n": 4}
+        assert table["joint/2"]["mean"] > 1.0 and table["joint/2"]["n"] == 4
 
     def test_cross_strategy_discrepancy_table(self):
         config = with_plan(lg_config(), strategies=("joint", "separate"), replications=2)
@@ -233,12 +252,13 @@ class TestRun:
 
     def test_threads_do_not_change_results(self):
         config = with_plan(lg_config(), strategies=("joint", "separate"), replications=2)
-        serial = run_experiment(config, threads=1)
+        serial = run_experiment(config)
         for threads in (2, 4):
-            threaded = run_experiment(config, threads=threads)
+            with worker_pool(threads) as pool:
+                threaded = run_experiment(config, pool=pool)
             assert threaded.rows == serial.rows  # same rows, same order
 
-    def test_each_replicate_simulates_its_batches_once(self, monkeypatch):
+    def test_each_replicate_simulates_its_batches_once(self, monkeypatch, pool):
         calls = []
 
         def counting(*args, **kwargs):
@@ -249,13 +269,13 @@ class TestRun:
         monkeypatch.setattr(semiauto, "simulate_batch", counting)
         config = lg_config()  # no batch depends on the targets
         config = with_plan(config, strategies=("joint", "separate"), replications=2)
-        report = run_experiment(config, threads=2)
+        report = run_experiment(config, pool=pool)
         assert len(report.rows) == 8 and not report.failures
         # pilot, construct and main per replicate, shared by its 1 + 2 cells
         assert len(calls) == 3 * config.experiment.replications
         assert len(set(calls)) == len(calls)
 
-    def test_each_replicate_rejects_on_its_pilot_once(self, monkeypatch):
+    def test_each_replicate_rejects_on_its_pilot_once(self, monkeypatch, pool):
         # the shared stage outputs carry the pilot rejection to all 1 + 2 cells
         calls = []
 
@@ -266,11 +286,11 @@ class TestRun:
         stage_pilot = semiauto.stage_pilot
         monkeypatch.setattr(semiauto, "stage_pilot", counting)
         config = with_plan(lg_config(), strategies=("joint", "separate"), replications=2)
-        report = run_experiment(config, threads=2)
+        report = run_experiment(config, pool=pool)
         assert len(report.rows) == 8 and not report.failures
         assert sorted(calls) == sorted(derived_seeds(config))
 
-    def test_each_replicate_fits_its_projector_once(self, monkeypatch):
+    def test_each_replicate_fits_its_projector_once(self, monkeypatch, pool):
         # the joint cell and both separate cells take rows of one fit
         calls = []
 
@@ -281,7 +301,7 @@ class TestRun:
         stage_construct = semiauto.stage_construct
         monkeypatch.setattr(semiauto, "stage_construct", counting)
         config = with_plan(lg_config(), strategies=("joint", "separate"), replications=2)
-        report = run_experiment(config, threads=2)
+        report = run_experiment(config, pool=pool)
         assert len(report.rows) == 8 and not report.failures
         assert sorted(calls) == sorted(derived_seeds(config))
 
@@ -314,7 +334,7 @@ class TestRun:
         # the pilot and construct batches of each replicate, simulated once
         assert len(calls) == 2 * config.experiment.replications
 
-    def test_a_replicate_whose_shared_stages_fail_keeps_the_cell_order(self, monkeypatch):
+    def test_a_replicate_whose_shared_stages_fail_keeps_the_cell_order(self, monkeypatch, pool):
         config = lg_config()
         fixture = build_fixture(config)
         config = with_plan(config, strategies=("joint", "separate"), replications=2)
@@ -326,7 +346,7 @@ class TestRun:
             return shared_stages(sub, *args, **kwargs)
 
         monkeypatch.setattr(experiment, "shared_stages", failing_first)
-        report = run_experiment(config, fixture, threads=2)
+        report = run_experiment(config, fixture, pool=pool)
         message = "NumericalError: shared stages failed"
         assert report.failures == [
             ExperimentFailure("joint", 0, failing, "theta_0+theta_1", message),
@@ -343,11 +363,11 @@ class TestRun:
         ]
         assert report.rows == alone
 
-    def test_rows_equal_cells_run_alone(self):
+    def test_rows_equal_cells_run_alone(self, pool):
         config = lg_config()
         fixture = build_fixture(config)
         config = with_plan(config, strategies=("joint", "separate"), replications=2)
-        report = run_experiment(config, fixture, threads=2)
+        report = run_experiment(config, fixture, pool=pool)
         oracle_values = {t.name: fixture.oracle.target_mean(t) for t in config.targets}
         seeds = derived_seeds(config)
         shared = [shared_stages(replace(config, seed=seed), fixture) for seed in seeds]

@@ -39,6 +39,13 @@ def test_gpd_dimension_sweep_level_without_rows_exits_two(tmp_path, monkeypatch,
     assert "p'=  1: no rows, 1 failures, first: NumericalError: " in printed
 
 
+def test_gpd_dimension_sweep_without_worker_threads_exits_one(tmp_path, monkeypatch, capsys):
+    code = run_sweep(monkeypatch, "--levels", "1", "--threads", "0", "--out", str(tmp_path / "s"))
+    assert code == 1
+    assert capsys.readouterr().err == "error: --threads must be >= 1, got 0\n"
+    assert not (tmp_path / "s").exists()
+
+
 def test_gpd_dimension_sweep_bad_argument_exits_one(tmp_path, monkeypatch, capsys):
     code = run_sweep(monkeypatch, "--levels", "1", "--main-m", "0", "--out", str(tmp_path / "s"))
     assert code == 1

@@ -15,6 +15,7 @@ from semiabc.engine import (
     TruncationRegion,
     derive_seed,
     simulate_batch,
+    worker_pool,
 )
 from semiabc.errors import ConfigError, NumericalError
 from semiabc.models import ModelFixture, gaussian_location_fixture, gpd_fixture, make_fixture
@@ -522,7 +523,8 @@ class TestPipeline:
         np.testing.assert_array_equal(a.posterior.thetas, b.posterior.thetas)
         np.testing.assert_array_equal(a.region.lo, b.region.lo)
         assert a.estimates == b.estimates
-        c = run_semiauto(config, threads=4)
+        with worker_pool(4) as pool:
+            c = run_semiauto(config, pool=pool)
         np.testing.assert_array_equal(a.posterior.thetas, c.posterior.thetas)
 
     def test_monotone_affine_statistic_invariance(self):
@@ -603,7 +605,8 @@ class TestStageBatch:
         for name, box, m, tag in cases:
             prior = fixture.prior if box is None else fixture.prior.truncated(box)
             want = simulate_batch(prior, fixture.simulator, m, derive_seed(config.seed, tag))
-            got = stage_batch(config, fixture, name, box, threads=2)
+            with worker_pool(2) as pool:
+                got = stage_batch(config, fixture, name, box, pool=pool)
             assert got.m == m
             assert got.thetas.tobytes() == want.thetas.tobytes()
             assert got.stats.tobytes() == want.stats.tobytes()
