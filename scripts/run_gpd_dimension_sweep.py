@@ -1,4 +1,4 @@
-"""Accuracy-vs-target-count study on the GPD exceedance fixture.
+"""Accuracy-vs-target-count study on `configs/gpd_quantiles.json`.
 
 For each target count p' the joint strategy regresses all p' posterior
 quantile functionals at once and runs ABC in the resulting p'-dimensional
@@ -16,13 +16,17 @@ Usage: python scripts/run_gpd_dimension_sweep.py [--levels 1 10 50]
 
 import argparse
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 from semiabc import artifacts
 from semiabc.engine import worker_pool
 from semiabc.errors import ConfigError
 from semiabc.experiment import run_experiment
-from semiabc.models import gpd_fixture
-from semiabc.runconfig import ExperimentConfig, RunConfig, TargetSpec
+from semiabc.runconfig import ExperimentConfig, TargetSpec, parse_config
+from semiabc.semiauto import build_fixture
+
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "gpd_quantiles.json"
 
 
 def tau_ladder(count: int) -> tuple[float, ...]:
@@ -43,30 +47,23 @@ def main() -> int:
     parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
-    fixture = gpd_fixture(sigma_true=1.0, xi_true=0.2, n_exceedances=100)
-
+    base = parse_config(CONFIG)
+    fixture = build_fixture(base)
     with worker_pool(args.threads) as pool:
-        return sweep(args, fixture, pool)
+        return sweep(args, base, fixture, pool)
 
 
-def sweep(args, fixture, pool) -> int:
-    """Run and report each level of the sweep; 2 if a level has no rows."""
+def sweep(args, base, fixture, pool) -> int:
+    """Run and report each level of the sweep on `base`; 2 if one has no rows."""
     code = 0
     for level in args.levels:
-        taus = tau_ladder(level)
-        config = RunConfig(
-            model="gpd",
-            model_params=fixture.params,
-            pilot_m=2000,
-            pilot_accept_fraction=0.05,
-            construct_m=5000,
+        config = replace(
+            base,
+            targets=tuple(TargetSpec("gpd_quantile", tau=t) for t in tau_ladder(level)),
             main_m=args.main_m,
-            main_accept_fraction=0.02,
-            targets=tuple(TargetSpec("gpd_quantile", tau=t) for t in taus),
-            regression_adjust=True,
-            ridge_lambda=1e-8,
             experiment=ExperimentConfig(strategies=("joint",), replications=args.replications),
             seed=args.seed,
+            output_dir=None,
         )
         report = run_experiment(config, fixture, pool=pool)
         out = f"{args.out}/p{level}"

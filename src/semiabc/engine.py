@@ -3,8 +3,8 @@
 Reproducibility contract: every random value consumed for draw m is taken
 from a counter-based (Philox) stream keyed only by the batch seed, a fixed
 purpose tag, and m's fixed-size chunk. Identical (seed, draw index) give
-identical output for any batch size and any `worker_pool` (one per run;
-no task on it submits to it); the suite asserts byte equality at 1 vs 8 threads.
+identical output for any batch size and any `worker_pool` (one per run; BLAS
+on one thread; no task on it submits to it), byte for byte at 1 vs 8 threads.
 
 Thetas are exact inversion draws of the (truncated) prior, one uniform
 matrix per chunk from the stream keyed (seed, 0, chunk, 0).
@@ -13,6 +13,7 @@ matrix per chunk from the stream keyed (seed, 0, chunk, 0).
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import json
 import math
@@ -23,6 +24,7 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .errors import ConfigError, NumericalError
 from .linalg import as_matrix, as_vector
@@ -45,18 +47,32 @@ MIN_SCALE_DRAWS = 10
 
 PRIOR_KINDS = ("uniform", "normal", "lognormal")
 
+# numpy's bundled OpenBLAS, through an extension linked to it
+_BLAS = ctypes.CDLL(lapack_lite.__file__)
+_blas_get = getattr(_BLAS, "scipy_openblas_get_num_threads64_", None)
+_blas_set = getattr(_BLAS, "scipy_openblas_set_num_threads64_", None)
+
 
 def _generator(*key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
+@contextlib.contextmanager
 def worker_pool(threads: int):
-    """A context manager giving a pool of `threads` worker threads, joined
-    on exit, or None (serial) at 1. The name ThreadPoolExecutor is looked
-    up at call time, so a tracer that swaps it sees every pool."""
+    """A pool of `threads` worker threads, joined on exit, or None (serial)
+    at 1. BLAS runs on one thread inside, as its products round by thread
+    count, and gets the caller's count back on exit. ThreadPoolExecutor is
+    looked up at call time, so a tracer that swaps it sees every pool."""
     if threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {threads}")
-    return ThreadPoolExecutor(threads) if threads > 1 else contextlib.nullcontext()
+    with contextlib.ExitStack() as stack:
+        if _blas_set is None:
+            warnings.warn("numpy's BLAS exports no scipy_openblas_set_num_threads64_, so "
+                          "wide-basis bits may depend on the BLAS thread count", stacklevel=3)
+        else:
+            stack.callback(_blas_set, _blas_get())
+            _blas_set(1)
+        yield stack.enter_context(ThreadPoolExecutor(threads)) if threads > 1 else None
 
 
 def derive_seed(seed: int, *tags: int) -> int:

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .engine import PriorSpec, SimulatorContract, lognormal, ndtr, ndtri, normal, uniform
+from .engine import PriorSpec, SimulatorContract, lognormal, ndtri, normal, uniform
 from .errors import ConfigError
 
 # Below this |xi| the exponential-limit branch of the GPD quantile/density
@@ -115,11 +115,6 @@ class ConjugateNormalOracle:
             raise IndexError("Gaussian location model has a single parameter")
         return self.post_mean
 
-    def marginal_cdf(self, i: int, x) -> np.ndarray:
-        if i != 0:
-            raise IndexError("Gaussian location model has a single parameter")
-        return ndtr((np.asarray(x, dtype=np.float64) - self.post_mean) / self.post_sd)
-
 
 class LinearGaussianOracle:
     """Exact Gaussian posterior: the joint prior `moments` of (theta, s)
@@ -134,10 +129,6 @@ class LinearGaussianOracle:
 
     def target_mean(self, target) -> float:
         return float(self.mean[_coordinate_index(target, "linear-Gaussian")])
-
-    def marginal_cdf(self, i: int, x) -> np.ndarray:
-        sd = math.sqrt(float(self.cov[i, i]))
-        return ndtr((np.asarray(x, dtype=np.float64) - self.mean[i]) / sd)
 
 
 class GpdGridOracle:

@@ -845,6 +845,32 @@ class TestWorkerPool:
         assert len(pools) == 1 and pools[0].submitted > 0
         assert threading.active_count() == before
 
+    def test_blas_threads_never_change_an_artifact(self, tmp_path):
+        # a degree-3 GPD basis (559 columns), whose fit and projection round
+        # by the BLAS thread count unless `worker_pool` holds it at one
+        config = json.loads((REPO / "configs" / "gpd_quantiles.json").read_text())
+        config.update(
+            pilot={"m": 1000, "accept_fraction": 0.05}, construct={"m": 1000},
+            main={"m": 5000, "accept_fraction": 0.02},
+            basis={"kind": "polynomial", "degree": 3}, seed=1,
+        )
+        path = tmp_path / "cubic.json"
+        path.write_text(json.dumps(config))
+        src = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+        trees = []
+        for blas_threads in ("1", "2"):
+            out = tmp_path / f"blas{blas_threads}"
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": blas_threads}
+            result = subprocess.run(
+                [sys.executable, "-m", "semiabc.cli", "infer", "--full",
+                 "--config", str(path), "--out", str(out)],
+                capture_output=True, text=True, env=env, timeout=300,
+            )
+            assert result.returncode == 0, result.stderr
+            trees.append(tree_bytes(out))
+        assert "projector.json" in trees[0]
+        assert trees[0] == trees[1]
+
 
 def test_cli_path_leaves_scipy_unloaded():
     # semiabc depends on numpy alone: importing it, building each committed

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import special, stats
 
+from semiabc import engine
 from semiabc.engine import (
     CHUNK,
     PriorSpec,
@@ -270,6 +271,41 @@ class TestSimulateBatch:
     def test_derive_seed_is_stable(self):
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
         assert derive_seed(1, 2, 3) != derive_seed(1, 2, 4)
+
+
+@pytest.mark.skipif(engine._blas_set is None, reason="numpy's BLAS exports no thread setter")
+class TestWorkerPool:
+    @pytest.fixture
+    def caller_blas_threads(self):
+        """The caller's BLAS thread count, 2 during the test, then put back."""
+        get, set_ = engine._blas_get, engine._blas_set
+        before = get()
+        set_(2)
+        yield 2
+        set_(before)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_blas_runs_on_one_thread_inside(self, caller_blas_threads, threads):
+        with worker_pool(threads):
+            assert engine._blas_get() == 1
+        assert engine._blas_get() == caller_blas_threads
+
+    def test_blas_count_is_restored_after_an_exception(self, caller_blas_threads):
+        with pytest.raises(KeyError), worker_pool(2):
+            assert engine._blas_get() == 1
+            raise KeyError
+        assert engine._blas_get() == caller_blas_threads
+
+    def test_without_the_setter_it_warns_once_and_runs(self, monkeypatch, caller_blas_threads):
+        monkeypatch.setattr(engine, "_blas_set", None)
+        prior = PriorSpec((normal(0.0, 1.0),))
+        serial = simulate_batch(prior, two_call_simulator(), 2 * CHUNK, seed=5)
+        with pytest.warns(UserWarning, match="scipy_openblas_set_num_threads64_") as record:
+            with worker_pool(2) as pool:
+                assert engine._blas_get() == caller_blas_threads
+                threaded = simulate_batch(prior, two_call_simulator(), 2 * CHUNK, seed=5, pool=pool)
+        assert len(record) == 1
+        np.testing.assert_array_equal(serial.stats, threaded.stats)
 
 
 def row_distance(s, s_obs, scales) -> float:

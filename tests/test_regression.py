@@ -1,19 +1,14 @@
 import dataclasses
 import hashlib
-import json
-import os
-import subprocess
-import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semiabc.engine import CHUNK
+from semiabc.engine import CHUNK, worker_pool
 from semiabc.errors import ConfigError, NumericalError, RankDeficientError
 from semiabc.regression import (
     _TILE,
@@ -319,9 +314,9 @@ def fit_digests():
     return out
 
 
-# `fit_digests()` with BLAS on one thread, taken before the fit's R factor
-# moved from `np.linalg.qr` of each [R; block] stack to LAPACK dgeqrf on
-# one buffer the fit owns. That is the same routine on the same rows,
+# `fit_digests()` with BLAS on one thread, as `worker_pool` holds it,
+# taken before the fit's R factor moved from `np.linalg.qr` of each
+# [R; block] stack to LAPACK dgeqrf on one buffer the fit owns. That is the same routine on the same rows,
 # split the same way, so no bit may move: never regenerate these from
 # changed code. (A threaded BLAS rounds the cubic fits differently.)
 PINNED_FIT_DIGESTS = {
@@ -341,17 +336,8 @@ PINNED_FIT_DIGESTS = {
 
 
 def test_fit_bits_are_pinned():
-    code = "import json, test_regression; print(json.dumps(test_regression.fit_digests()))"
-    here = Path(__file__).resolve().parent
-    path = os.pathsep.join(
-        filter(None, [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")])
-    )
-    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == PINNED_FIT_DIGESTS
+    with worker_pool(1):
+        assert fit_digests() == PINNED_FIT_DIGESTS
 
 
 def brute_force_vif(x, j):

@@ -1,8 +1,4 @@
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,16 +280,8 @@ class TestBlockwiseDesign:
         assert_blockwise_matches_whole_matrix()
 
     def test_matches_whole_matrix_bitwise_on_one_blas_thread(self):
-        code = "import test_semiauto; test_semiauto.assert_blockwise_matches_whole_matrix()"
-        here = Path(__file__).resolve().parent
-        path = os.pathsep.join(
-            filter(None, [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")])
-        )
-        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
-        )
-        assert result.returncode == 0, result.stderr
+        with worker_pool(1):
+            assert_blockwise_matches_whole_matrix()
 
     def test_construct_fit_holds_under_three_block_designs(self):
         # a degree-3 basis of 13 statistics has 559 columns; the whole
@@ -427,16 +415,8 @@ class TestByteSizedBlocks:
         assert_wide_blockwise_matches_whole_matrix()
 
     def test_wide_projection_matches_whole_matrix_on_one_blas_thread(self):
-        code = "import test_semiauto; test_semiauto.assert_wide_blockwise_matches_whole_matrix()"
-        here = Path(__file__).resolve().parent
-        path = os.pathsep.join(
-            filter(None, [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")])
-        )
-        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
-        )
-        assert result.returncode == 0, result.stderr
+        with worker_pool(1):
+            assert_wide_blockwise_matches_whole_matrix()
 
     def test_streamed_wide_fit_matches_the_one_block_fit(self):
         # monomials of standard normals: the centred design's condition
