@@ -222,15 +222,6 @@ def load_projector(
     return projector
 
 
-def save_marginal(directory, name: str, marginal, config_hash: str) -> None:
-    """Record a marginal estimate's draws; its provenance names the
-    coordinate and the draw count. Nothing reads them back."""
-    _write_table(Path(directory) / f"{name}.csv", ["value"], marginal.samples[:, None])
-    _save_sidecar(
-        directory, name, "marginal_estimate", config_hash, provenance=marginal.provenance
-    )
-
-
 def save_experiment_report(directory, report, config_hash: str) -> None:
     _save_sidecar(
         directory, "experiment_report", "experiment_report", config_hash, **report.to_dict()

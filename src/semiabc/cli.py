@@ -128,10 +128,7 @@ def _cmd_marginal(config, fixture, out, pool, held):
     h = config.config_hash()
     joint = artifacts.load_posterior(out, "posterior_main", h)
     marginals = estimate_marginal(config, fixture, pool=pool)
-    for marginal in marginals:
-        artifacts.save_marginal(out, f"marginal_{marginal.coordinate}", marginal, h)
-    adjusted = marginal_remap(joint, marginals)
-    artifacts.save_posterior(out, "posterior_marginal", adjusted, h)
+    artifacts.save_posterior(out, "posterior_marginal", marginal_remap(joint, marginals), h)
     print(f"marginal: remapped {len(marginals)} margins, posterior written to {out}")
 
 

@@ -44,8 +44,7 @@ class ExperimentRow:
     target: str
     p_prime: int  # number of targets handled jointly in this run
     estimate: float
-    oracle_value: float
-    abs_error: float
+    abs_error: float  # against the report's oracle value of `target`
     n_accepted: int
     epsilon: float
     construction_condition: float
@@ -65,6 +64,7 @@ class ExperimentFailure:
 class ExperimentReport:
     rows: list[ExperimentRow] = field(default_factory=list)
     failures: list[ExperimentFailure] = field(default_factory=list)
+    oracle_values: dict[str, float] = field(default_factory=dict)  # target -> oracle mean
 
     def error_by_p_prime(self) -> dict:
         """(strategy, p') -> {mean, median, n} of absolute errors."""
@@ -117,6 +117,7 @@ class ExperimentReport:
         return {
             "rows": [vars(r) for r in self.rows],
             "failures": [vars(f) for f in self.failures],
+            "oracle_value_by_target": self.oracle_values,
             **{
                 name: {"/".join(map(str, k)): v for k, v in getattr(self, name)().items()}
                 for name in tables
@@ -147,7 +148,6 @@ def _run_one(
     label = "+".join(t.name for t in group_targets)
     rows = []
     for target in group_targets:
-        oracle_value = oracle_values[target.name]
         estimate = result.estimates[target.name]["estimate"]
         rows.append(
             ExperimentRow(
@@ -158,8 +158,7 @@ def _run_one(
                 target=target.name,
                 p_prime=len(group_targets),
                 estimate=estimate,
-                oracle_value=oracle_value,
-                abs_error=abs(estimate - oracle_value),
+                abs_error=abs(estimate - oracle_values[target.name]),
                 n_accepted=result.posterior.n,
                 epsilon=result.posterior.epsilon,
                 construction_condition=result.projector.condition_number,
@@ -179,12 +178,12 @@ def run_experiment(
 
     A joint cell runs all targets as one group, a separate cell one target
     alone. Replicate r runs at seed `derive_seed(config.seed,
-    TAG_EXPERIMENT, r)`. The oracle value of each target is computed once,
-    before any cell runs. A config without an `experiment` section, a
-    target the fixture's oracle cannot evaluate, and too few draws for the
-    pilot, the basis fit or a 2-draw posterior (`check_draw_counts`), which
-    every cell would meet, are refused with a ConfigError before anything
-    is simulated.
+    TAG_EXPERIMENT, r)`. Each target's oracle value is computed before any
+    cell runs and kept once, as `report.oracle_values`. A config without an
+    `experiment` section, a target the fixture's oracle cannot evaluate,
+    and too few draws for the pilot, the scales, the basis fit or a 2-draw
+    posterior (`check_draw_counts`), which every cell would meet, are
+    refused with a ConfigError before anything is simulated.
 
     Replicates are independent deterministic units keyed by their seed,
     run one after another: a replicate's `shared_stages` for all targets
@@ -239,7 +238,7 @@ def run_experiment(
 
         return list((map if pool is None else pool.map)(run, cells))
 
-    report = ExperimentReport()
+    report = ExperimentReport(oracle_values=oracle_values)
     for replicate, seed in enumerate(seeds):
         for outcome in run_replicate(replicate, seed):
             if isinstance(outcome, ExperimentFailure):

@@ -63,13 +63,7 @@ def estimate_marginal(
         held = {**shared, "projector": shared["projector"].rows([i])}
         result = run_semiauto(replace(config, targets=(target,)), fixture, held=held)
         posterior = result.posterior
-        provenance = {
-            "stage": "marginal",
-            "coordinate": i,
-            "projector_id": result.projector.projector_id(),
-            "epsilon": posterior.epsilon,
-            "n": posterior.n,
-        }
+        provenance = {"projector_id": result.projector.projector_id(), "epsilon": posterior.epsilon}
         out.append(MarginalEstimate(i, posterior.thetas[:, i].copy(), provenance))
     return out
 
@@ -114,8 +108,8 @@ def marginal_remap(
     row index) receives the r-th of N evenly-spaced type-7 quantiles of
     the marginal sample; row pairing, and hence the joint rank structure,
     is untouched, and the result stays equally weighted. Every coordinate
-    must be covered by a marginal. The provenance records only the
-    coordinates remapped: the joint's and the marginals' are their own.
+    must be covered by a marginal. The provenance lists each marginal's
+    coordinate and provenance in coordinate order, not the joint's.
     """
     p = joint.thetas.shape[1]
     covered = {m.coordinate for m in marginals}
@@ -136,4 +130,6 @@ def marginal_remap(
         i = marginal.coordinate
         ranks = _stable_ranks(thetas[:, i])
         thetas[:, i] = _marginal_order_stats(marginal.samples, n)[ranks]
-    return replace(joint, thetas=thetas, provenance={"remapped_coordinates": sorted(covered)})
+    ordered = sorted(marginals, key=lambda m: m.coordinate)
+    sources = [{"coordinate": m.coordinate, **m.provenance} for m in ordered]
+    return replace(joint, thetas=thetas, provenance={"marginals": sources})

@@ -83,9 +83,8 @@ def gpd_logpdf(x, sigma, xi):
 
 @dataclass(frozen=True)
 class ModelFixture:
-    """A named simulator, its prior, observed statistics, and an oracle."""
+    """A simulator, its prior, observed statistics, and an oracle."""
 
-    name: str
     simulator: SimulatorContract
     prior: PriorSpec
     observed_data: np.ndarray
@@ -244,7 +243,6 @@ def gaussian_location_fixture(
     post_mean = post_var * (mu0 / tau0**2 + n * xbar_obs / sigma**2)
     oracle = ConjugateNormalOracle(post_mean, math.sqrt(post_var))
     return ModelFixture(
-        name="gaussian_location",
         simulator=simulator,
         prior=prior,
         observed_data=observed,
@@ -308,7 +306,6 @@ def linear_gaussian_fixture(
     )
     prior = PriorSpec(tuple(normal(m0[i], sd0[i]) for i in range(p)))
     return ModelFixture(
-        name="linear_gaussian",
         simulator=simulator,
         prior=prior,
         observed_data=s_obs_arr,
@@ -401,7 +398,6 @@ def gpd_fixture(
 
     oracle = GpdGridOracle(observed)
     return ModelFixture(
-        name="gpd",
         simulator=simulator,
         prior=prior,
         observed_data=observed,

@@ -27,7 +27,6 @@ from .engine import (
     derive_seed,
     regression_adjust,
     rejection_abc,
-    scales_from_matrix,
     simulate_batch,
     truncation_from_pilot,
 )
@@ -78,9 +77,10 @@ def check_draw_counts(config: RunConfig, stat_dim: int) -> None:
     The pilot rejection scales its distances from `MIN_SCALE_DRAWS` draws
     or more, and the truncation box needs 2 of the draws it accepts. The
     construct fit of q basis columns by least squares needs q + 2 of its
-    `construct.m` draws. Regression adjustment fits the p' projected
-    statistics on the accepted main draws, so it needs p' + 2 of them; a
-    marginal estimate needs 2.
+    `construct.m` draws. The main rejection scales its projected distances
+    from its `MIN_SCALE_DRAWS` draws or more. Regression adjustment fits the
+    p' projected statistics on the accepted main draws, so it needs p' + 2
+    of them; a marginal estimate needs 2.
     """
     accepted = accepted_count(config.pilot_accept_fraction, config.pilot_m)
     if config.pilot_m < MIN_SCALE_DRAWS or accepted < 2:
@@ -103,10 +103,11 @@ def check_draw_counts(config: RunConfig, stat_dim: int) -> None:
         if config.regression_adjust
         else (2, "the posterior and each marginal estimate need")
     )
-    if accepted < need:
+    if config.main_m < MIN_SCALE_DRAWS or accepted < need:
         raise ConfigError(
             f"is {config.main_m}, which accepts {accepted} draws at accept_fraction "
-            f"{config.main_accept_fraction:g}; {use} at least {need}",
+            f"{config.main_accept_fraction:g}; the main run needs {MIN_SCALE_DRAWS} draws "
+            f"to scale its distances, and {use} at least {need}",
             "main.m",
         )
 
@@ -137,7 +138,6 @@ class SummaryProjector:
     condition_number: float
     vifs: np.ndarray  # (q,)
     residual_mss: np.ndarray  # (p',)
-    n_fit: int = 0
 
     def __post_init__(self):
         if self.coef.ndim != 2:
@@ -179,7 +179,6 @@ class SummaryProjector:
             "condition_number": self.condition_number,
             "vifs": self.vifs.tolist(),
             "residual_mss": self.residual_mss.tolist(),
-            "n_fit": self.n_fit,
         }
 
     @staticmethod
@@ -193,7 +192,6 @@ class SummaryProjector:
             condition_number=float(data["condition_number"]),
             vifs=np.asarray(data["vifs"], dtype=np.float64),
             residual_mss=np.asarray(data["residual_mss"], dtype=np.float64),
-            n_fit=int(data["n_fit"]),
         )
 
     def projector_id(self) -> str:
@@ -229,7 +227,6 @@ def construct_projector(
         condition_number=fit.condition_number,
         vifs=fit.vifs,
         residual_mss=fit.residual_mss,
-        n_fit=batch.m,
     )
 
 
@@ -343,20 +340,17 @@ def stage_infer(
     batch: SimulationBatch,
 ) -> WeightedPosterior:
     """Main run on the main batch: compare in projected space with scales
-    recomputed there, optionally regression-adjust.
+    recomputed there by `rejection_abc`, optionally regression-adjust.
 
     The batch is projected once; the adjustment takes the accepted rows of
     that projection, since a BLAS product rounds by row position."""
     projected = project_matrix(projector, batch.stats)
     s_obs_proj = project(projector, fixture.s_obs)
-    scales, constant = scales_from_matrix(projected)
     posterior = rejection_abc(
         replace(batch, stats=projected),
         s_obs_proj,
         fraction=config.main_accept_fraction,
-        scales=scales,
-        provenance={"stage": "infer", "projector_id": projector.projector_id(),
-                    "constant_columns": constant},
+        provenance={"stage": "infer", "projector_id": projector.projector_id()},
     )
     if config.regression_adjust:
         posterior = regression_adjust(

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -151,11 +152,26 @@ class TestReport:
         for command in (["infer", "--full"], ["marginal"]):
             assert main(command + ["--config", str(config), "--out", str(out)]) == 0
         tables = sorted(out.glob("*.csv"))
-        assert {p.stem for p in tables} >= {"batch_main", "marginal_1", "observed"}
+        assert {p.stem for p in tables} == {
+            "observed", "batch_pilot", "posterior_pilot", "batch_construct", "batch_main",
+            "posterior_main", "posterior_marginal"}
+        columns = {}
         for path in tables:
+            header = path.read_text().partition("\n")[0].split(",")
             data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
             rows = np.arange(data.shape[0])
             assert not any(np.array_equal(column, rows) for column in data.T), path.name
+            columns.update({(path.stem, name): np.sort(c) for name, c in zip(header, data.T)})
+        # no table restates another's column, even reordered: a remapped
+        # margin is its marginal's draws, sorted by the joint's ranks. The
+        # posterior loader still reads posterior_marginal's draw_index, a
+        # copy of posterior_main's, until binary artifacts (ROADMAP item 2).
+        restated = [
+            (a, b) for a, b in itertools.combinations(columns, 2)
+            if a[0] != b[0] and np.array_equal(columns[a], columns[b])
+        ]
+        copy = (("posterior_main", "draw_index"), ("posterior_marginal", "draw_index"))
+        assert restated == [copy]
 
         def provenance(name):
             return json.loads((out / f"{name}.json").read_text())["provenance"]
@@ -163,15 +179,40 @@ class TestReport:
         for name in ("posterior_pilot", "posterior_main", "posterior_marginal"):
             assert not provenance(name).keys() & {"seed", "model", "prior_hash"}, name
         assert provenance("posterior_pilot")["constant_columns"] == 0
-        remapped = provenance("posterior_marginal")
-        assert remapped == {"remapped_coordinates": [0, 1]}
-        text = (out / "posterior_marginal.json").read_text()
-        for name in ("posterior_main", "marginal_0", "marginal_1"):
-            other = provenance(name)
-            assert not [key for key, value in remapped.items() if other.get(key) == value]
-            assert other["projector_id"] not in text
-        assert not json.loads((out / "marginal_0.json").read_text()).keys() & {"coordinate", "n"}
+        # the remapped posterior holds, per coordinate, the two facts of its
+        # marginal ABC pass that no other file holds, and nothing of the joint's
+        joint, remapped = provenance("posterior_main"), provenance("posterior_marginal")
+        assert remapped.keys() == {"marginals"}
+        marginals = remapped["marginals"]
+        assert [m["coordinate"] for m in marginals] == [0, 1]
+        assert all(m.keys() == {"coordinate", "epsilon", "projector_id"} for m in marginals)
+        assert len({m["projector_id"] for m in marginals} | {joint["projector_id"]}) == 3
+        epsilon = json.loads((out / "posterior_main.json").read_text())["epsilon"]
+        assert epsilon not in [m["epsilon"] for m in marginals]
         assert "model" not in json.loads((out / "observed.json").read_text())
+
+    def test_a_study_stores_each_oracle_value_once(self, tmp_path):
+        config = write_config(
+            tmp_path,
+            model={"name": "linear_gaussian", "params": {
+                "p": 2, "d": 2, "coeffs": [[1.0, 0.0], [1.0, 1.0]],
+                "noise_sd": 1.0, "s_obs": [1.0, 2.0]}},
+            main={"m": 2000, "accept_fraction": 0.05},
+            targets=[{"kind": "coordinate", "index": 0}, {"kind": "coordinate", "index": 1}],
+            experiment={"strategies": ["joint", "separate"], "replications": 1},
+        )
+        out = tmp_path / "study"
+        assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
+        report = json.loads((out / "experiment_report.json").read_text())
+        oracle = semiauto.build_fixture(parse_config(config)).oracle
+        values = report["oracle_value_by_target"]
+        assert values == {t.name: oracle.target_mean(t) for t in parse_config(config).targets}
+        assert len(report["rows"]) == 4
+        for row in report["rows"]:
+            assert "oracle_value" not in row
+            assert row["abs_error"] == abs(row["estimate"] - values[row["target"]])
+        header = (out / "experiment_rows.csv").read_text().partition("\n")[0].split(",")
+        assert "oracle_value" not in header and "abs_error" in header
 
     def test_report_reads_a_sidecar_that_still_holds_distances(self, tmp_path):
         # earlier versions wrote the accepted draws' distances into the sidecar
@@ -194,7 +235,8 @@ class TestReport:
         # copy of the region in batch and projector, the model in
         # observed.json, and copies in posterior provenance: the config
         # hash, each batch's seed, model and prior hash, and in the
-        # remapped posterior the joint's whole provenance
+        # remapped posterior the joint's whole provenance and the
+        # coordinates remapped
         config = write_config(tmp_path, main={"m": 2000, "accept_fraction": 0.05})
         untouched, restored = tmp_path / "untouched", tmp_path / "restored"
 
@@ -243,8 +285,10 @@ class TestReport:
         run("marginal")
         # the remapped posterior copies nothing from the joint it read
         assert same_bytes(*edited)
-        sources = {"0": read("marginal_0")["provenance"]}
-        joint = {**read("posterior_main")["provenance"], "marginal_adjustment": {"sources": sources}}
+        marginals = read("posterior_marginal")["provenance"]["marginals"]
+        sources = {str(m["coordinate"]): m for m in marginals}
+        joint = {**read("posterior_main")["provenance"], "remapped_coordinates": [0],
+                 "marginal_adjustment": {"sources": sources}}
         restore("posterior_marginal", joint, stage="marginal")
         run("report")
         assert same_bytes(*edited, "posterior_marginal.json")
@@ -300,18 +344,17 @@ SIDECAR_KEYS = {
     "region": ("truncation_region", {"lo", "hi"}),
     "projector": ("summary_projector", {
         "projector_id", "basis", "intercept", "coef", "target_names", "condition_number",
-        "vifs", "residual_mss", "n_fit"}),
-    "marginal_": ("marginal_estimate", {"provenance"}),
+        "vifs", "residual_mss"}),
     "experiment_report": ("experiment_report", {
-        "rows", "failures", "error_by_p_prime", "adjustment_condition_by_p_prime",
-        "error_by_target", "cross_strategy_discrepancy"}),
+        "rows", "failures", "oracle_value_by_target", "error_by_p_prime",
+        "adjustment_condition_by_p_prime", "error_by_target", "cross_strategy_discrepancy"}),
 }
 
 
 def test_every_sidecar_holds_exactly_its_keys(tmp_path):
-    # nothing reads back observed.json, marginal_<i>.json,
-    # experiment_report.json or the projector_id, so only this test sees
-    # a key that the writer drops or misspells
+    # nothing reads back observed.json, experiment_report.json or the
+    # projector_id, so only this test sees a key that the writer drops or
+    # misspells
     chain = ["simulate", "pilot", "construct", "infer", "marginal", "report"]
     runs = [
         (write_config(tmp_path, "chain.json"), [[c] for c in chain]),
@@ -321,7 +364,7 @@ def test_every_sidecar_holds_exactly_its_keys(tmp_path):
     ]
     stages = {"observed", "batch_pilot", "posterior_pilot", "region", "batch_construct",
               "projector", "batch_main", "posterior_main"}
-    expected = [stages | {"marginal_0", "posterior_marginal"}, stages, {"experiment_report"}]
+    expected = [stages | {"posterior_marginal"}, stages, {"experiment_report"}]
     for (config, commands), names in zip(runs, expected):
         out = tmp_path / config.stem
         for command in commands:
@@ -512,7 +555,6 @@ class TestMalformedArtifacts:
             ("projector.json", "coef", ("simulate", "pilot", "construct", "infer")),
             ("batch_pilot.json", "stat_dim", ("simulate", "pilot")),
             ("region.json", "lo", ("simulate", "pilot", "construct")),
-            ("projector.json", "n_fit", ("simulate", "pilot", "construct", "infer")),
         ],
     )
     def test_sidecar_missing_a_key(self, tmp_path, capsys, sidecar, key, stages):
@@ -655,6 +697,16 @@ class TestTooFewDraws:
             main={"m": 100, "accept_fraction": 0.01}, adjust={"regression": False},
         )
         assert "accepts 1 draws" in err and "at least 2" in err and len(err.splitlines()) == 1
+
+    def test_too_few_main_draws_to_scale(self, tmp_path, capsys):
+        # five draws, all accepted, make a posterior, but too few to scale
+        # the projected distances of the main rejection
+        err = self.assert_refused(
+            tmp_path, capsys, "main.m",
+            main={"m": 5, "accept_fraction": 1.0}, adjust={"regression": False},
+        )
+        assert "is 5, which accepts 5 draws" in err and len(err.splitlines()) == 1
+        assert "needs 10 draws to scale its distances" in err
 
     @pytest.mark.parametrize(
         "pilot, phrase",

@@ -568,17 +568,23 @@ def test_experiment_rows_table_shares_the_json_rows_schema(tmp_path):
     # the flat table names each fact as the JSON rows do; a float cell
     # reads back to its row's value bit for bit, and None is an empty cell
     rows = [
-        ExperimentRow("joint", 0, 11, "theta_0+theta_1", "theta_0", 2, 0.1, 1 / 3,
+        ExperimentRow("joint", 0, 11, "theta_0+theta_1", "theta_0", 2, 0.1,
                       abs(0.1 - 1 / 3), 40, 0.25, 1e16, 2.5e-7),
-        ExperimentRow("separate", 1, 12, "theta_1", "theta_1", 1, -0.0, 5e-324,
+        ExperimentRow("separate", 1, 12, "theta_1", "theta_1", 1, -0.0,
                       1e-5, 7, 9999999999999998.0, 0.1 + 0.2, None),
     ]
-    artifacts.save_experiment_report(tmp_path, ExperimentReport(rows=rows), "h")
+    # each target's oracle value is written once, beside the rows
+    oracle_values = {"theta_0": 1 / 3, "theta_1": 5e-324}
+    report = ExperimentReport(rows=rows, oracle_values=oracle_values)
+    artifacts.save_experiment_report(tmp_path, report, "h")
     header, *lines = (tmp_path / "experiment_rows.csv").read_text().splitlines()
     names = [f.name for f in fields(ExperimentRow)]
-    assert header.split(",") == names
-    json_rows = json.loads((tmp_path / "experiment_report.json").read_text())["rows"]
-    assert [sorted(r) for r in json_rows] == [sorted(names)] * len(rows)
+    assert header.split(",") == names and "oracle_value" not in names
+    saved = json.loads((tmp_path / "experiment_report.json").read_text())
+    assert [sorted(r) for r in saved["rows"]] == [sorted(names)] * len(rows)
+    read_back = saved["oracle_value_by_target"]
+    assert {k: v.hex() for k, v in read_back.items()} == {
+        k: v.hex() for k, v in oracle_values.items()}
     for line, row in zip(lines, rows, strict=True):
         for cell, name in zip(line.split(","), names, strict=True):
             value = getattr(row, name)

@@ -75,8 +75,9 @@ class TestRun:
         assert all(r.target == "theta_0" and r.p_prime == 1 for r in report.rows)
         table = report.error_by_p_prime()
         assert table[("joint", 1)]["n"] == 3
-        # oracle: hand-derived conditioning mean 0.8 for coordinate 0
-        assert all(r.oracle_value == pytest.approx(0.8) for r in report.rows)
+        # oracle: hand-derived conditioning mean 0.8 for coordinate 0, kept once
+        assert report.oracle_values == {"theta_0": pytest.approx(0.8)}
+        assert report.to_dict()["oracle_value_by_target"] == report.oracle_values
 
     def test_separate_singletons_reproduce_joint_single_target_bitwise(self):
         single = lg_config(targets=(TargetSpec("coordinate", index=0),))

@@ -523,7 +523,6 @@ class TestPipeline:
             return stats
 
         mapped_fixture = ModelFixture(
-            name=fixture.name,
             simulator=SimulatorContract(
                 name=fixture.simulator.name,
                 param_dim=fixture.simulator.param_dim,
