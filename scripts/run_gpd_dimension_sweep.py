@@ -63,7 +63,6 @@ def sweep(args, base, fixture, pool) -> int:
             main_m=args.main_m,
             experiment=ExperimentConfig(strategies=("joint",), replications=args.replications),
             seed=args.seed,
-            output_dir=None,
         )
         report = run_experiment(config, fixture, pool=pool)
         out = f"{args.out}/p{level}"

@@ -68,7 +68,6 @@ def _resolve(args) -> tuple[RunConfig, Path]:
     out = args.out if args.out is not None else config.output_dir
     if out is None:
         raise ConfigError("no output directory: set 'output_dir' in the config or pass --out")
-    config = replace(config, output_dir=str(out))
     return config, Path(out)
 
 

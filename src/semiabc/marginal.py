@@ -109,7 +109,8 @@ def marginal_remap(
     the marginal sample; row pairing, and hence the joint rank structure,
     is untouched, and the result stays equally weighted. Every coordinate
     must be covered by a marginal. The provenance lists each marginal's
-    coordinate and provenance in coordinate order, not the joint's.
+    coordinate and provenance in coordinate order; the accepted indices
+    and `epsilon` stay the joint's, so `posterior_main` holds them too.
     """
     p = joint.thetas.shape[1]
     covered = {m.coordinate for m in marginals}

@@ -9,7 +9,7 @@ answer at desk scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -90,7 +90,6 @@ class ModelFixture:
     observed_data: np.ndarray
     s_obs: np.ndarray
     oracle: object
-    params: dict = field(default_factory=dict, compare=False)
 
 
 def _coordinate_index(target, oracle: str) -> int:
@@ -248,10 +247,6 @@ def gaussian_location_fixture(
         observed_data=observed,
         s_obs=s_obs,
         oracle=oracle,
-        params={
-            "mu0": mu0, "tau0": tau0, "sigma": sigma, "n": n,
-            "xbar_obs": xbar_obs, "n_noise_stats": n_noise_stats,
-        },
     )
 
 
@@ -311,11 +306,6 @@ def linear_gaussian_fixture(
         observed_data=s_obs_arr,
         s_obs=s_obs_arr,
         oracle=LinearGaussianOracle(moments, s_obs_arr),
-        params={
-            "p": p, "d": d, "coeffs": c.tolist(), "noise_sd": noise_sd,
-            "prior_mean": m0.tolist(), "prior_sd": sd0.tolist(),
-            "s_obs": s_obs_arr.tolist(),
-        },
     )
 
 
@@ -403,7 +393,6 @@ def gpd_fixture(
         observed_data=observed,
         s_obs=s_obs,
         oracle=oracle,
-        params={"sigma_true": sigma_true, "xi_true": xi_true, "n_exceedances": n_exceedances},
     )
 
 

@@ -109,7 +109,7 @@ _LAYOUT = {
     "model_params": ("model.params", lambda v: isinstance(v, dict), "must be an object"),
     "pilot_m": ("pilot.m", *_COUNT),
     "pilot_accept_fraction": ("pilot.accept_fraction", *_FRACTION),
-    "construct_m": ("construct.m", lambda v: v is None or _COUNT[0](v), _COUNT[1]),
+    "construct_m": ("construct.m", *_COUNT),
     "main_m": ("main.m", *_COUNT),
     "main_accept_fraction": ("main.accept_fraction", *_FRACTION),
     "basis": ("basis", lambda v: isinstance(v, BasisSpec), "must be a BasisSpec"),
@@ -131,7 +131,7 @@ class RunConfig:
     model_params: dict = field(default_factory=dict)
     pilot_m: int = 10_000
     pilot_accept_fraction: float = 0.05
-    construct_m: int | None = None  # None -> pilot_m
+    construct_m: int | None = None  # None -> pilot_m, fixed when the config is built
     main_m: int = 100_000
     main_accept_fraction: float = 0.01
     basis: BasisSpec = field(default_factory=BasisSpec)
@@ -142,6 +142,8 @@ class RunConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
+        if self.construct_m is None:
+            object.__setattr__(self, "construct_m", self.pilot_m)
         for f in fields(self):
             path, test, rule = _LAYOUT[f.name]
             value = getattr(self, f.name)
@@ -151,10 +153,6 @@ class RunConfig:
             if f.type == "float":
                 object.__setattr__(self, f.name, float(value))
         object.__setattr__(self, "targets", tuple(self.targets))
-
-    @property
-    def effective_construct_m(self) -> int:
-        return self.pilot_m if self.construct_m is None else self.construct_m
 
     def with_seed(self, seed: int) -> "RunConfig":
         return replace(self, seed=seed)
@@ -179,7 +177,6 @@ class RunConfig:
 # the key out.
 _WRITE = {
     "targets": lambda c: [t.to_dict() for t in c.targets],
-    "construct_m": lambda c: c.effective_construct_m,
     "basis": lambda c: _changed_fields(c.basis, "kind"),
     "experiment": lambda c: c.experiment and c.experiment.to_dict(),
 }

@@ -90,7 +90,7 @@ def check_draw_counts(config: RunConfig, stat_dim: int) -> None:
             "scale its distances and 2 accepted ones for the truncation region",
             "pilot.m",
         )
-    q, m = config.basis.width(stat_dim), config.effective_construct_m
+    q, m = config.basis.width(stat_dim), config.construct_m
     if m < q + 2:
         raise ConfigError(
             f"is {m}, but fitting the {q} basis columns needs at least {q + 2} draws",
@@ -305,7 +305,7 @@ def stage_batch(
     draw count and the `TAG_*` its seed is derived with."""
     tag, m = {
         "pilot_batch": (TAG_PILOT, config.pilot_m),
-        "construct_batch": (TAG_CONSTRUCT, config.effective_construct_m),
+        "construct_batch": (TAG_CONSTRUCT, config.construct_m),
         "main_batch": (TAG_MAIN, config.main_m),
     }[name]
     prior = fixture.prior if region is None else fixture.prior.truncated(region)

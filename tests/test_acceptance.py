@@ -300,14 +300,15 @@ def test_criterion_7_large_target_count_study():
         50: tuple(round(0.5 + 0.01 * k, 2) for k in range(50)),  # 0.5 .. 0.99
     }
     assert all(0.9 in taus for taus in taus_by_level.values())
-    fixture = gpd_fixture(sigma_true=1.0, xi_true=0.2, n_exceedances=100)
+    params = {"sigma_true": 1.0, "xi_true": 0.2, "n_exceedances": 100}
+    fixture = gpd_fixture(**params)
 
     replicates = 20
 
     def config_for(taus, strategy):
         return RunConfig(
             model="gpd",
-            model_params=fixture.params,
+            model_params=params,
             pilot_m=2000,
             pilot_accept_fraction=0.05,
             construct_m=5000,

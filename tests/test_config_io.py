@@ -48,9 +48,12 @@ class TestParseConfig:
         assert config.pilot_accept_fraction == 0.05
         assert config.main_m == 100_000
         assert config.main_accept_fraction == 0.01
-        assert config.effective_construct_m == 10_000
+        assert config.construct_m == 10_000
         assert config.basis == BasisSpec()
         assert not config.regression_adjust
+        # construct.m defaults to pilot.m when the config is built, not after
+        assert replace(config, pilot_m=500).construct_m == 10_000
+        assert replace(config, pilot_m=500, construct_m=None).construct_m == 500
 
     def test_unknown_key_named(self):
         bad = dict(MINIMAL)
@@ -97,6 +100,7 @@ class TestParseConfig:
         path = tmp_path / "config.json"
         path.write_text(serialize_config(config))
         again = parse_config(path)
+        assert again == config
         assert again.config_hash() == config.config_hash()
         assert serialize_config(again) == serialize_config(config)
 

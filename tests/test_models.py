@@ -249,8 +249,8 @@ class TestGpdFixture:
         # statistics, the samples are sorted in place and freed before the
         # next block, so about 2.2 block sample arrays (3.2 with the
         # exponential-limit array) are alive next to the (CHUNK, 13) output
-        fixture = gpd_fixture()
-        n = fixture.params["n_exceedances"]
+        n = 100
+        fixture = gpd_fixture(n_exceedances=n)
         rows = _SIM_BLOCK_BYTES // (8 * n)
         thetas = gpd_chunk_thetas(18, small_xi=small_xi)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((18, 3))))
@@ -369,7 +369,7 @@ class TestGpdStatistics:
 class TestRegistry:
     def test_make_fixture_by_name(self):
         fixture = make_fixture("gaussian_location", {"xbar_obs": 0.5})
-        assert fixture.params["xbar_obs"] == 0.5
+        assert fixture.s_obs[0] == pytest.approx(0.5)
 
     def test_unknown_model(self):
         with pytest.raises(ConfigError, match="unknown model"):

@@ -533,7 +533,6 @@ class TestPipeline:
             observed_data=fixture.observed_data,
             s_obs=np.concatenate([[a * fixture.s_obs[0] + b], fixture.s_obs[1:]]),
             oracle=fixture.oracle,
-            params=fixture.params,
         )
         transformed = run_semiauto(config, mapped_fixture)
         np.testing.assert_array_equal(
